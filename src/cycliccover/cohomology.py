@@ -31,11 +31,21 @@ need adjustment to satisfy the membership conditions verbatim:
   t_{n-mu} = 1 the companion differential g_{n-mu}/y^{n-mu} dx has a
   simple pole over infinity and the split must stop at degree nu; with
   that adjustment every emitted triple passes the membership checks.
+
+Compute once.  Each curve keeps one ``BasisContext`` per mu-range policy
+in ``curve.basis_contexts``.  It builds the differential and H^1 bases on
+first use, one de Rham basis per sign convention (whose delta-family
+reuses the differentials), and the pairing matrix of the differentials
+against the H^1 basis in duality order.  ``omega_basis``, ``h1_basis``,
+``derham_basis`` and ``h1_coordinates`` read the context, so every check
+and the report document see the same objects; the readers return fresh
+lists.  The context lives on the curve and goes away with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
@@ -103,8 +113,7 @@ def _require_index(indices: list[BasisIndex], mu: int, nu: int, side: str) -> No
 # -- bases -------------------------------------------------------------------
 
 
-def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFDiff]]:
-    """Basis of holomorphic differentials for the active policy range."""
+def _build_omega_basis(curve: Curve, range_policy: str) -> list[tuple[BasisIndex, FFDiff]]:
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out = []
@@ -121,8 +130,7 @@ def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[Basi
     return out
 
 
-def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFElem]]:
-    """Basis representatives of H^1(O), poles confined over 0 and infinity."""
+def _build_h1_basis(curve: Curve, range_policy: str) -> list[tuple[BasisIndex, FFElem]]:
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out = []
@@ -135,6 +143,16 @@ def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIn
             elem = FFElem.monomial(curve, idx.mu - 1, RatFn(g_pm, Poly.monomial(spec, idx.nu)))
         out.append((idx, elem))
     return out
+
+
+def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFDiff]]:
+    """Basis of holomorphic differentials for the active policy range."""
+    return list(basis_context(curve, range_policy).omega)
+
+
+def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFElem]]:
+    """Basis representatives of H^1(O), poles confined over 0 and infinity."""
+    return list(basis_context(curve, range_policy).h1)
 
 
 # -- Kummer auxiliaries ----------------------------------------------------------
@@ -185,7 +203,8 @@ def kummer_aux(curve: KummerCurve, mu: int, nu: int) -> KummerAux:
     )
     support = Poly.from_roots(curve.spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
     gg, rem = divmod(curve.f, support)
-    assert rem.is_zero, "f is divisible by the I-support product by construction"
+    if not rem.is_zero:
+        raise ArithmeticError("f is not divisible by the I-support product, which the construction forces")
     return KummerAux(I_mu=row.I, psi=psi, phi_mu=phi_mu, gg_product=gg)
 
 
@@ -247,15 +266,12 @@ def as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str = "extended") -> 
 SIGN_CONVENTIONS = ("paper", "negated-infty")
 
 
-def derham_basis(
+def _build_derham_basis(
     curve: Curve,
-    range_policy: str = "extended",
-    sign_convention: str = "negated-infty",
+    range_policy: str,
+    sign_convention: str,
+    omegas: tuple[tuple[BasisIndex, FFDiff], ...],
 ) -> list[DeRhamClass]:
-    """The 2g de Rham classes: the a-family projecting onto the H^1 basis
-    followed by the delta-family lifting the holomorphic differentials."""
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError(f"unknown sign convention {sign_convention!r}; use one of {SIGN_CONVENTIONS}")
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out: list[DeRhamClass] = []
@@ -294,9 +310,21 @@ def derham_basis(
             g_pm = table[curve.p - mu].g_mu
             f0inf = FFElem.monomial(curve, mu - 1, RatFn(g_pm, x_nu))
             out.append(DeRhamClass("a", idx, DeRhamTriple(omega0, omega_inf, f0inf)))
-    for idx, w in omega_basis(curve, range_policy):
+    for idx, w in omegas:
         out.append(DeRhamClass("delta", idx, DeRhamTriple(w, w, FFElem.zero(curve))))
     return out
+
+
+def derham_basis(
+    curve: Curve,
+    range_policy: str = "extended",
+    sign_convention: str = "negated-infty",
+) -> list[DeRhamClass]:
+    """The 2g de Rham classes: the a-family projecting onto the H^1 basis
+    followed by the delta-family lifting the holomorphic differentials."""
+    if sign_convention not in SIGN_CONVENTIONS:
+        raise ValueError(f"unknown sign convention {sign_convention!r}; use one of {SIGN_CONVENTIONS}")
+    return list(basis_context(curve, range_policy).derham(sign_convention))
 
 
 # -- canonical maps of the exact sequence ----------------------------------------------
@@ -312,6 +340,24 @@ def map_p(triple: DeRhamTriple) -> FFElem:
     return triple.f0inf
 
 
+def _require_h1_class(curve: Curve, f: FFElem) -> None:
+    """f must be regular away from the fibers over 0 and infinity."""
+    require_valid(curve)
+    if f.curve is not curve:
+        raise ValueError("element does not live on the given curve")
+    if f.is_zero:
+        return
+    for place in place_classes(curve):
+        if place.kind != "branch" or place.covers_zero:
+            continue
+        bound, exact = valuation_bound(f, place)
+        if bound < 0:
+            kind = "pole" if exact else "possible pole"
+            raise ValueError(
+                f"element has a {kind} at {place.label()}: not an O(U_0 cap U_inf) class"
+            )
+
+
 def h1_coordinates(
     curve: Curve, f: FFElem, range_policy: str = "extended"
 ) -> tuple[FieldElement, ...]:
@@ -320,17 +366,77 @@ def h1_coordinates(
 
     Requires f to be regular away from the fibers over 0 and infinity.
     """
-    require_valid(curve)
-    if f.curve is not curve:
-        raise ValueError("element does not live on the given curve")
-    if not f.is_zero:
-        for place in place_classes(curve):
-            if place.kind != "branch" or place.covers_zero:
-                continue
-            bound, exact = valuation_bound(f, place)
-            if bound < 0:
-                kind = "pole" if exact else "possible pole"
-                raise ValueError(
-                    f"element has a {kind} at {place.label()}: not an O(U_0 cap U_inf) class"
-                )
-    return tuple(pairing(f, w) for _, w in omega_basis(curve, range_policy))
+    _require_h1_class(curve, f)
+    return tuple(pairing(f, w) for _, w in basis_context(curve, range_policy).omega)
+
+
+# -- per-curve context -------------------------------------------------------------------
+
+
+def _partner(curve: Curve, idx: BasisIndex) -> BasisIndex:
+    """H^1 index dual to a differential index."""
+    if curve.kind == "kummer":
+        return idx
+    return BasisIndex(curve.p - idx.mu, idx.nu)
+
+
+class BasisContext:
+    """The bases of one curve under one mu-range policy, each built on first
+    use and kept: the differential and H^1 bases, one de Rham basis per sign
+    convention (its delta-family reuses the differentials), and the pairing
+    matrix.  Everything is held in tuples, and the public readers hand out
+    fresh lists, so no caller can change what the next one reads."""
+
+    def __init__(self, curve: Curve, range_policy: str):
+        self.curve = curve
+        self.range_policy = range_policy
+        self._derham: dict[str, tuple[DeRhamClass, ...]] = {}
+
+    @cached_property
+    def omega(self) -> tuple[tuple[BasisIndex, FFDiff], ...]:
+        return tuple(_build_omega_basis(self.curve, self.range_policy))
+
+    @cached_property
+    def h1(self) -> tuple[tuple[BasisIndex, FFElem], ...]:
+        return tuple(_build_h1_basis(self.curve, self.range_policy))
+
+    def derham(self, sign_convention: str) -> tuple[DeRhamClass, ...]:
+        if sign_convention not in self._derham:
+            classes = _build_derham_basis(self.curve, self.range_policy, sign_convention, self.omega)
+            self._derham[sign_convention] = tuple(classes)
+        return self._derham[sign_convention]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[BasisIndex, FFElem], ...]:
+        """The H^1 basis in duality order: column j is the partner of the
+        j-th differential."""
+        hs = dict(self.h1)
+        return tuple(
+            (_partner(self.curve, idx), hs[_partner(self.curve, idx)]) for idx, _ in self.omega
+        )
+
+    @cached_property
+    def pairing_matrix(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """Entry (i, j) pairs column j against the i-th differential, so
+        column j holds the H^1 coordinates of its representative."""
+        return tuple(tuple(pairing(h, w) for _, h in self.columns) for _, w in self.omega)
+
+    def column_coordinates(self, f: FFElem) -> tuple[FieldElement, ...] | None:
+        """H^1 coordinates of f read from the pairing matrix when f equals
+        the representative behind a column (after the same regularity
+        precondition as ``h1_coordinates``); None for any other element."""
+        for j, (_, h) in enumerate(self.columns):
+            if f == h:
+                _require_h1_class(self.curve, f)
+                return tuple(row[j] for row in self.pairing_matrix)
+        return None
+
+
+def basis_context(curve: Curve, range_policy: str = "extended") -> BasisContext:
+    """The curve's context for the policy, created on first use and kept on
+    the curve, so it lives exactly as long as the curve does."""
+    context = curve.basis_contexts.get(range_policy)
+    if context is None:
+        mu_table(curve, range_policy)  # refuse unknown policies and invalid curves up front
+        context = curve.basis_contexts[range_policy] = BasisContext(curve, range_policy)
+    return context

@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn
+
+if TYPE_CHECKING:
+    from .cohomology import BasisContext
 
 
 class Violation(NamedTuple):
@@ -62,6 +65,7 @@ class KummerCurve:
         self.l = sum(l for _, l in self.branch)
         self.f = Poly.from_roots(spec, self.branch)
         self._cache: dict = {}
+        self.basis_contexts: dict[str, BasisContext] = {}  # per mu-range policy, see cohomology
 
     @property
     def t(self) -> int:
@@ -92,6 +96,7 @@ class ASCurve:
         self.branch_poly = Poly.from_roots(spec, self.branch)
         self.r_fn = RatFn(f, self.branch_poly) if not f.is_zero else RatFn.zero(spec)
         self._cache: dict = {}
+        self.basis_contexts: dict[str, BasisContext] = {}  # per mu-range policy, see cohomology
 
     @property
     def degree(self) -> int:
@@ -283,7 +288,8 @@ def mu_table(curve: Curve, range_policy: str = "extended") -> MuTable:
                 ms.append(m)
                 vs.append(v)
             total = sum(entry.g * v for entry, v in zip(ram.branch, vs))
-            assert total % n == 0, "t_mu integrality is forced by mu*l == 0 mod n"
+            if total % n:
+                raise ArithmeticError(f"t_{mu} is not an integer, although mu*l == 0 mod n forces it")
             g_mu = Poly.from_roots(curve.spec, [(e.rho, m) for e, m in zip(ram.branch, ms)])
             I = tuple(i for i, v in enumerate(vs, start=1) if v != 0)
             rows[mu] = MuRow(mu, tuple(ms), tuple(vs), g_mu, total // n, I)
@@ -313,7 +319,8 @@ def genus_rh(curve: Curve) -> int:
         two_g_minus_2 = -2 * curve.n + sum(e.g * (e.e - 1) for e in ram.branch)
     else:
         two_g_minus_2 = -2 * curve.p + sum((curve.p - 1) * (l + 1) for _, l in curve.branch)
-    assert two_g_minus_2 % 2 == 0
+    if two_g_minus_2 % 2:
+        raise ArithmeticError(f"canonical degree {two_g_minus_2} is odd")
     return (two_g_minus_2 + 2) // 2
 
 

@@ -207,12 +207,6 @@ class FFElem:
             total = total + self.galois(j)
         return total.coeffs[0]
 
-    def galois_orbit_sum(self) -> FFElem:
-        total = self
-        for j in range(1, self.curve.degree):
-            total = total + self.galois(j)
-        return total
-
     # -- differential --------------------------------------------------------------------
 
     def exterior_d(self) -> FFDiff:

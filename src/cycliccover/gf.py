@@ -49,8 +49,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 # -- minimal Z/p polynomial helpers (integer coefficient lists, ascending) --
-# Only what the irreducibility check needs; the full polynomial layer over
-# F_q lives in polyrat.
+# Only what the irreducibility check and FieldElement need; the full
+# polynomial layer over F_q lives in polyrat.
 
 
 def _zp_trim(a: list[int]) -> list[int]:
@@ -59,7 +59,7 @@ def _zp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _zp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+def _zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
     prod = [0] * (len(a) + len(b) - 1)
@@ -67,10 +67,38 @@ def _zp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _zp_rem(prod, m, p)
+    return _zp_trim(prod)
+
+
+def _zp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        av = a[i] if i < len(a) else 0
+        bv = b[i] if i < len(b) else 0
+        out[i] = (av - bv) % p
+    return _zp_trim(out)
+
+
+def _zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], p - 2, p)
+    while a and len(a) >= len(b):
+        k = len(a) - len(b)
+        c = (a[-1] * inv_lead) % p
+        q[k] = c
+        for i, bi in enumerate(b):
+            a[i + k] = (a[i + k] - c * bi) % p
+        _zp_trim(a)
+    return _zp_trim(q), a
 
 
 def _zp_rem(a: list[int], m: list[int], p: int) -> list[int]:
+    """Remainder of a modulo m; _zp_divmod without the quotient, for the
+    extension-field multiply."""
     a = _zp_trim(list(a))
     dm = len(m) - 1
     inv_lead = pow(m[-1], p - 2, p)
@@ -83,21 +111,13 @@ def _zp_rem(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
+def _zp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    return _zp_rem(_zp_mul(a, b, p), m, p)
+
+
 def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
     while b:
-        r = list(a)
-        dm = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(r) - 1 >= dm:
-            k = len(r) - 1 - dm
-            c = (r[-1] * inv_lead) % p
-            for i, bi in enumerate(b):
-                r[i + k] = (r[i + k] - c * bi) % p
-            _zp_trim(r)
-            if not r:
-                break
-        a, b = b, r
+        a, b = b, _zp_rem(a, b, p)
     return a
 
 
@@ -347,46 +367,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.render()} in F_{self.spec.q})"
-
-
-# more Z/p helpers used only by FieldElement.inverse
-
-
-def _zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _zp_trim(prod)
-
-
-def _zp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % p
-    return _zp_trim(out)
-
-
-def _zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) >= len(b):
-        k = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[i + k] = (a[i + k] - c * bi) % p
-        _zp_trim(a)
-    return _zp_trim(q), a
 
 
 def find_irreducible_poly(p: int, d: int) -> list[int]:

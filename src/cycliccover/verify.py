@@ -10,6 +10,14 @@ Serre duality itself is not re-proved: the duality check computes the
 full pairing matrix and demands the identity.  The exactness check reads
 H^1 coordinates through that pairing, so ``full_report`` orders duality
 before exactness.
+
+The checks read their bases and the pairing matrix from the curve's
+``cohomology.BasisContext``, so a full report builds each basis once per
+policy and sign convention and pairs the matrix once: the duality check
+compares every entry of that matrix with the identity, and the exactness
+check takes the coordinates of an a-class whose image is an H^1 basis
+representative from that representative's column.  ``full_report`` hands
+its sign convention to every check that reads the de Rham basis.
 """
 
 from __future__ import annotations
@@ -17,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cohomology import (
-    BasisIndex,
     DeRhamClass,
     DeRhamTriple,
     as_psi,
+    basis_context,
     derham_basis,
     h1_basis,
     h1_coordinates,
@@ -29,7 +37,7 @@ from .cohomology import (
     omega_basis,
 )
 from .curve import Curve, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff, FFElem, place_classes, pairing, valuation_bound
+from .funcfield import FFDiff, FFElem, place_classes, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn
 
@@ -59,35 +67,21 @@ class Report:
     pairing_matrix: list[list[FieldElement]] | None = None
 
 
-def _partner(curve: Curve, idx: BasisIndex) -> BasisIndex:
-    """H^1 index dual to a differential index."""
-    if curve.kind == "kummer":
-        return idx
-    return BasisIndex(curve.p - idx.mu, idx.nu)
-
-
 def duality_matrix(
     curve: Curve, range_policy: str = "extended"
 ) -> tuple[list[list[FieldElement]], CheckResult]:
     """Full pairing matrix of the differential basis against the H^1
     basis in duality-respecting column order; passes iff it is the
     identity."""
-    omegas = omega_basis(curve, range_policy)
-    hs = dict(h1_basis(curve, range_policy))
     one = curve.spec.one()
     zero = curve.spec.zero()
-    columns = [hs[_partner(curve, idx)] for idx, _ in omegas]
-    matrix = []
+    matrix = [list(row) for row in basis_context(curve, range_policy).pairing_matrix]
     mismatches = []
-    for i, (_, w) in enumerate(omegas):
-        row = []
-        for j, h in enumerate(columns):
-            value = pairing(h, w)
-            row.append(value)
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
             expected = one if i == j else zero
             if value != expected:
                 mismatches.append((i, j, value.render()))
-        matrix.append(row)
     if mismatches:
         result = CheckResult(
             "duality",
@@ -409,12 +403,14 @@ def divisor_checks(curve: Curve) -> CheckResult:
     )
 
 
-def dimension_check(curve: Curve, range_policy: str = "extended") -> CheckResult:
+def dimension_check(
+    curve: Curve, range_policy: str = "extended", sign: str = "negated-infty"
+) -> CheckResult:
     """Basis sizes against the Riemann-Hurwitz genus: g, g, and 2g."""
     g = genus_rh(curve)
     n_omega = len(omega_basis(curve, range_policy))
     n_h1 = len(h1_basis(curve, range_policy))
-    n_dr = len(derham_basis(curve, range_policy))
+    n_dr = len(derham_basis(curve, range_policy, sign))
     counts = {"omega": n_omega, "h1": n_h1, "derham": n_dr, "genus": g}
     if n_omega == g and n_h1 == g and n_dr == 2 * g:
         return CheckResult(
@@ -428,24 +424,32 @@ def dimension_check(curve: Curve, range_policy: str = "extended") -> CheckResult
     )
 
 
-def exactness_check(curve: Curve, range_policy: str = "extended") -> CheckResult:
+def exactness_check(
+    curve: Curve, range_policy: str = "extended", sign: str = "negated-infty"
+) -> CheckResult:
     """Exactness of 0 -> H^0(Omega) -> H^1_dR -> H^1(O) -> 0 on the
     constructed bases: i lands in the kernel of p, the a-family surjects
     onto the H^1 basis with unit coordinates, and the delta-family has
-    zero third slot."""
+    zero third slot.  An a-class whose image is an H^1 basis
+    representative takes its coordinates from that representative's
+    column of the pairing matrix; every other image is paired afresh."""
     zero = curve.spec.zero()
     one = curve.spec.one()
+    context = basis_context(curve, range_policy)
     problems = []
     omegas = omega_basis(curve, range_policy)
     for idx, w in omegas:
         coords = h1_coordinates(curve, map_p(map_i(w)), range_policy)
         if any(c != zero for c in coords):
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) has nonzero coordinates")
-    classes = derham_basis(curve, range_policy)
+    classes = derham_basis(curve, range_policy, sign)
     a_classes = [c for c in classes if c.kind == "a"]
     seen_positions = []
     for cls in a_classes:
-        coords = h1_coordinates(curve, map_p(cls.triple), range_policy)
+        image = map_p(cls.triple)
+        coords = context.column_coordinates(image)
+        if coords is None:
+            coords = h1_coordinates(curve, image, range_policy)
         hits = [k for k, c in enumerate(coords) if c != zero]
         if len(hits) != 1 or coords[hits[0]] != one:
             problems.append(f"p({cls.label}) is not a unit coordinate vector")
@@ -477,12 +481,12 @@ def full_report(curve: Curve, options: VerifyOptions | None = None) -> Report:
         return Report(checks, all_pass=False, pairing_matrix=None)
     checks.append(CheckResult("validation", "pass", "all curve hypotheses hold"))
     checks.append(divisor_checks(curve))
-    checks.append(dimension_check(curve, options.mu_range))
+    checks.append(dimension_check(curve, options.mu_range, options.sign))
     matrix, duality = duality_matrix(curve, options.mu_range)
     checks.append(duality)
     for cls in derham_basis(curve, options.mu_range, options.sign):
         checks.append(cocycle_check(cls))
         checks.append(locus_check(cls))
-    checks.append(exactness_check(curve, options.mu_range))
+    checks.append(exactness_check(curve, options.mu_range, options.sign))
     all_pass = all(c.status == "pass" for c in checks)
     return Report(checks, all_pass=all_pass, pairing_matrix=matrix)

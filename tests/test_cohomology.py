@@ -101,6 +101,14 @@ def test_kummer_aux_quartic():
     assert row.g_mu * row.g_mu == aux.gg_product  # g_mu g_{n-mu} = f / prod_I
 
 
+def test_kummer_aux_raises_when_f_is_not_divisible_by_the_support():
+    curve = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
+    mu_table(curve)  # tables come from the true f
+    curve.f = Poly.one(F5)
+    with pytest.raises(ArithmeticError, match="not divisible by the I-support product"):
+        kummer_aux(curve, 1, 1)
+
+
 def test_kummer_aux_rejects_inadmissible_indices():
     with pytest.raises(ValueError):
         kummer_aux(QUARTIC, 1, 2)  # nu beyond t - 1

@@ -173,3 +173,16 @@ def test_as_top_row_vanishes():
         row = mu_table(c)[c.p - 1]
         assert all(m == 0 for m in row.m)
         assert row.t == 0
+
+
+def test_broken_invariants_raise_explicit_errors():
+    # y^2 = (x-1)(x-2)(x-3) fails validation (deg f odd); with the verdict
+    # forced to "valid" the table operations reach their invariants, which
+    # must raise even when assertions are stripped
+    curve = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3)])
+    assert [v.code for v in validate(curve)] == ["l_not_divisible_by_n"]
+    curve._cache["violations"] = ()
+    with pytest.raises(ArithmeticError, match="t_1 is not an integer"):
+        mu_table(curve)
+    with pytest.raises(ArithmeticError, match="canonical degree -1 is odd"):
+        genus_rh(curve)

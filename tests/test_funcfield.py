@@ -106,11 +106,18 @@ def test_trace_rule_matches_orbit_on_randoms():
             assert a.trace() == a.trace_by_orbit()
 
 
+def _galois_orbit_sum(a):
+    total = a
+    for j in range(1, a.curve.degree):
+        total = total + a.galois(j)
+    return total
+
+
 def test_orbit_sum_lies_in_base_field():
     rng = random.Random(4)
     for curve in (QUARTIC, AS_P3):
         for _ in range(20):
-            total = _rand_elem(curve, rng).galois_orbit_sum()
+            total = _galois_orbit_sum(_rand_elem(curve, rng))
             assert all(c.is_zero for c in total.coeffs[1:])
 
 
