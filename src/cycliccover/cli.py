@@ -32,6 +32,16 @@ class SpecFileError(ValueError):
     """A curve spec file failed to parse, decode, or validate."""
 
 
+# Input budgets, checked before any work that grows with them: trial-division
+# primality costs sqrt(p), an extension modulus is tested for irreducibility
+# over Z/p, and the defining polynomials have degree sum l_i.  Every corpus in the repository
+# stays far below them (p <= 31, q <= 961, sum l_i <= 20).
+MAX_P = 2**16  # characteristic
+MAX_Q = 2**16  # field size q = p^d, d = len(ext_modulus) - 1
+MAX_DEGREE = 512  # sum of |l_i| over the branch points
+MAX_F_TERMS = MAX_DEGREE + 1  # coefficients of the Artin-Schreier numerator f
+
+
 # -- spec file decoding -----------------------------------------------------------
 
 
@@ -75,12 +85,17 @@ def parse_curve_spec(doc: Any) -> Curve:
         raise SpecFileError(f"type: expected \"kummer\" or \"artin-schreier\", got {ctype!r}")
 
     p = _decode_int(doc["p"], "p")
+    if p > MAX_P:
+        raise SpecFileError(f"p: {p} exceeds the budget {MAX_P}")
     if not is_prime(p):
         raise SpecFileError(f"p: {p} is not prime")
     modulus = doc.get("ext_modulus")
     if modulus is not None:
         if not isinstance(modulus, list) or not all(isinstance(v, int) for v in modulus):
             raise SpecFileError("ext_modulus: expected a list of integers")
+        d = len(modulus) - 1
+        if d >= MAX_Q.bit_length() or p**d > MAX_Q:
+            raise SpecFileError(f"ext_modulus: field size {p}^{d} exceeds the budget {MAX_Q}")
         try:
             spec = FieldSpec(p, modulus)
         except ValueError as exc:
@@ -100,6 +115,9 @@ def parse_curve_spec(doc: Any) -> Curve:
         rho = _decode_field(spec, entry["rho"], f"{where}.rho")
         l = _decode_int(entry["l"], f"{where}.l")
         branch.append((rho, l))
+    degree = sum(abs(l) for _, l in branch)
+    if degree > MAX_DEGREE:
+        raise SpecFileError(f"branch: total multiplicity {degree} exceeds the budget {MAX_DEGREE}")
 
     if ctype == "kummer":
         n = _decode_int(doc["n"], "n")
@@ -110,6 +128,8 @@ def parse_curve_spec(doc: Any) -> Curve:
         f_doc = doc["f"]
         if not isinstance(f_doc, list):
             raise SpecFileError("f: expected an ascending coefficient list")
+        if len(f_doc) > MAX_F_TERMS:
+            raise SpecFileError(f"f: {len(f_doc)} coefficients exceed the budget {MAX_F_TERMS}")
         coeffs = [_decode_field(spec, v, f"f[{k}]") for k, v in enumerate(f_doc)]
         curve = ASCurve(spec, Poly(spec, coeffs), branch)
 

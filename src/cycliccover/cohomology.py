@@ -220,17 +220,16 @@ class ASAux:
 
 def as_psi(curve: ASCurve) -> Poly:
     """Numerator of dy: f sum_i l_i prod_{j != i}(x - rho_j) - f' prod_i (x - rho_i)."""
-    if "as_psi" in curve._cache:
-        return curve._cache["as_psi"]
+    if curve.psi is not None:
+        return curve.psi
     spec = curve.spec
     total = Poly.zero(spec)
     for i, (rho, l) in enumerate(curve.branch):
         others = Poly.from_roots(spec, [(r, 1) for k, (r, _) in enumerate(curve.branch) if k != i])
         total = total + others * spec.element(l)
     support = Poly.from_roots(spec, [(rho, 1) for rho, _ in curve.branch])
-    psi = curve.f * total - curve.f.derivative() * support
-    curve._cache["as_psi"] = psi
-    return psi
+    curve.psi = curve.f * total - curve.f.derivative() * support
+    return curve.psi
 
 
 def as_omega_mu(curve: ASCurve, mu: int, range_policy: str = "extended") -> FFDiff:
@@ -275,41 +274,32 @@ def _build_derham_basis(
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out: list[DeRhamClass] = []
-    if curve.kind == "kummer":
-        n = curve.n
-        for idx in h1_indices(curve, range_policy):
-            mu, nu = idx
+    for idx in h1_indices(curve, range_policy):
+        mu, nu = idx
+        if curve.kind == "kummer":
+            n = curve.n
             aux = kummer_aux(curve, mu, nu)
-            companion_t = table[n - mu].t
-            split_deg = nu + 1 if companion_t >= 2 else nu
+            split_deg = nu + 1 if table[n - mu].t >= 2 else nu
             lo, hi = split_at_degree(aux.psi, split_deg, inclusive=True)
             base = FFElem.monomial(curve, mu, RatFn(table[n - mu].g_mu, curve.f))
             scale_den = Poly.monomial(spec, nu + 1, spec.element(n))
             omega0 = FFDiff(base.scale(RatFn(lo, scale_den)))
             omega_inf = FFDiff(base.scale(RatFn(hi, scale_den)))
-            if sign_convention == "negated-infty":
-                omega_inf = -omega_inf
             den = Poly.monomial(spec, nu) * table[mu].g_mu
             f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), den))
-            out.append(DeRhamClass("a", idx, DeRhamTriple(omega0, omega_inf, f0inf)))
-    else:
-        for idx in h1_indices(curve, range_policy):
-            mu, nu = idx
+        else:
             aux = as_aux(curve, mu, nu, range_policy)
-            w_prev = FFDiff(
-                FFElem.monomial(curve, mu - 1, RatFn(Poly.one(spec), table[mu - 1].g_mu))
-            )
+            w_prev = FFDiff(FFElem.monomial(curve, mu - 1, RatFn(Poly.one(spec), table[mu - 1].g_mu)))
             lo_phi, hi_phi = split_at_degree(aux.phi, nu + 1, inclusive=False)
             lo_psi, hi_psi = split_at_degree(aux.psi, nu, inclusive=False)
             x_nu1 = Poly.monomial(spec, nu + 1)
             x_nu = Poly.monomial(spec, nu)
             omega0 = w_prev.scale(RatFn(lo_phi, x_nu1)) + aux.omega_mu.scale(RatFn(lo_psi, x_nu))
             omega_inf = w_prev.scale(RatFn(hi_phi, x_nu1)) + aux.omega_mu.scale(RatFn(hi_psi, x_nu))
-            if sign_convention == "negated-infty":
-                omega_inf = -omega_inf
-            g_pm = table[curve.p - mu].g_mu
-            f0inf = FFElem.monomial(curve, mu - 1, RatFn(g_pm, x_nu))
-            out.append(DeRhamClass("a", idx, DeRhamTriple(omega0, omega_inf, f0inf)))
+            f0inf = FFElem.monomial(curve, mu - 1, RatFn(table[curve.p - mu].g_mu, x_nu))
+        if sign_convention == "negated-infty":
+            omega_inf = -omega_inf
+        out.append(DeRhamClass("a", idx, DeRhamTriple(omega0, omega_inf, f0inf)))
     for idx, w in omegas:
         out.append(DeRhamClass("delta", idx, DeRhamTriple(w, w, FFElem.zero(curve))))
     return out

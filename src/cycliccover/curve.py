@@ -31,6 +31,7 @@ from .polyrat import Poly, RatFn
 
 if TYPE_CHECKING:
     from .cohomology import BasisContext
+    from .funcfield import PlaceClass
 
 
 class Violation(NamedTuple):
@@ -50,7 +51,27 @@ class CurveInvalidError(ValueError):
 BranchSpec = Sequence[tuple[FieldElement, int]]
 
 
-class KummerCurve:
+class CyclicCover:
+    """What both families share: the field, the branch data, and the
+    per-curve values each computed once, on first use, by the operation
+    named beside it (None until then)."""
+
+    def __init__(self, spec: FieldSpec, branch: BranchSpec):
+        self.spec = spec
+        self.branch = tuple((spec.element(rho), int(l)) for rho, l in branch)
+        self.r = len(self.branch)
+        self.l = sum(l for _, l in self.branch)
+        self.violations: tuple[Violation, ...] | None = None  # validate
+        self.ram: RamData | None = None  # ram_data
+        self.mu_tables: dict[str, MuTable] = {}  # mu_table, per mu-range policy
+        self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
+        self.zeta: FieldElement | None = None  # funcfield, Kummer: primitive n-th root of unity
+        self.dy_coeff: RatFn | None = None  # funcfield: dy in terms of dx
+        self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
+        self.basis_contexts: dict[str, BasisContext] = {}  # cohomology.basis_context, per policy
+
+
+class KummerCurve(CyclicCover):
     """y^n = f(x) = prod (x - rho_i)^{l_i} over F_q."""
 
     kind = "kummer"
@@ -58,14 +79,9 @@ class KummerCurve:
     def __init__(self, spec: FieldSpec, n: int, branch: BranchSpec):
         if not isinstance(n, int) or n < 2:
             raise ValueError("Kummer degree n must be an integer >= 2")
-        self.spec = spec
+        super().__init__(spec, branch)
         self.n = n
-        self.branch = tuple((spec.element(rho), int(l)) for rho, l in branch)
-        self.r = len(self.branch)
-        self.l = sum(l for _, l in self.branch)
         self.f = Poly.from_roots(spec, self.branch)
-        self._cache: dict = {}
-        self.basis_contexts: dict[str, BasisContext] = {}  # per mu-range policy, see cohomology
 
     @property
     def t(self) -> int:
@@ -81,22 +97,17 @@ class KummerCurve:
         return f"KummerCurve(y^{self.n} = f, q={self.spec.q}, branch=[{pts}])"
 
 
-class ASCurve:
+class ASCurve(CyclicCover):
     """y^p - y = r(x) = f(x) / prod (x - rho_i)^{l_i} over F_q, p >= 3."""
 
     kind = "artin-schreier"
 
     def __init__(self, spec: FieldSpec, f: Poly, branch: BranchSpec):
-        self.spec = spec
+        super().__init__(spec, branch)
         self.p = spec.p
         self.f = f
-        self.branch = tuple((spec.element(rho), int(l)) for rho, l in branch)
-        self.r = len(self.branch)
-        self.l = sum(l for _, l in self.branch)
         self.branch_poly = Poly.from_roots(spec, self.branch)
         self.r_fn = RatFn(f, self.branch_poly) if not f.is_zero else RatFn.zero(spec)
-        self._cache: dict = {}
-        self.basis_contexts: dict[str, BasisContext] = {}  # per mu-range policy, see cohomology
 
     @property
     def degree(self) -> int:
@@ -112,8 +123,8 @@ Curve = Union[KummerCurve, ASCurve]
 
 def validate(curve: Curve) -> list[Violation]:
     """Check every standing hypothesis; an empty list means valid."""
-    if "violations" in curve._cache:
-        return list(curve._cache["violations"])
+    if curve.violations is not None:
+        return list(curve.violations)
     out: list[Violation] = []
     rhos = [rho for rho, _ in curve.branch]
     if curve.r < 1:
@@ -166,7 +177,7 @@ def validate(curve: Curve) -> list[Violation]:
             if curve.f.evaluate(curve.spec.zero()).is_zero:
                 out.append(Violation("numerator_vanishes_at_zero", "f(0) = 0: x must not divide f"))
 
-    curve._cache["violations"] = tuple(out)
+    curve.violations = tuple(out)
     return out
 
 
@@ -197,34 +208,22 @@ class RamData:
 def ram_data(curve: Curve) -> RamData:
     """Ramification data at branch points plus the zero and infinity conventions."""
     require_valid(curve)
-    if "ram" in curve._cache:
-        return curve._cache["ram"]
+    if curve.ram is not None:
+        return curve.ram
     entries = []
-    zero_entry = None
-    if curve.kind == "kummer":
-        n = curve.n
-        for rho, l in curve.branch:
-            g = math.gcd(n, l)
-            ram = BranchRam(rho=rho, l=l, e=n // g, g=g, lam=l // g)
-            entries.append(ram)
-            if rho.is_zero:
-                zero_entry = ram
-        if zero_entry is not None:
-            data = RamData(tuple(entries), zero_entry.l, zero_entry.e, zero_entry.g, n)
+    for rho, l in curve.branch:
+        if curve.kind == "kummer":
+            g = math.gcd(curve.n, l)
+            entries.append(BranchRam(rho=rho, l=l, e=curve.n // g, g=g, lam=l // g))
         else:
-            data = RamData(tuple(entries), n, 1, n, n)
-    else:
-        p = curve.p
-        for rho, l in curve.branch:
-            ram = BranchRam(rho=rho, l=l, e=p, g=1, lam=None)
-            entries.append(ram)
-            if rho.is_zero:
-                zero_entry = ram
-        if zero_entry is not None:
-            data = RamData(tuple(entries), zero_entry.l, p, 1, p)
-        else:
-            data = RamData(tuple(entries), None, 1, p, p)
-    curve._cache["ram"] = data
+            entries.append(BranchRam(rho=rho, l=l, e=curve.p, g=1, lam=None))
+    zero_entry = next((entry for entry in entries if entry.rho.is_zero), None)
+    if zero_entry is not None:
+        data = RamData(tuple(entries), zero_entry.l, zero_entry.e, zero_entry.g, curve.degree)
+    else:  # 0 is not a branch point
+        l0 = curve.n if curve.kind == "kummer" else None
+        data = RamData(tuple(entries), l0, 1, curve.degree, curve.degree)
+    curve.ram = data
     return data
 
 
@@ -273,40 +272,33 @@ def mu_table(curve: Curve, range_policy: str = "extended") -> MuTable:
     """
     _check_policy(range_policy)
     require_valid(curve)
-    key = ("mu_table", range_policy)
-    if key in curve._cache:
-        return curve._cache[key]
-    rows: dict[int, MuRow] = {}
+    if range_policy in curve.mu_tables:
+        return curve.mu_tables[range_policy]
+    ram = ram_data(curve)
+    p = curve.spec.p
     if curve.kind == "kummer":
-        ram = ram_data(curve)
-        n = curve.n
-        mus = range(1, n)
-        for mu in mus:
-            ms, vs = [], []
-            for entry in ram.branch:
-                m, v = divmod(mu * entry.lam, entry.e)
-                ms.append(m)
-                vs.append(v)
-            total = sum(entry.g * v for entry, v in zip(ram.branch, vs))
-            if total % n:
-                raise ArithmeticError(f"t_{mu} is not an integer, although mu*l == 0 mod n forces it")
-            g_mu = Poly.from_roots(curve.spec, [(e.rho, m) for e, m in zip(ram.branch, ms)])
-            I = tuple(i for i, v in enumerate(vs, start=1) if v != 0)
-            rows[mu] = MuRow(mu, tuple(ms), tuple(vs), g_mu, total // n, I)
+        mus = range(1, curve.n)
     else:
-        p = curve.p
         mus = range(1, p) if range_policy == "paper" else range(0, p)
-        for mu in mus:
-            ms, vs = [], []
-            for _, l in curve.branch:
-                m, v = divmod((p - 1 - mu) * l + (p - 1), p)
-                ms.append(m)
-                vs.append(v)
-            g_mu = Poly.from_roots(curve.spec, [((rho), m) for (rho, _), m in zip(curve.branch, ms)])
-            I = tuple(i for i, v in enumerate(vs, start=1) if v != 0)
-            rows[mu] = MuRow(mu, tuple(ms), tuple(vs), g_mu, sum(ms), I)
-    table = MuTable(range_policy, rows)
-    curve._cache[key] = table
+    rows: dict[int, MuRow] = {}
+    for mu in mus:
+        if curve.kind == "kummer":
+            divisions = [divmod(mu * entry.lam, entry.e) for entry in ram.branch]
+        else:
+            divisions = [divmod((p - 1 - mu) * entry.l + (p - 1), p) for entry in ram.branch]
+        ms = tuple(m for m, _ in divisions)
+        vs = tuple(v for _, v in divisions)
+        if curve.kind == "kummer":
+            total = sum(entry.g * v for entry, v in zip(ram.branch, vs))
+            if total % curve.n:
+                raise ArithmeticError(f"t_{mu} is not an integer, although mu*l == 0 mod n forces it")
+            t = total // curve.n
+        else:
+            t = sum(ms)
+        g_mu = Poly.from_roots(curve.spec, [(entry.rho, m) for entry, m in zip(ram.branch, ms)])
+        I = tuple(i for i, v in enumerate(vs, start=1) if v != 0)
+        rows[mu] = MuRow(mu, ms, vs, g_mu, t, I)
+    table = curve.mu_tables[range_policy] = MuTable(range_policy, rows)
     return table
 
 

@@ -27,21 +27,21 @@ from .polyrat import RatFn, residue_at_infinity
 
 
 def _zeta(curve: KummerCurve) -> FieldElement:
-    if "zeta" not in curve._cache:
-        curve._cache["zeta"] = nth_root_of_unity(curve.spec, curve.n)
-    return curve._cache["zeta"]
+    if curve.zeta is None:
+        curve.zeta = nth_root_of_unity(curve.spec, curve.n)
+    return curve.zeta
 
 
 def _dy_coefficient(curve: Curve) -> RatFn:
     """dy = (coefficient) * y * dx on Kummer curves (f'/(n f)); on
     Artin-Schreier curves dy = (coefficient) * dx with coefficient -r'."""
-    if "dy_coeff" not in curve._cache:
+    if curve.dy_coeff is None:
         if curve.kind == "kummer":
             inv_n = curve.spec.element(curve.n).inverse()
-            curve._cache["dy_coeff"] = RatFn(curve.f.derivative(), curve.f) * inv_n
+            curve.dy_coeff = RatFn(curve.f.derivative(), curve.f) * inv_n
         else:
-            curve._cache["dy_coeff"] = -curve.r_fn.derivative()
-    return curve._cache["dy_coeff"]
+            curve.dy_coeff = -curve.r_fn.derivative()
+    return curve.dy_coeff
 
 
 class FFElem:
@@ -344,34 +344,19 @@ def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
     """Branch classes, the fiber over 0 when unbranched, and the fiber
     over infinity, in that order."""
     require_valid(curve)
-    if "places" in curve._cache:
-        return curve._cache["places"]
+    if curve.places is not None:
+        return curve.places
     ram = ram_data(curve)
-    zero = curve.spec.zero()
+    kummer = curve.kind == "kummer"
     out = []
-    zero_is_branch = False
-    if curve.kind == "kummer":
-        for i, entry in enumerate(ram.branch, start=1):
-            out.append(
-                PlaceClass("branch", i, entry.rho, entry.e, entry.lam, entry.e - 1, entry.g)
-            )
-            zero_is_branch = zero_is_branch or entry.rho.is_zero
-        if not zero_is_branch:
-            out.append(PlaceClass("over_zero", None, zero, 1, 0, 0, curve.n))
-        out.append(PlaceClass("over_infinity", None, None, 1, -curve.t, -2, curve.n))
-    else:
-        p = curve.p
-        for i, entry in enumerate(ram.branch, start=1):
-            out.append(
-                PlaceClass("branch", i, entry.rho, p, -entry.l, (p - 1) * (entry.l + 1), 1)
-            )
-            zero_is_branch = zero_is_branch or entry.rho.is_zero
-        if not zero_is_branch:
-            out.append(PlaceClass("over_zero", None, zero, 1, 0, 0, p))
-        out.append(PlaceClass("over_infinity", None, None, 1, 0, -2, p))
-    places = tuple(out)
-    curve._cache["places"] = places
-    return places
+    for i, b in enumerate(ram.branch, start=1):
+        v_y, v_dx = (b.lam, b.e - 1) if kummer else (-b.l, (b.e - 1) * (b.l + 1))
+        out.append(PlaceClass("branch", i, b.rho, b.e, v_y, v_dx, b.g))
+    if not any(b.rho.is_zero for b in ram.branch):
+        out.append(PlaceClass("over_zero", None, curve.spec.zero(), 1, 0, 0, curve.degree))
+    out.append(PlaceClass("over_infinity", None, None, 1, -curve.t if kummer else 0, -2, curve.degree))
+    curve.places = tuple(out)
+    return curve.places
 
 
 def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> tuple[int, bool]:

@@ -18,11 +18,20 @@ compares every entry of that matrix with the identity, and the exactness
 check takes the coordinates of an a-class whose image is an H^1 basis
 representative from that representative's column.  ``full_report`` hands
 its sign convention to every check that reads the de Rham basis.
+
+The divisor check is a table: each divisor is one row holding its label,
+its element or differential, and its closed-form exponents at each branch
+place, over 0 and over infinity, written from the curve, ramification and
+mu-table data (never from the place classes whose valuations are being
+checked), plus the degree its place total must reach.  One loop turns
+every row into its valuation items and its ``deg(...)`` item; the (x) row
+is shared by both families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .cohomology import (
     DeRhamClass,
@@ -36,7 +45,7 @@ from .cohomology import (
     map_p,
     omega_basis,
 )
-from .curve import Curve, genus_rh, mu_table, ram_data, validate
+from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
 from .funcfield import FFDiff, FFElem, place_classes, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn
@@ -99,15 +108,18 @@ def duality_matrix(
     return matrix, result
 
 
+def _triple(item: DeRhamTriple | DeRhamClass, label: str | None) -> tuple[DeRhamTriple, str]:
+    """The triple of a class or bare triple, and its label (given, the
+    class's own, or "triple")."""
+    if isinstance(item, DeRhamClass):
+        return item.triple, label or item.label
+    return item, label or "triple"
+
+
 def cocycle_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> CheckResult:
     """d f_0inf = omega_0 - omega_inf, demanded as exact equality of all
     reduced coefficients."""
-    if isinstance(item, DeRhamClass):
-        triple = item.triple
-        label = label or item.label
-    else:
-        triple = item
-        label = label or "triple"
+    triple, label = _triple(item, label)
     name = f"cocycle:{label}"
     residual = triple.f0inf.exterior_d() - triple.omega0 + triple.omega_inf
     if residual.is_zero:
@@ -124,12 +136,7 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
     """Membership of the three slots in their sheaves: omega_0 regular off
     the fiber over 0, omega_inf off the fiber over infinity, f_0inf off
     both fibers."""
-    if isinstance(item, DeRhamClass):
-        triple = item.triple
-        label = label or item.label
-    else:
-        triple = item
-        label = label or "triple"
+    triple, label = _triple(item, label)
     name = f"locus:{label}"
     places = None
     confirmed: list[str] = []
@@ -166,18 +173,101 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
     return CheckResult(name, "pass", "all slots regular away from their allowed fibers")
 
 
-def _valuation_item(obj, place, expected: int, what: str, items: list) -> int:
-    bound, _ = valuation_bound(obj, place)
-    ok = bound == expected
-    items.append(
-        {
-            "item": f"({what}) at {place.label()}",
-            "ok": ok,
-            "expected": expected,
-            "got": bound,
-        }
-    )
-    return bound * place.npoints
+class _Row(NamedTuple):
+    """One divisor: its closed-form exponent at each branch place (by
+    branch index), over 0 and over infinity, and the degree its place
+    total must reach once ``shift`` (the root part of y the places do not
+    see) is added.  ``before`` holds, per branch index, identity items
+    emitted just before that branch's valuation item."""
+
+    label: str
+    elem: FFElem | FFDiff
+    at_branch: Sequence[int]
+    at_zero: int
+    at_infinity: int
+    degree: int = 0
+    shift: int = 0
+    degree_label: str | None = None
+    before: Sequence[dict] = ()
+
+
+def _item(item: str, ok: bool, expected, got) -> dict:
+    return {"item": item, "ok": ok, "expected": expected, "got": got}
+
+
+def _identity(item: str, ok: bool, expected: str) -> dict:
+    return _item(item, ok, expected, "equal" if ok else "unequal")
+
+
+def _kummer_rows(curve: KummerCurve, table: MuTable, ram: RamData, dx: FFDiff, g: int) -> list[_Row]:
+    rows = [
+        _Row("y", FFElem.y(curve), [b.lam for b in ram.branch], 0, -curve.t),
+        _Row("dx", dx, [b.e - 1 for b in ram.branch], 0, -2, 2 * g - 2),
+    ]
+    for mu in table.mus():
+        row = table[mu]
+        elem = FFElem.monomial(curve, mu, RatFn(Poly.one(curve.spec), row.g_mu))
+        rows.append(_Row(f"y^{mu}/g_{mu}", elem, row.v, 0, -row.t))
+    return rows
+
+
+def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list[dict]:
+    """Per mu: the gg product and the log derivative of phi."""
+    spec = curve.spec
+    items = []
+    for mu in table.mus():
+        row = table[mu]
+        support = Poly.from_roots(spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
+        gg = row.g_mu * table[curve.n - mu].g_mu * support == curve.f
+        items.append(_identity(f"gg:mu={mu}", gg, "g_mu * g_{n-mu} * prod_I (x-rho) == f"))
+        phi = Poly.from_roots(spec, [(e.rho, v * e.g) for e, v in zip(ram.branch, row.v)])
+        rhs = Poly.zero(spec)
+        for i in row.I:
+            weight = spec.element(row.v[i - 1] * ram.branch[i - 1].g)
+            partial = Poly.from_roots(spec, [(ram.branch[j - 1].rho, 1) for j in row.I if j != i])
+            rhs = rhs + partial * weight
+        logder = phi.derivative() * support == phi * rhs
+        items.append(_identity(f"logder:mu={mu}", logder, "phi' * prod_I == phi * sum_I v g prod_(I-i)"))
+    return items
+
+
+def _as_rows(curve: ASCurve, table: MuTable, dx: FFDiff, g: int) -> list[_Row]:
+    p = curve.p
+    ls = [l for _, l in curve.branch]
+    rows = [
+        # pole part at the branch points; the root part, of degree deg f, lies elsewhere
+        _Row(
+            "y", FFElem.y(curve), [-l for l in ls], 0, 0,
+            shift=curve.l, degree_label="y (pole part balanced by deg f)",
+        ),
+        _Row(
+            "prod (x-rho)^l", FFElem.from_ratfn(curve, RatFn.from_poly(curve.branch_poly)),
+            [p * l for l in ls], 0, -curve.l,
+        ),
+        _Row("dx", dx, [(p - 1) * (l + 1) for l in ls], 0, -2, 2 * g - 2),
+    ]
+    for mu in table.mus():
+        row = table[mu]
+        if row.g_mu.degree != 0:  # a constant has the trivial divisor
+            elem = FFElem.from_ratfn(curve, RatFn.from_poly(row.g_mu))
+            rows.append(_Row(f"g_{mu}", elem, [p * m for m in row.m], 0, -row.t))
+    # g_m y^{mu-1} with mu = p - m: the pole parts, and the exponent identity
+    for m in table.mus():
+        row, mu = table[m], p - m
+        label = f"g_{m}*y^{mu - 1}"
+        exponents = [p * mi - (mu - 1) * l for mi, l in zip(row.m, ls)]
+        before = [
+            _item(f"exponent:{label} at branch[{i}]", got == p - 1 - v and got >= 0, p - 1 - v, got)
+            for i, (got, v) in enumerate(zip(exponents, row.v), start=1)
+        ]
+        elem = FFElem.monomial(curve, mu - 1, RatFn.from_poly(row.g_mu))
+        rows.append(
+            _Row(
+                label, elem, exponents, 0, -row.t,
+                shift=(mu - 1) * curve.l, degree_label=f"{label} (with root part)", before=before,
+            )
+        )
+    return rows
 
 
 def divisor_checks(curve: Curve) -> CheckResult:
@@ -188,207 +278,40 @@ def divisor_checks(curve: Curve) -> CheckResult:
     construction are verified here as well."""
     table = mu_table(curve, "extended")
     ram = ram_data(curve)
-    places = place_classes(curve)
     spec = curve.spec
     g = genus_rh(curve)
-    items: list[dict] = []
-
-    def expect_degree(total: int, target: int, what: str) -> None:
-        items.append(
-            {"item": f"deg({what})", "ok": total == target, "expected": target, "got": total}
-        )
-
-    x_elem = FFElem.from_ratfn(curve, RatFn.from_poly(Poly.x(spec)))
-    y_elem = FFElem.y(curve)
     dx = FFDiff(FFElem.one(curve))
+    x_elem = FFElem.from_ratfn(curve, RatFn.from_poly(Poly.x(spec)))
+    x_row = _Row("x", x_elem, [b.e if b.rho.is_zero else 0 for b in ram.branch], 1, -1)
+    if curve.kind == "kummer":
+        rows = [x_row] + _kummer_rows(curve, table, ram, dx, g)
+    else:
+        rows = [x_row] + _as_rows(curve, table, dx, g)
+
+    items: list[dict] = []
+    for row in rows:
+        total = row.shift
+        for place in place_classes(curve):
+            if place.kind == "branch":
+                if row.before:
+                    items.append(row.before[place.index - 1])
+                expected = row.at_branch[place.index - 1]
+            else:
+                expected = row.at_zero if place.kind == "over_zero" else row.at_infinity
+            bound, _ = valuation_bound(row.elem, place)
+            items.append(_item(f"({row.label}) at {place.label()}", bound == expected, expected, bound))
+            total += bound * place.npoints
+        label = row.degree_label or row.label
+        items.append(_item(f"deg({label})", total == row.degree, row.degree, total))
 
     if curve.kind == "kummer":
-        n = curve.n
-        branch_by_index = {i: entry for i, entry in enumerate(ram.branch, start=1)}
-        # (x)
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = place.e if place.rho.is_zero else 0
-            elif place.kind == "over_zero":
-                expected = 1
-            else:
-                expected = -1
-            total += _valuation_item(x_elem, place, expected, "x", items)
-        expect_degree(total, 0, "x")
-        # (y)
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = branch_by_index[place.index].lam
-            elif place.kind == "over_zero":
-                expected = 0
-            else:
-                expected = -curve.t
-            total += _valuation_item(y_elem, place, expected, "y", items)
-        expect_degree(total, 0, "y")
-        # (dx)
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = place.e - 1
-            elif place.kind == "over_zero":
-                expected = 0
-            else:
-                expected = -2
-            total += _valuation_item(dx, place, expected, "dx", items)
-        expect_degree(total, 2 * g - 2, "dx")
-        # (y^mu / g_mu) for every mu
-        for mu in table.mus():
-            row = table[mu]
-            elem = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), row.g_mu))
-            total = 0
-            for place in places:
-                if place.kind == "branch":
-                    expected = row.v[place.index - 1]
-                elif place.kind == "over_zero":
-                    expected = 0
-                else:
-                    expected = -row.t
-                total += _valuation_item(elem, place, expected, f"y^{mu}/g_{mu}", items)
-            expect_degree(total, 0, f"y^{mu}/g_{mu}")
-        # polynomial identities per mu: the gg product and the log derivative
-        for mu in table.mus():
-            row = table[mu]
-            other = table[n - mu]
-            support = Poly.from_roots(spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
-            items.append(
-                {
-                    "item": f"gg:mu={mu}",
-                    "ok": row.g_mu * other.g_mu * support == curve.f,
-                    "expected": "g_mu * g_{n-mu} * prod_I (x-rho) == f",
-                    "got": "equal" if row.g_mu * other.g_mu * support == curve.f else "unequal",
-                }
-            )
-            phi = Poly.from_roots(
-                spec, [(e.rho, v * e.g) for e, v in zip(ram.branch, row.v)]
-            )
-            lhs = phi.derivative() * support
-            rhs = Poly.zero(spec)
-            for i in row.I:
-                weight = spec.element(row.v[i - 1] * ram.branch[i - 1].g)
-                partial = Poly.from_roots(
-                    spec, [(ram.branch[j - 1].rho, 1) for j in row.I if j != i]
-                )
-                rhs = rhs + partial * weight
-            rhs = phi * rhs
-            items.append(
-                {
-                    "item": f"logder:mu={mu}",
-                    "ok": lhs == rhs,
-                    "expected": "phi' * prod_I == phi * sum_I v g prod_(I-i)",
-                    "got": "equal" if lhs == rhs else "unequal",
-                }
-            )
+        items += _kummer_identities(curve, table, ram)
     else:
-        p = curve.p
-        branch_l = {i: l for i, (_, l) in enumerate(curve.branch, start=1)}
-        # (x)
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = p if place.rho.is_zero else 0
-            elif place.kind == "over_zero":
-                expected = 1
-            else:
-                expected = -1
-            total += _valuation_item(x_elem, place, expected, "x", items)
-        expect_degree(total, 0, "x")
-        # (y): pole part at the branch points, root part of degree deg f elsewhere
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = -branch_l[place.index]
-            else:
-                expected = 0
-            total += _valuation_item(y_elem, place, expected, "y", items)
-        expect_degree(total + curve.l, 0, "y (pole part balanced by deg f)")
-        # (prod (x - rho_i)^{l_i})
-        denom_elem = FFElem.from_ratfn(curve, RatFn.from_poly(curve.branch_poly))
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = p * branch_l[place.index]
-            elif place.kind == "over_zero":
-                expected = 0
-            else:
-                expected = -curve.l
-            total += _valuation_item(denom_elem, place, expected, "prod (x-rho)^l", items)
-        expect_degree(total, 0, "prod (x-rho)^l")
-        # (dx)
-        total = 0
-        for place in places:
-            if place.kind == "branch":
-                expected = (p - 1) * (branch_l[place.index] + 1)
-            elif place.kind == "over_zero":
-                expected = 0
-            else:
-                expected = -2
-            total += _valuation_item(dx, place, expected, "dx", items)
-        expect_degree(total, 2 * g - 2, "dx")
-        # (g_mu) for every mu
-        for mu in table.mus():
-            row = table[mu]
-            if row.g_mu.degree == 0:
-                continue  # constant: trivial divisor
-            elem = FFElem.from_ratfn(curve, RatFn.from_poly(row.g_mu))
-            total = 0
-            for place in places:
-                if place.kind == "branch":
-                    expected = p * row.m[place.index - 1]
-                elif place.kind == "over_zero":
-                    expected = 0
-                else:
-                    expected = -row.t
-                total += _valuation_item(elem, place, expected, f"g_{mu}", items)
-            expect_degree(total, 0, f"g_{mu}")
-        # (g_{p-mu} y^{mu-1}) pole parts and the exponent identity
-        for m in table.mus():
-            mu = p - m
-            if mu < 1:
-                continue
-            row = table[m]
-            elem = FFElem.monomial(curve, mu - 1, RatFn.from_poly(row.g_mu))
-            total = 0
-            for place in places:
-                if place.kind == "branch":
-                    i = place.index
-                    expected = p * row.m[i - 1] - (mu - 1) * branch_l[i]
-                    identity_ok = expected == p - 1 - row.v[i - 1] and expected >= 0
-                    items.append(
-                        {
-                            "item": f"exponent:g_{m}*y^{mu - 1} at branch[{i}]",
-                            "ok": identity_ok,
-                            "expected": p - 1 - row.v[i - 1],
-                            "got": expected,
-                        }
-                    )
-                elif place.kind == "over_zero":
-                    expected = 0
-                else:
-                    expected = -row.t
-                total += _valuation_item(elem, place, expected, f"g_{m}*y^{mu - 1}", items)
-            expect_degree(total + (mu - 1) * curve.l, 0, f"g_{m}*y^{mu - 1} (with root part)")
-        # dy against its closed form
         dy = FFElem.y(curve).exterior_d()
-        closed = RatFn(
-            as_psi(curve),
-            Poly.from_roots(spec, [(rho, l + 1) for rho, l in curve.branch]),
-        )
+        closed = RatFn(as_psi(curve), Poly.from_roots(spec, [(rho, l + 1) for rho, l in curve.branch]))
         expected_dy = FFDiff(FFElem.from_ratfn(curve, closed))
-        items.append(
-            {
-                "item": "dy == psi / prod (x-rho)^{l+1} dx",
-                "ok": dy == expected_dy,
-                "expected": expected_dy.render(),
-                "got": dy.render(),
-            }
-        )
+        ok = dy == expected_dy
+        items.append(_item("dy == psi / prod (x-rho)^{l+1} dx", ok, expected_dy.render(), dy.render()))
 
     bad = [it for it in items if not it["ok"]]
     if bad:
@@ -430,16 +353,20 @@ def exactness_check(
     """Exactness of 0 -> H^0(Omega) -> H^1_dR -> H^1(O) -> 0 on the
     constructed bases: i lands in the kernel of p, the a-family surjects
     onto the H^1 basis with unit coordinates, and the delta-family has
-    zero third slot.  An a-class whose image is an H^1 basis
-    representative takes its coordinates from that representative's
-    column of the pairing matrix; every other image is paired afresh."""
+    zero third slot.  A zero image has zero coordinates and is not
+    paired; an a-class whose image is an H^1 basis representative takes
+    its coordinates from that representative's column of the pairing
+    matrix; every other image is paired afresh."""
     zero = curve.spec.zero()
     one = curve.spec.one()
     context = basis_context(curve, range_policy)
     problems = []
     omegas = omega_basis(curve, range_policy)
     for idx, w in omegas:
-        coords = h1_coordinates(curve, map_p(map_i(w)), range_policy)
+        image = map_p(map_i(w))
+        if image.is_zero:
+            continue  # the zero class has zero coordinates: nothing to pair
+        coords = h1_coordinates(curve, image, range_policy)
         if any(c != zero for c in coords):
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) has nonzero coordinates")
     classes = derham_basis(curve, range_policy, sign)

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cycliccover.cli import (
+    MAX_DEGREE,
+    MAX_F_TERMS,
+    MAX_P,
     SpecFileError,
     curve_to_spec_doc,
     enumerate_as_specs,
@@ -159,6 +163,42 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["info", str(bad)]) == 2
     invalid = _write(tmp_path, "invalid.json", {"type": "kummer", "p": 5, "n": 3, "branch": [{"rho": 1, "l": 1}]})
     assert main(["verify", invalid]) == 2
+
+
+HOSTILE_SPECS = {
+    # trial-division primality of a 60-bit p
+    "huge_p": {"type": "kummer", "p": 1000000000000000003, "n": 2, "branch": [{"rho": 1, "l": 2}]},
+    # a defining polynomial of degree 10^6
+    "huge_l": {"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": 1000001}, {"rho": 2, "l": 1}]},
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_SPECS)
+def test_hostile_specs_exit_2_within_a_second(name, tmp_path, capsys):
+    path = _write(tmp_path, f"{name}.json", HOSTILE_SPECS[name])
+    start = time.perf_counter()
+    assert main(["verify", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the budget" in capsys.readouterr().err
+
+
+AS_BRANCH = [{"rho": 1, "l": 1}, {"rho": 2, "l": 1}]
+
+
+@pytest.mark.parametrize(
+    "doc,position",
+    [
+        ({"type": "kummer", "p": MAX_P + 1, "n": 2, "branch": [{"rho": 1, "l": 2}]}, "p"),
+        ({"type": "kummer", "p": 3, "ext_modulus": [1] * 12, "n": 2, "branch": [{"rho": 1, "l": 2}]}, "ext_modulus"),
+        ({"type": "kummer", "p": 3, "ext_modulus": [1] * 10**5, "n": 2, "branch": [{"rho": 1, "l": 2}]}, "ext_modulus"),
+        ({"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": MAX_DEGREE + 1}]}, "branch"),
+        ({"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": 10**6}, {"rho": 2, "l": -10**6}]}, "branch"),
+        ({"type": "artin-schreier", "p": 3, "branch": AS_BRANCH, "f": [1] * (MAX_F_TERMS + 1)}, "f"),
+    ],
+)
+def test_over_budget_specs_raise_positional_errors(doc, position):
+    with pytest.raises(SpecFileError, match=rf"^{position}: .* exceeds? the budget"):
+        parse_curve_spec(doc)
 
 
 def test_byte_identical_reports():

@@ -48,8 +48,8 @@ def test_report_and_document_build_each_basis_once(doc, policy, sign, monkeypatc
     report = full_report(curve, VerifyOptions(mu_range=policy, sign=sign))
     build_report_document(curve, policy, sign, include_bases=True, report=report)
     assert {name: counts.get(name, 0) for name in BUILDERS} == dict.fromkeys(BUILDERS, 1)
-    # the pairing matrix once, plus the zero images p(i(omega)) in exactness
-    assert counts["pairing"] == 2 * len(omega_basis(curve, policy)) ** 2
+    # the pairing matrix once; exactness pairs nothing more
+    assert counts["pairing"] == len(omega_basis(curve, policy)) ** 2
 
 
 def test_contexts_are_kept_per_policy_and_sign(monkeypatch):

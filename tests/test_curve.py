@@ -181,7 +181,7 @@ def test_broken_invariants_raise_explicit_errors():
     # must raise even when assertions are stripped
     curve = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3)])
     assert [v.code for v in validate(curve)] == ["l_not_divisible_by_n"]
-    curve._cache["violations"] = ()
+    curve.violations = ()
     with pytest.raises(ArithmeticError, match="t_1 is not an integer"):
         mu_table(curve)
     with pytest.raises(ArithmeticError, match="canonical degree -1 is odd"):
