@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from .cohomology import derham_basis, h1_basis, omega_basis
 from .curve import ASCurve, Curve, KummerCurve, genus_from_basis, genus_rh, mu_table, ram_data, validate
-from .gf import FieldElement, FieldSpec, find_irreducible_poly, is_prime
+from .gf import FieldElement, FieldSpec, digits, find_irreducible_poly, is_prime
 from .polyrat import Poly
 from .verify import Report, VerifyOptions, full_report
 
@@ -33,11 +33,11 @@ class SpecFileError(ValueError):
 
 
 # Input budgets, checked before any work that grows with them: trial-division
-# primality costs sqrt(p), an extension modulus is tested for irreducibility
-# over Z/p, and the defining polynomials have degree sum l_i.  Every corpus in the repository
-# stays far below them (p <= 31, q <= 961, sum l_i <= 20).
+# primality costs sqrt(p), and the defining polynomials have degree sum l_i.
+# The field size q = p^d is held to gf.MAX_Q by FieldSpec, whose tables grow
+# with q.  Every corpus in the repository stays far below them (p <= 31,
+# q <= 961, sum l_i <= 20).
 MAX_P = 2**16  # characteristic
-MAX_Q = 2**16  # field size q = p^d, d = len(ext_modulus) - 1
 MAX_DEGREE = 512  # sum of |l_i| over the branch points
 MAX_F_TERMS = MAX_DEGREE + 1  # coefficients of the Artin-Schreier numerator f
 
@@ -93,9 +93,6 @@ def parse_curve_spec(doc: Any) -> Curve:
     if modulus is not None:
         if not isinstance(modulus, list) or not all(isinstance(v, int) for v in modulus):
             raise SpecFileError("ext_modulus: expected a list of integers")
-        d = len(modulus) - 1
-        if d >= MAX_Q.bit_length() or p**d > MAX_Q:
-            raise SpecFileError(f"ext_modulus: field size {p}^{d} exceeds the budget {MAX_Q}")
         try:
             spec = FieldSpec(p, modulus)
         except ValueError as exc:
@@ -321,8 +318,7 @@ def _print_checks_text(report: Report) -> None:
 def cmd_info(args: argparse.Namespace) -> int:
     curve = load_curve_file(args.path)
     if args.json:
-        doc = {"curve": curve_section(curve, args.mu_range), "policy": {"mu_range": args.mu_range, "sign": args.sign}}
-        print(_dump(doc))
+        print(_dump(build_report_document(curve, args.mu_range, args.sign)))
     else:
         _print_info_text(curve, args.mu_range)
     return 0
@@ -430,23 +426,12 @@ def enumerate_kummer_specs(
                             doc["ext_modulus"] = list(ext)
                         doc["n"] = n
                         doc["branch"] = [
-                            {"rho": _encode_from_encoding(p, ext, enc), "l": l}
+                            {"rho": enc if ext is None else digits(enc, p, len(ext) - 1), "l": l}
                             for enc, l in zip(points, pattern)
                         ]
                         cell.append(doc)
             cells.append(cell)
     return _round_robin(cells, cap)
-
-
-def _encode_from_encoding(p: int, ext: list[int] | None, enc: int) -> int | list[int]:
-    if ext is None:
-        return enc
-    d = len(ext) - 1
-    coords = []
-    for _ in range(d):
-        enc, c = divmod(enc, p)
-        coords.append(c)
-    return coords
 
 
 def _round_robin(cells: list[list[dict]], cap: int) -> list[dict]:
@@ -478,11 +463,7 @@ def _admissible_numerators(spec: FieldSpec, branch: list, l: int, count: int) ->
     zero = spec.zero()
     limit = spec.q ** min(l, 3)  # vary only the low coefficients; ample choice
     for enc in range(limit):
-        coeffs = []
-        e = enc
-        for _ in range(min(l, 3)):
-            e, c = divmod(e, spec.q)
-            coeffs.append(spec.from_encoding(c))
+        coeffs = [spec.from_encoding(c) for c in digits(enc, spec.q, min(l, 3))]
         while len(coeffs) < l:
             coeffs.append(zero)
         coeffs.append(spec.one())

@@ -2,19 +2,32 @@
 
 A field is described by a ``FieldSpec``: the characteristic p and, for a
 proper extension, a monic irreducible modulus m(z) over Z/p given as an
-ascending coefficient list.  Elements are coefficient vectors of length d
-over Z/p (d = 1 for prime fields), always fully reduced, so equality is
-plain coefficient equality and every element has a unique representation.
+ascending coefficient list.  An element c0 + c1*z + ... + c_{d-1}*z^{d-1}
+(d = 1 for prime fields) is one int, its canonical encoding
+c0 + c1*p + c2*p^2 + ..., which reads the coefficients as base-p digits.
+The encoding is unique, so equality is integer equality, and it orders the
+field deterministically, which is what makes runs reproducible byte for
+byte (in particular the choice of the primitive n-th root of unity below).
 
-The canonical integer encoding of an element reads its coefficients as
-base-p digits: c0 + c1*p + c2*p^2 + ...  It orders the field elements
-deterministically, which is what makes runs reproducible byte for byte
-(in particular the choice of the primitive n-th root of unity below).
+Arithmetic is table lookup, the same for prime and extension fields (Zech
+logarithms; Huber, IEEE Trans. Inf. Theory 36(4), 1990).  ``FieldSpec``
+takes the primitive element g of smallest encoding and tabulates
+``exp[i]`` = g^i (stored over two periods, 0 <= i < 2(q - 1), so a sum of
+two logarithms needs no reduction), ``log[a]`` with g^log[a] = a for
+a != 0, and the Zech logarithm ``zech[i]`` = log(1 + g^i) (None where
+1 + g^i = 0).  Then g^i * g^j = g^(i + j) and g^i + g^j = g^(i + zech[j - i]);
+a negative index j - i wraps modulo q - 1 by Python's own indexing.  The
+tables take O(q) time and about 90 bytes per element: at the input budget
+q = 2^16 (``MAX_Q``) about 6 MB, built in well under a second.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+import operator
+from typing import Sequence
+
+MAX_Q = 2**16  # largest field size q = p^d; the tables hold O(q) entries
 
 
 def is_prime(n: int) -> bool:
@@ -48,8 +61,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def digits(k: int, base: int, count: int) -> list[int]:
+    """The lowest ``count`` base-``base`` digits of k, least significant first."""
+    out = []
+    for _ in range(count):
+        k, c = divmod(k, base)
+        out.append(c)
+    return out
+
+
 # -- minimal Z/p polynomial helpers (integer coefficient lists, ascending) --
-# Only what the irreducibility check and FieldElement need; the full
+# Only what the irreducibility test and the table build need; the full
 # polynomial layer over F_q lives in polyrat.
 
 
@@ -70,35 +92,8 @@ def _zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _zp_trim(prod)
 
 
-def _zp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % p
-    return _zp_trim(out)
-
-
-def _zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) >= len(b):
-        k = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[i + k] = (a[i + k] - c * bi) % p
-        _zp_trim(a)
-    return _zp_trim(q), a
-
-
 def _zp_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo m; _zp_divmod without the quotient, for the
-    extension-field multiply."""
+    """Remainder of a modulo m."""
     a = _zp_trim(list(a))
     dm = len(m) - 1
     inv_lead = pow(m[-1], p - 2, p)
@@ -115,6 +110,17 @@ def _zp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     return _zp_rem(_zp_mul(a, b, p), m, p)
 
 
+def _zp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e modulo m by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _zp_mulmod(result, a, m, p)
+        a = _zp_mulmod(a, a, m, p)
+        e >>= 1
+    return result
+
+
 def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a, b = b, _zp_rem(a, b, p)
@@ -124,19 +130,9 @@ def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _zp_is_irreducible(m: list[int], p: int) -> bool:
     # gcd(m, x^{p^i} - x mod m) must be constant for i = 1..floor(d/2)
     d = len(m) - 1
-    x = [0, 1]
-    frob = list(x)
+    frob = [0, 1]
     for _ in range(d // 2):
-        e = p
-        # raise frob to the p-th power mod m by square and multiply
-        result = [1]
-        base = list(frob)
-        while e:
-            if e & 1:
-                result = _zp_mulmod(result, base, m, p)
-            base = _zp_mulmod(base, base, m, p)
-            e >>= 1
-        frob = result
+        frob = _zp_powmod(frob, p, m, p)
         diff = list(frob)
         while len(diff) < 2:
             diff.append(0)
@@ -153,11 +149,15 @@ def _zp_is_irreducible(m: list[int], p: int) -> bool:
 
 
 class FieldSpec:
-    """Description of F_q = F_p[z]/(m(z)); immutable once constructed."""
+    """Description of F_q = F_p[z]/(m(z)) and its arithmetic on encodings;
+    immutable once constructed."""
 
-    __slots__ = ("p", "modulus", "d", "q", "_zero", "_one")
+    __slots__ = ("p", "modulus", "d", "q", "exp", "log", "zech", "_zero", "_one")
 
     def __init__(self, p: int, modulus: Sequence[int] | None = None):
+        d = 1 if modulus is None else len(modulus) - 1
+        if isinstance(p, int) and (d >= MAX_Q.bit_length() or p**d > MAX_Q):
+            raise ValueError(f"field size {p}^{d} exceeds the budget {MAX_Q}")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic {p!r} is not prime")
         self.p = p
@@ -177,8 +177,64 @@ class FieldSpec:
             self.modulus = tuple(m)
             self.d = len(m) - 1
         self.q = p**self.d
-        self._zero = FieldElement(self, (0,) * self.d)
-        self._one = FieldElement(self, (1,) + (0,) * (self.d - 1))
+        self._build_tables()
+        self._zero = FieldElement(self, 0)
+        self._one = FieldElement(self, 1)
+
+    def _build_tables(self) -> None:
+        p, d, order = self.p, self.d, self.q - 1
+        m = list(self.modulus or (0, 1))  # F_p = Z/p[z]/(z)
+        # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1
+        factors = prime_factors(order)
+        for g_code in range(1, self.q):
+            g = _zp_trim(digits(g_code, p, d))
+            if all(_zp_powmod(g, order // r, m, p) != [1] for r in factors):
+                break
+        weights = [p**i for i in range(d)]
+        exp = [1] * order
+        power = [1]
+        for i in range(1, order):
+            power = _zp_mulmod(power, g, m, p)
+            exp[i] = sum(map(operator.mul, power, weights))
+        log: list = [None] * self.q
+        for i, a in enumerate(exp):
+            log[a] = i
+        # 1 + a adds 1 to the lowest base-p digit of a's encoding
+        self.zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        self.exp = exp + exp
+        self.log = log
+
+    # -- arithmetic on encodings ---------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        i = self.log[a]
+        z = self.zech[self.log[b] - i]
+        return 0 if z is None else self.exp[i + z]
+
+    def neg(self, a: int) -> int:
+        # -1 is the constant p - 1
+        return self.exp[self.log[a] + self.log[self.p - 1]] if a else 0
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return self.exp[-self.log[a]]
+
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero field element")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
+
+    # -- elements -------------------------------------------------------------
 
     def zero(self) -> FieldElement:
         return self._zero
@@ -193,28 +249,17 @@ class FieldSpec:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.d - 1)
-            return FieldElement(self, coeffs)
+            return FieldElement(self, value % self.p)
         vals = [int(v) % self.p for v in value]
         if len(vals) > self.d:
             raise ValueError(f"coefficient sequence longer than degree {self.d}")
-        vals += [0] * (self.d - len(vals))
-        return FieldElement(self, tuple(vals))
+        return FieldElement(self, sum(c * self.p**i for i, c in enumerate(vals)))
 
     def from_encoding(self, k: int) -> FieldElement:
         """Element whose base-p digit expansion of k gives the coefficients."""
         if not 0 <= k < self.q:
             raise ValueError(f"encoding {k} out of range for q = {self.q}")
-        coeffs = []
-        for _ in range(self.d):
-            k, c = divmod(k, self.p)
-            coeffs.append(c)
-        return FieldElement(self, tuple(coeffs))
-
-    def elements(self) -> Iterator[FieldElement]:
-        """All field elements in canonical encoding order."""
-        for k in range(self.q):
-            yield self.from_encoding(k)
+        return FieldElement(self, k)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -233,26 +278,24 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of F_q as a fully reduced coefficient vector over Z/p."""
+    """An element of F_q, held as its canonical encoding."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "encoding")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, encoding: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.encoding = encoding
 
-    # -- predicates and encodings ------------------------------------------
+    # -- predicates and coefficients ------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.encoding
 
     @property
-    def encoding(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.spec.p + c
-        return k
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients c0, ..., c_{d-1} over Z/p: the digits of the encoding."""
+        return tuple(digits(self.encoding, self.spec.p, self.spec.d))
 
     def _check(self, other: FieldElement) -> None:
         if self.spec is not other.spec and self.spec != other.spec:
@@ -262,57 +305,22 @@ class FieldElement:
 
     def __add__(self, other: FieldElement) -> FieldElement:
         self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.spec, self.spec.add(self.encoding, other.encoding))
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        spec = self.spec
+        return FieldElement(spec, spec.add(self.encoding, spec.neg(other.encoding)))
 
     def __neg__(self) -> FieldElement:
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.spec, self.spec.neg(self.encoding))
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         self._check(other)
-        spec = self.spec
-        p = spec.p
-        if spec.d == 1:
-            return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = [0] * (2 * spec.d - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        rem = _zp_rem(prod, list(spec.modulus), p)
-        rem += [0] * (spec.d - len(rem))
-        return FieldElement(spec, tuple(rem))
+        return FieldElement(self.spec, self.spec.mul(self.encoding, other.encoding))
 
     def inverse(self) -> FieldElement:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        spec = self.spec
-        p = spec.p
-        if spec.d == 1:
-            return FieldElement(spec, (pow(self.coeffs[0], p - 2, p),))
-        # extended Euclid over Z/p[z] against the modulus
-        r0, r1 = list(spec.modulus), _zp_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _zp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
-        # r0 is a nonzero constant gcd; scale s0 by its inverse
-        c = pow(r0[0], p - 2, p)
-        inv = [(c * v) % p for v in s0]
-        inv = _zp_rem(inv, list(spec.modulus), p)
-        inv += [0] * (spec.d - len(inv))
-        return FieldElement(spec, tuple(inv))
+        return FieldElement(self.spec, self.spec.inv(self.encoding))
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         self._check(other)
@@ -321,36 +329,26 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> FieldElement:
-        if e < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero field element")
-            return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElement(self.spec, self.spec.pow(self.encoding, e))
 
     # -- comparisons and rendering -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.encoding == other.encoding and self.spec == other.spec
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, self.spec.modulus, self.coeffs))
+        return hash(self.encoding)
 
     def render(self) -> str:
         """Canonical scalar rendering: bare integer for prime fields,
         an ascending z-polynomial in parentheses otherwise."""
         if self.spec.d == 1:
-            return str(self.coeffs[0])
+            return str(self.encoding)
+        coeffs = self.coeffs
         terms = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(coeffs):
             if c == 0:
                 continue
             if k == 0:
@@ -361,7 +359,7 @@ class FieldElement:
                 terms.append(f"z^{k}" if c == 1 else f"{c}*z^{k}")
         if not terms:
             return "0"
-        if len(terms) == 1 and self.coeffs[0] and all(c == 0 for c in self.coeffs[1:]):
+        if len(terms) == 1 and coeffs[0] and all(c == 0 for c in coeffs[1:]):
             return terms[0]
         return "(" + " + ".join(terms) + ")"
 
@@ -377,12 +375,7 @@ def find_irreducible_poly(p: int, d: int) -> list[int]:
     if d < 2:
         raise ValueError("degree must be at least 2")
     for enc in range(p**d):
-        coeffs = []
-        e = enc
-        for _ in range(d):
-            e, c = divmod(e, p)
-            coeffs.append(c)
-        m = coeffs + [1]
+        m = digits(enc, p, d) + [1]
         if _zp_is_irreducible(m, p):
             return m
     raise ValueError(f"no irreducible polynomial of degree {d} over Z/{p} (unreachable)")
@@ -392,17 +385,12 @@ def nth_root_of_unity(spec: FieldSpec, n: int) -> FieldElement:
     """Deterministic primitive n-th root of unity in F_q.
 
     Returns the element of exact multiplicative order n whose canonical
-    integer encoding is smallest; raises if n does not divide q - 1.
+    integer encoding is smallest; raises if n does not divide q - 1.  The
+    elements of order n are g^(j (q-1)/n) with j prime to n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if (spec.q - 1) % n != 0:
         raise ValueError(f"no primitive {n}-th root in field: {n} does not divide q-1 = {spec.q - 1}")
-    factors = prime_factors(n)
-    for k in range(1, spec.q):
-        a = spec.from_encoding(k)
-        if not (a**n == spec.one()):
-            continue
-        if all(a ** (n // ell) != spec.one() for ell in factors):
-            return a
-    raise ValueError(f"no element of order {n} found (unreachable for valid input)")
+    step = (spec.q - 1) // n
+    return FieldElement(spec, min(spec.exp[j * step] for j in range(1, n) if math.gcd(j, n) == 1))

@@ -162,18 +162,6 @@ class Poly:
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
 
-    def __pow__(self, e: int) -> Poly:
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- calculus and evaluation ------------------------------------------------
 
     def derivative(self) -> Poly:
@@ -358,14 +346,8 @@ class RatFn:
         d2 = other.den // g1 if g1.degree > 0 else other.den
         n2 = other.num // g2 if g2.degree > 0 else other.num
         d1 = self.den // g2 if g2.degree > 0 else self.den
-        num = n1 * n2
-        den = d1 * d2
-        lead = den.leading
-        if not lead == den.spec.one():
-            inv = lead.inverse()
-            num = num * inv
-            den = den * inv
-        return RatFn(num, den, _reduced=True)
+        # d1 and d2 are monic quotients of monic polynomials by monic gcds
+        return RatFn(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__
 
@@ -381,12 +363,6 @@ class RatFn:
         """Formal derivative via the quotient rule."""
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RatFn(num, self.den * self.den)
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        d = self.den.evaluate(x)
-        if d.is_zero:
-            raise ZeroDivisionError("rational function has a pole at evaluation point")
-        return self.num.evaluate(x) / d
 
     # -- valuations -----------------------------------------------------------------
 

@@ -99,6 +99,7 @@ def test_cmd_info_paper_pinned_row(capsys):
     path = _write_tmp(doc)
     assert main(["info", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["curve", "policy"]
     row = [r for r in report["curve"]["mu_table"] if r["mu"] == 1][0]
     assert row["m"] == [2]
 

@@ -40,6 +40,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec(3, [1, 1])  # degree 1 modulus
     assert FieldSpec(5, [2, 0, 1]).q == 25
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        FieldSpec(2, [1] + [0] * 16 + [1])  # q = 2^17
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        FieldSpec(1000000000000000003)  # before any trial division
 
 
 def test_encoding_roundtrip():

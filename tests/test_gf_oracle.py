@@ -1,0 +1,181 @@
+"""Field arithmetic against oracles that share no code with ``gf``.
+
+Extension fields are checked against ``sympy.polys.galoistools`` (dense
+Z/p polynomials, descending coefficients) reduced modulo the field's
+modulus, and prime fields against Python ints mod p.  Elements cross the
+boundary as their canonical encoding, decoded here with plain integer
+arithmetic.  ``hypothesis`` checks the field axioms, powers against
+repeated products and the encoding round trip.
+"""
+
+import random
+import time
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_irreducible_p, gf_mul, gf_rem, gf_sub
+
+from cycliccover.gf import FieldSpec
+
+# ascending moduli; z^2 + 1 over F_3 and z^2 + 2 over F_5 are not primitive
+# (z has order 4 and 8), so the tables' generator g is not z there
+EXTENSIONS = {
+    4: (2, [1, 1, 1]),
+    8: (2, [1, 1, 0, 1]),
+    9: (3, [1, 0, 1]),
+    25: (5, [2, 0, 1]),
+    27: (3, [1, 2, 0, 1]),
+    49: (7, [1, 0, 1]),
+    961: (31, [1, 0, 1]),
+}
+PRIMES = [2, 3, 5, 7, 31]
+
+
+def _to_sympy(k, p, d):
+    """Descending coefficient list of the element with encoding k."""
+    out = []
+    for _ in range(d):
+        out.append(k % p)
+        k //= p
+    while out and out[-1] == 0:
+        out.pop()
+    return out[::-1]
+
+
+def _from_sympy(f, p):
+    k = 0
+    for c in f:
+        k = k * p + c
+    return k
+
+
+class SympyField:
+    """F_p[z]/(m) with every operation done by ``galoistools``."""
+
+    def __init__(self, p, modulus):
+        self.p, self.d = p, len(modulus) - 1
+        self.m = modulus[::-1]
+        assert gf_irreducible_p(self.m, p, ZZ)
+
+    def _op(self, f, a, b):
+        x = f(_to_sympy(a, self.p, self.d), _to_sympy(b, self.p, self.d), self.p, ZZ)
+        return _from_sympy(gf_rem(x, self.m, self.p, ZZ), self.p)
+
+    def add(self, a, b):
+        return self._op(gf_add, a, b)
+
+    def sub(self, a, b):
+        return self._op(gf_sub, a, b)
+
+    def mul(self, a, b):
+        return self._op(gf_mul, a, b)
+
+    def inv(self, a):
+        s, _, h = gf_gcdex(_to_sympy(a, self.p, self.d), self.m, self.p, ZZ)
+        assert h == [1]
+        return _from_sympy(gf_rem(s, self.m, self.p, ZZ), self.p)
+
+
+def _check_pairs(spec, oracle, pairs):
+    inverses = {b: oracle.inv(b) for _, b in pairs if b}
+    for a, b in pairs:
+        x, y = spec.from_encoding(a), spec.from_encoding(b)
+        assert (x + y).encoding == oracle.add(a, b), (a, b)
+        assert (x - y).encoding == oracle.sub(a, b), (a, b)
+        assert (x * y).encoding == oracle.mul(a, b), (a, b)
+        if b:
+            assert y.inverse().encoding == inverses[b], b
+            assert (x / y).encoding == oracle.mul(a, inverses[b]), (a, b)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49])
+def test_extension_field_all_pairs_match_galoistools(q):
+    p, modulus = EXTENSIONS[q]
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    _check_pairs(FieldSpec(p, modulus), SympyField(p, modulus), pairs)
+
+
+def test_extension_field_random_pairs_match_galoistools():
+    p, modulus = EXTENSIONS[961]
+    rng = random.Random(961)
+    pairs = [(rng.randrange(961), rng.randrange(961)) for _ in range(3000)]
+    _check_pairs(FieldSpec(p, modulus), SympyField(p, modulus), pairs)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_field_all_pairs_match_int_mod_p(p):
+    spec = FieldSpec(p)
+    for a in range(p):
+        for b in range(p):
+            x, y = spec.element(a), spec.element(b)
+            assert (x + y).encoding == (a + b) % p
+            assert (x - y).encoding == (a - b) % p
+            assert (-y).encoding == -b % p
+            assert (x * y).encoding == a * b % p
+            if b:
+                assert y.inverse().encoding == pow(b, -1, p)
+                assert (x / y).encoding == a * pow(b, -1, p) % p
+
+
+@pytest.mark.parametrize(
+    "p,modulus",
+    [(65521, None), (2, [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]), (251, [1, 0, 1])],
+    ids=["p=65521", "p=2,d=16", "p=251,d=2"],
+)
+def test_tables_at_the_field_size_budget_build_within_a_second(p, modulus):
+    start = time.process_time()
+    spec = FieldSpec(p, modulus)
+    assert time.process_time() - start < 1.0
+    assert spec.q > 60000
+    assert sorted(spec.exp[: spec.q - 1]) == list(range(1, spec.q))
+
+
+# -- properties ----------------------------------------------------------------------
+
+SPECS = [FieldSpec(p) for p in PRIMES] + [FieldSpec(p, m) for p, m in EXTENSIONS.values()]
+
+
+@st.composite
+def elements(draw, count):
+    spec = draw(st.sampled_from(SPECS))
+    return [spec.from_encoding(draw(st.integers(0, spec.q - 1))) for _ in range(count)]
+
+
+@given(elements(3))
+def test_field_axioms(abc):
+    a, b, c = abc
+    spec = a.spec
+    zero, one = spec.zero(), spec.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b) and (a - b) + b == a
+    if not b.is_zero:
+        assert b * b.inverse() == one and (a / b) * b == a
+
+
+@given(elements(1), st.integers(-30, 30))
+def test_power_is_the_repeated_product(a, e):
+    (a,) = a
+    if a.is_zero and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            a**e
+        return
+    factor = a if e >= 0 else a.inverse()
+    expected = a.spec.one()
+    for _ in range(abs(e)):
+        expected = expected * factor
+    assert a**e == expected
+
+
+@given(st.sampled_from(SPECS), st.data())
+def test_encoding_round_trip(spec, data):
+    k = data.draw(st.integers(0, spec.q - 1))
+    x = spec.from_encoding(k)
+    assert x.encoding == k
+    assert len(x.coeffs) == spec.d and all(0 <= c < spec.p for c in x.coeffs)
+    assert sum(c * spec.p**i for i, c in enumerate(x.coeffs)) == k
+    assert spec.element(list(x.coeffs)) == x
