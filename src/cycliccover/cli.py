@@ -41,6 +41,13 @@ MAX_P = 2**16  # characteristic
 MAX_DEGREE = 512  # sum of |l_i| over the branch points
 MAX_F_TERMS = MAX_DEGREE + 1  # coefficients of the Artin-Schreier numerator f
 
+# Sweep option bounds: each option must lie in 1..bound, checked before any
+# enumeration, which is eager and exponential in l_max.  With every option at
+# its bound, enumerating both families takes about 3 s of CPU time (CPython
+# 3.11, one core); the README sweeps and the p <= 31, n <= 10, l <= 20,
+# cap 200 slice lie inside.
+SWEEP_MAX = {"p_max": 31, "n_max": 32, "l_max": 20, "r_max": 4, "li_max": 8, "count_cap": 1000}
+
 
 # -- spec file decoding -----------------------------------------------------------
 
@@ -514,6 +521,11 @@ def enumerate_as_specs(p_max: int, r_max: int, li_max: int, cap: int, seed: int)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    for option, bound in SWEEP_MAX.items():
+        value = getattr(args, option)
+        if not 1 <= value <= bound:
+            print(f"error: --{option.replace('_', '-')} {value} is outside the bound 1..{bound}", file=sys.stderr)
+            return 2
     options = VerifyOptions(mu_range=args.mu_range, sign=args.sign)
     docs: list[tuple[str, dict]] = []
     if args.family in ("kummer", "both"):

@@ -91,18 +91,17 @@ def omega_indices(curve: Curve, range_policy: str = "extended") -> list[BasisInd
     return out
 
 
-def h1_indices(curve: Curve, range_policy: str = "extended") -> list[BasisIndex]:
-    """Admissible (mu, nu) pairs on the H^1 side, mu then nu ascending."""
-    table = mu_table(curve, range_policy)
+def _partner(curve: Curve, idx: BasisIndex) -> BasisIndex:
+    """H^1 index dual to a differential index."""
     if curve.kind == "kummer":
-        return omega_indices(curve, range_policy)
-    p = curve.p
-    out = []
-    for m in reversed(table.mus()):  # h-side mu = p - m ascending
-        t = table[m].t
-        if t >= 2:
-            out.extend(BasisIndex(p - m, nu) for nu in range(1, t))
-    return out
+        return idx
+    return BasisIndex(curve.p - idx.mu, idx.nu)
+
+
+def h1_indices(curve: Curve, range_policy: str = "extended") -> list[BasisIndex]:
+    """Admissible (mu, nu) pairs on the H^1 side, mu then nu ascending: the
+    partners of the differential indices."""
+    return sorted(_partner(curve, idx) for idx in omega_indices(curve, range_policy))
 
 
 def _require_index(indices: list[BasisIndex], mu: int, nu: int, side: str) -> None:
@@ -278,9 +277,9 @@ def _build_derham_basis(
         mu, nu = idx
         if curve.kind == "kummer":
             n = curve.n
-            aux = kummer_aux(curve, mu, nu)
+            psi = kummer_psi(curve, mu, nu, table)
             split_deg = nu + 1 if table[n - mu].t >= 2 else nu
-            lo, hi = split_at_degree(aux.psi, split_deg, inclusive=True)
+            lo, hi = split_at_degree(psi, split_deg, inclusive=True)
             base = FFElem.monomial(curve, mu, RatFn(table[n - mu].g_mu, curve.f))
             scale_den = Poly.monomial(spec, nu + 1, spec.element(n))
             omega0 = FFDiff(base.scale(RatFn(lo, scale_den)))
@@ -361,13 +360,6 @@ def h1_coordinates(
 
 
 # -- per-curve context -------------------------------------------------------------------
-
-
-def _partner(curve: Curve, idx: BasisIndex) -> BasisIndex:
-    """H^1 index dual to a differential index."""
-    if curve.kind == "kummer":
-        return idx
-    return BasisIndex(curve.p - idx.mu, idx.nu)
 
 
 class BasisContext:

@@ -31,7 +31,7 @@ from .polyrat import Poly, RatFn
 
 if TYPE_CHECKING:
     from .cohomology import BasisContext
-    from .funcfield import PlaceClass
+    from .funcfield import FamilyTable, PlaceClass
 
 
 class Violation(NamedTuple):
@@ -65,8 +65,7 @@ class CyclicCover:
         self.ram: RamData | None = None  # ram_data
         self.mu_tables: dict[str, MuTable] = {}  # mu_table, per mu-range policy
         self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
-        self.zeta: FieldElement | None = None  # funcfield, Kummer: primitive n-th root of unity
-        self.dy_coeff: RatFn | None = None  # funcfield: dy in terms of dx
+        self.family_table: FamilyTable | None = None  # funcfield: relation, dy, generator, trace, pairing scale
         self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
         self.basis_contexts: dict[str, BasisContext] = {}  # cohomology.basis_context, per policy
 

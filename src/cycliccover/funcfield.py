@@ -1,11 +1,20 @@
 """Arithmetic in the function field F = E[y]/(relation), E = F_q(x).
 
-Elements are y-coefficient vectors (a_0, ..., a_{n-1}) of rational
-functions, kept reduced to y-degree below the cover degree after every
-product: y^n collapses to f(x) on a Kummer curve and y^p to y + r(x) on
-an Artin-Schreier curve.  Differentials are globally written as
-(element) * dx, which is possible because x is a separating variable in
-both families; no local uniformizer machinery exists anywhere.
+Both families are cyclic covers whose generator acts on y by an affine
+map.  ``FFElem``, ``FFDiff`` and ``pairing`` have one code path each that
+reads the family facts from ``curve.family_table``, built once per curve:
+
+                   Kummer y^n = f          Artin-Schreier y^p - y = r
+    relation       y^n = f                 y^p = r + y
+    dy             (f'/(n f)) y dx         -r' dx
+    generator      y -> zeta_n y           y -> y + 1
+    trace          Tr(1) = n               Tr(y^(p-1)) = -1
+    pairing scale  -1/n                    1
+
+Elements are y-coefficient vectors (a_0, ..., a_{deg-1}) of rational
+functions, reduced by the relation after every product.  Differentials
+are (element) * dx, since x is a separating variable in both families;
+no local uniformizer machinery exists anywhere.
 
 Regularity questions are answered through ``valuation_bound``, which
 scores each y-monomial a_j y^j at a place class by the exact valuations
@@ -21,27 +30,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curve import Curve, KummerCurve, ram_data, require_valid
+from .curve import Curve, ram_data, require_valid
 from .gf import FieldElement, nth_root_of_unity
 from .polyrat import RatFn, residue_at_infinity
 
 
-def _zeta(curve: KummerCurve) -> FieldElement:
-    if curve.zeta is None:
-        curve.zeta = nth_root_of_unity(curve.spec, curve.n)
-    return curve.zeta
+@dataclass(frozen=True)
+class FamilyTable:
+    """The family facts of one cover of degree deg (see the module docstring)."""
+
+    relation: RatFn  # y^deg = relation, plus y when relation_has_y
+    relation_has_y: bool
+    dy_coeff: RatFn  # dy = dy_coeff * y^dy_exponent dx
+    dy_exponent: int
+    gen_a: FieldElement  # the generator maps y to gen_a y + gen_b
+    gen_b: FieldElement
+    trace_index: int  # the one k < deg with Tr(y^k) != 0
+    trace_value: int  # that trace, an integer
+    pairing_scale: FieldElement
 
 
-def _dy_coefficient(curve: Curve) -> RatFn:
-    """dy = (coefficient) * y * dx on Kummer curves (f'/(n f)); on
-    Artin-Schreier curves dy = (coefficient) * dx with coefficient -r'."""
-    if curve.dy_coeff is None:
+def _family_table(curve: Curve) -> FamilyTable:
+    """The curve's family table, built on first use; the cover hypotheses are not checked."""
+    if curve.family_table is None:
+        spec = curve.spec
         if curve.kind == "kummer":
-            inv_n = curve.spec.element(curve.n).inverse()
-            curve.dy_coeff = RatFn(curve.f.derivative(), curve.f) * inv_n
+            inv_n = spec.element(curve.n).inverse()
+            curve.family_table = FamilyTable(
+                relation=RatFn.from_poly(curve.f), relation_has_y=False,
+                dy_coeff=RatFn(curve.f.derivative(), curve.f) * inv_n, dy_exponent=1,
+                gen_a=nth_root_of_unity(spec, curve.n), gen_b=spec.zero(),
+                trace_index=0, trace_value=curve.n,
+                pairing_scale=-inv_n,
+            )
         else:
-            curve.dy_coeff = -curve.r_fn.derivative()
-    return curve.dy_coeff
+            curve.family_table = FamilyTable(
+                relation=curve.r_fn, relation_has_y=True,
+                dy_coeff=-curve.r_fn.derivative(), dy_exponent=0,
+                gen_a=spec.one(), gen_b=spec.one(),
+                trace_index=curve.p - 1, trace_value=-1,
+                pairing_scale=spec.one(),
+            )
+    return curve.family_table
 
 
 class FFElem:
@@ -124,28 +154,21 @@ class FFElem:
         self._check(other)
         curve = self.curve
         deg = curve.degree
-        zero = RatFn.zero(curve.spec)
-        raw = [zero] * (2 * deg - 1)
+        raw = [RatFn.zero(curve.spec)] * (2 * deg - 1)
         for i, ai in enumerate(self.coeffs):
             if ai.is_zero:
                 continue
             for j, bj in enumerate(other.coeffs):
                 if not bj.is_zero:
                     raw[i + j] = raw[i + j] + ai * bj
-        if curve.kind == "kummer":
-            f = RatFn.from_poly(curve.f)
-            out = list(raw[:deg])
-            for k in range(deg, len(raw)):
-                if not raw[k].is_zero:
-                    out[k - deg] = out[k - deg] + raw[k] * f
-        else:
-            # y^p = y + r, applied once: exponents 2p-2 and below land < p
-            r = curve.r_fn
-            out = list(raw[:deg])
-            for k in range(deg, len(raw)):
-                if not raw[k].is_zero:
+        # y^deg = relation (+ y), applied once: exponents up to 2 deg - 2 land below deg
+        table = _family_table(curve)
+        out = raw[:deg]
+        for k in range(deg, len(raw)):
+            if not raw[k].is_zero:
+                if table.relation_has_y:
                     out[k - deg + 1] = out[k - deg + 1] + raw[k]
-                    out[k - deg] = out[k - deg] + raw[k] * r
+                out[k - deg] = out[k - deg] + raw[k] * table.relation
         return FFElem(curve, out)
 
     def __pow__(self, e: int) -> FFElem:
@@ -163,42 +186,35 @@ class FFElem:
     # -- Galois action and trace ------------------------------------------------------
 
     def galois(self, j: int) -> FFElem:
-        """Image under the j-th power of the cyclic generator:
-        y -> zeta_n^j y (Kummer) or y -> y + j (Artin-Schreier)."""
+        """Image under the j-th power of the generator y -> a y + b:
+        sigma^j(y) = A y + B, and each a_k y^k maps to a_k (A y + B)^k."""
         curve = self.curve
         deg = curve.degree
         if not 0 <= j < deg:
             raise ValueError(f"Galois index {j} out of range for degree {deg}")
-        if j == 0:
-            return self
-        if curve.kind == "kummer":
-            zeta_j = _zeta(curve) ** j
-            out, w = [], curve.spec.one()
-            for a in self.coeffs:
-                out.append(a * w)
-                w = w * zeta_j
-            return FFElem(curve, out)
-        shift = curve.spec.element(j)
-        zero = RatFn.zero(curve.spec)
-        out = [zero] * deg
+        table = _family_table(curve)
+        spec = curve.spec
+        A, B = spec.one(), spec.zero()
+        for _ in range(j):  # sigma^i(y) = a sigma^(i-1)(y) + b
+            A, B = table.gen_a * A, table.gen_a * B + table.gen_b
+        out = [RatFn.zero(spec)] * deg
         for k, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
-            w = curve.spec.one()  # shift^{k-m} built from the top down
-            for m in range(k, -1, -1):
-                c = curve.spec.element(math.comb(k, m)) * w
+            for m in range(k + 1):  # binomial term C(k, m) A^m B^(k-m) y^m
+                c = spec.element(math.comb(k, m)) * A**m * B ** (k - m)
                 if not c.is_zero:
                     out[m] = out[m] + a * c
-                w = w * shift
         return FFElem(curve, out)
 
     def trace(self) -> RatFn:
-        """Trace to E = F_q(x) by the coefficient rule: n*a_0 for Kummer,
-        -a_{p-1} for Artin-Schreier."""
-        curve = self.curve
-        if curve.kind == "kummer":
-            return self.coeffs[0] * curve.spec.element(curve.n)
-        return -self.coeffs[-1]
+        """Trace to E = F_q(x): Tr(sum a_j y^j) = a_k Tr(y^k) for the one k
+        with a nonzero trace (a trace of -1 is a negation, not a product)."""
+        table = _family_table(self.curve)
+        a = self.coeffs[table.trace_index]
+        if table.trace_value == -1:
+            return -a
+        return a * self.curve.spec.element(table.trace_value)
 
     def trace_by_orbit(self) -> RatFn:
         """Independent trace: sum the full Galois orbit, read the y^0 part."""
@@ -210,28 +226,18 @@ class FFElem:
     # -- differential --------------------------------------------------------------------
 
     def exterior_d(self) -> FFDiff:
-        """Exterior derivative as a global (element) * dx differential."""
+        """Exterior derivative as a global (element) * dx differential:
+        d(a_j y^j) = a_j' y^j dx + j a_j y^(j-1) dy, with dy = c y^e dx."""
         curve = self.curve
-        dy = _dy_coefficient(curve)
-        zero = RatFn.zero(curve.spec)
-        out = [zero] * curve.degree
-        if curve.kind == "kummer":
-            # d(a_j y^j) = (a_j' + (j/n) (f'/f) a_j) y^j dx
-            for j, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                term = a.derivative()
-                if j:
-                    term = term + a * dy * curve.spec.element(j)
-                out[j] = out[j] + term
-        else:
-            # d(a_j y^j) = a_j' y^j dx + j a_j y^{j-1} (-r') dx
-            for j, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                out[j] = out[j] + a.derivative()
-                if j:
-                    out[j - 1] = out[j - 1] + a * dy * curve.spec.element(j)
+        table = _family_table(curve)
+        out = [RatFn.zero(curve.spec)] * curve.degree
+        for j, a in enumerate(self.coeffs):
+            if a.is_zero:
+                continue
+            out[j] = out[j] + a.derivative()
+            if j:
+                k = j - 1 + table.dy_exponent
+                out[k] = out[k] + a * table.dy_coeff * curve.spec.element(j)
         return FFDiff(FFElem(curve, out))
 
     # -- rendering -------------------------------------------------------------------------
@@ -386,14 +392,7 @@ def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> tuple[int, bool]
 
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     """Serre duality pairing of an H^1 representative against a
-    differential: c * Res_inf(Tr(f * coeff(omega))), with c = -1/n on
-    Kummer curves and c = 1 on Artin-Schreier curves."""
-    if f.curve is not omega.curve:
-        raise ValueError("pairing arguments on mismatched curves")
-    curve = f.curve
+    differential: c * Res_inf(Tr(f * coeff(omega))), c the table's pairing
+    scale.  The product refuses arguments on mismatched curves."""
     tr = (f * omega.coeff).trace()
-    res = residue_at_infinity(tr)
-    if curve.kind == "kummer":
-        c = -(curve.spec.element(curve.n).inverse())
-        return c * res
-    return res
+    return _family_table(f.curve).pairing_scale * residue_at_infinity(tr)

@@ -10,6 +10,7 @@ from cycliccover.cli import (
     MAX_DEGREE,
     MAX_F_TERMS,
     MAX_P,
+    SWEEP_MAX,
     SpecFileError,
     curve_to_spec_doc,
     enumerate_as_specs,
@@ -200,6 +201,47 @@ AS_BRANCH = [{"rho": 1, "l": 1}, {"rho": 2, "l": 1}]
 def test_over_budget_specs_raise_positional_errors(doc, position):
     with pytest.raises(SpecFileError, match=rf"^{position}: .* exceeds? the budget"):
         parse_curve_spec(doc)
+
+
+HOSTILE_SWEEPS = {
+    "p_max": ["--p-max", "1000000000"],
+    "l_max": ["--l-max", "1000"],
+    "li_max": ["--family", "artin-schreier", "--li-max", "200"],
+    "count_cap": ["--count-cap", "-5"],
+}
+
+
+@pytest.mark.parametrize("option", HOSTILE_SWEEPS)
+def test_hostile_sweeps_exit_2_within_a_second(option, capsys):
+    start = time.perf_counter()
+    assert main(["sweep", *HOSTILE_SWEEPS[option]]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"error: --{option.replace('_', '-')} ")
+
+
+@pytest.mark.parametrize("option", SWEEP_MAX)
+def test_sweep_bounds_are_inclusive_and_checked_before_enumeration(option, capsys, monkeypatch):
+    bound = SWEEP_MAX[option]
+    flag = "--" + option.replace("_", "-")
+    calls = []
+    monkeypatch.setattr("cycliccover.cli.enumerate_kummer_specs", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr("cycliccover.cli.enumerate_as_specs", lambda *args: calls.append(args) or [])
+    for value in (1, bound):
+        assert main(["sweep", flag, str(value)]) == 0
+    assert len(calls) == 4  # both families at both values
+    for value in (0, bound + 1):
+        assert main(["sweep", flag, str(value)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} {value} is outside the bound 1..{bound}\n"
+    assert len(calls) == 4
+
+
+def test_enumeration_at_the_sweep_bounds_takes_under_ten_seconds():
+    bound = SWEEP_MAX
+    start = time.process_time()
+    kummer = enumerate_kummer_specs(bound["p_max"], bound["n_max"], bound["l_max"], bound["count_cap"], seed=7)
+    artin_schreier = enumerate_as_specs(bound["p_max"], bound["r_max"], bound["li_max"], bound["count_cap"], seed=7)
+    assert time.process_time() - start < 10.0  # CPU time, so other load on the machine cannot fail it
+    assert len(kummer) == len(artin_schreier) == bound["count_cap"]
 
 
 def test_byte_identical_reports():
