@@ -101,11 +101,11 @@ def parse_curve_spec(doc: Any) -> Curve:
         if not isinstance(modulus, list) or not all(isinstance(v, int) for v in modulus):
             raise SpecFileError("ext_modulus: expected a list of integers")
         try:
-            spec = FieldSpec(p, modulus)
+            spec = FieldSpec.shared(p, modulus)
         except ValueError as exc:
             raise SpecFileError(f"ext_modulus: {exc}") from exc
     else:
-        spec = FieldSpec(p)
+        spec = FieldSpec.shared(p)
 
     branch_doc = doc["branch"]
     if not isinstance(branch_doc, list):
@@ -493,7 +493,7 @@ def enumerate_as_specs(p_max: int, r_max: int, li_max: int, cap: int, seed: int)
     for p in _primes_up_to(p_max):
         if p < 3:
             continue
-        spec = FieldSpec(p)
+        spec = FieldSpec.shared(p)
         cell: list[dict] = []
         for r in range(1, r_max + 1):
             if r > p:

@@ -250,6 +250,11 @@ def as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str = "extended") -> 
     if curve.kind != "artin-schreier":
         raise ValueError("as_aux requires an Artin-Schreier curve")
     _require_index(h1_indices(curve, range_policy), mu, nu, "H^1")
+    return _as_aux(curve, mu, nu, range_policy)
+
+
+def _as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str) -> ASAux:
+    """``as_aux`` without the index check, for callers walking ``h1_indices``."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
     g_pm = table[curve.p - mu].g_mu
@@ -287,7 +292,7 @@ def _build_derham_basis(
             den = Poly.monomial(spec, nu) * table[mu].g_mu
             f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), den))
         else:
-            aux = as_aux(curve, mu, nu, range_policy)
+            aux = _as_aux(curve, mu, nu, range_policy)
             w_prev = FFDiff(FFElem.monomial(curve, mu - 1, RatFn(Poly.one(spec), table[mu - 1].g_mu)))
             lo_phi, hi_phi = split_at_degree(aux.phi, nu + 1, inclusive=False)
             lo_psi, hi_psi = split_at_degree(aux.psi, nu, inclusive=False)

@@ -19,6 +19,11 @@ a != 0, and the Zech logarithm ``zech[i]`` = log(1 + g^i) (None where
 a negative index j - i wraps modulo q - 1 by Python's own indexing.  The
 tables take O(q) time and about 90 bytes per element: at the input budget
 q = 2^16 (``MAX_Q``) about 6 MB, built in well under a second.
+
+``FieldSpec.shared(p, modulus)`` hands out one spec per (p, modulus), so a
+sweep builds each field's tables once.  It keeps the most recently used
+specs while their q sum to at most ``MAX_Q``, so the shared tables never
+outweigh one field at the budget.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import operator
 from typing import Sequence
 
 MAX_Q = 2**16  # largest field size q = p^d; the tables hold O(q) entries
+_SHARED: dict[tuple, FieldSpec] = {}  # FieldSpec.shared, least recently used first; total q <= MAX_Q
 
 
 def is_prime(n: int) -> bool:
@@ -180,6 +186,17 @@ class FieldSpec:
         self._build_tables()
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
+
+    @classmethod
+    def shared(cls, p: int, modulus: Sequence[int] | None = None) -> FieldSpec:
+        """The spec of (p, modulus), shared with earlier calls while it is
+        held (see the module docstring); raises as the constructor does."""
+        key = (p, None if modulus is None else tuple(modulus))
+        spec = _SHARED.pop(key, None) or cls(p, modulus)
+        _SHARED[key] = spec  # dicts keep insertion order: the oldest use comes first
+        while sum(s.q for s in _SHARED.values()) > MAX_Q:
+            del _SHARED[next(iter(_SHARED))]
+        return spec
 
     def _build_tables(self) -> None:
         p, d, order = self.p, self.d, self.q - 1

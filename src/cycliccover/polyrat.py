@@ -1,10 +1,14 @@
 """Univariate polynomials and reduced rational functions over F_q.
 
-A ``Poly`` is an ascending tuple of field coefficients with no trailing
-zero, so representations are unique; the zero polynomial is the empty
-tuple and its degree is the -infinity sentinel (never -1, so degree
-arithmetic stays honest).  A ``RatFn`` is a pair num/den kept fully
-reduced with monic denominator; zero is 0/1.
+A ``Poly`` holds ``ints``, the ascending tuple of its coefficients' field
+encodings (see ``gf``) with no trailing zero, so representations are
+unique; the zero polynomial is the empty tuple and its degree is the
+-infinity sentinel (never -1, so degree arithmetic stays honest).  All
+arithmetic runs on these ints through ``FieldSpec.add``/``neg``/``mul``/
+``inv``; a ``FieldElement`` is made or read only at the boundary: the
+constructors, a scalar factor, ``coeffs``, ``coefficient``, ``leading``,
+``evaluate``, rendering and residues.  A ``RatFn`` is a pair num/den kept
+fully reduced with monic denominator; zero is 0/1.
 
 The one non-generic operation is the residue at infinity of a rational
 differential h(x) dx.  Substituting x = 1/u sends dx to -u^{-2} du, so
@@ -22,17 +26,28 @@ from .gf import FieldElement, FieldSpec
 NEG_INFINITY = float("-inf")
 
 
+def _poly(spec: FieldSpec, ints: list[int]) -> Poly:
+    """The polynomial with the given ascending encodings (trimmed in place)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    out = Poly.__new__(Poly)
+    out.spec, out.ints = spec, tuple(ints)
+    return out
+
+
+def _common_spec(a: Poly, b: Poly) -> FieldSpec:
+    if a.spec is not b.spec and a.spec != b.spec:
+        raise ValueError("polynomials over mismatched field specs")
+    return a.spec
+
+
 class Poly:
     """Polynomial over F_q in canonical (trailing-zero-free) form."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "ints")
 
     def __init__(self, spec: FieldSpec, coeffs: Iterable[FieldElement] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.spec = spec
-        self.coeffs = tuple(cs)
+        self.spec, self.ints = spec, _poly(spec, [c.encoding for c in coeffs]).ints
 
     # -- constructors --------------------------------------------------------
 
@@ -42,31 +57,30 @@ class Poly:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> Poly:
-        return cls(spec, ())
+        return _poly(spec, [])
 
     @classmethod
     def one(cls, spec: FieldSpec) -> Poly:
-        return cls(spec, (spec.one(),))
+        return _poly(spec, [1])
 
     @classmethod
     def x(cls, spec: FieldSpec) -> Poly:
-        return cls(spec, (spec.zero(), spec.one()))
+        return _poly(spec, [0, 1])
 
     @classmethod
     def constant(cls, c: FieldElement) -> Poly:
-        return cls(c.spec, (c,))
+        return _poly(c.spec, [c.encoding])
 
     @classmethod
     def monomial(cls, spec: FieldSpec, k: int, c: FieldElement | None = None) -> Poly:
-        c = spec.one() if c is None else c
-        return cls(spec, (spec.zero(),) * k + (c,))
+        return _poly(spec, [0] * k + [1 if c is None else c.encoding])
 
     @classmethod
     def from_roots(cls, spec: FieldSpec, roots: Sequence[tuple[FieldElement, int]]) -> Poly:
         """prod (x - rho)^m over the given (rho, m) pairs."""
         out = cls.one(spec)
         for rho, m in roots:
-            lin = cls(spec, (-rho, spec.one()))
+            lin = _poly(spec, [spec.neg(rho.encoding), 1])
             for _ in range(m):
                 out = out * lin
         return out
@@ -75,86 +89,90 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.ints) - 1 if self.ints else NEG_INFINITY
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, c) for c in self.ints)
 
     def coefficient(self, k: int) -> FieldElement:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.spec.zero()
+        return FieldElement(self.spec, self.ints[k] if 0 <= k < len(self.ints) else 0)
 
     @property
     def leading(self) -> FieldElement:
-        if self.is_zero:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.spec, self.ints[-1])
+
+    def _scale(self, c: int) -> Poly:
+        mul = self.spec.mul
+        return _poly(self.spec, [mul(a, c) for a in self.ints])
 
     def monic(self) -> Poly:
-        if self.is_zero:
+        if not self.ints:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.leading
-        if lead == self.spec.one():
-            return self
-        inv = lead.inverse()
-        return Poly(self.spec, tuple(c * inv for c in self.coeffs))
+        lead = self.ints[-1]
+        return self if lead == 1 else self._scale(self.spec.inv(lead))
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.spec,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        a, b = self.ints, other.ints
+        if len(a) < len(b):
+            a, b = b, a
+        add = _common_spec(self, other).add
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return _poly(self.spec, out)
 
     def __sub__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.spec,
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-        )
+        return self + -other
 
     def __neg__(self) -> Poly:
-        return Poly(self.spec, tuple(-c for c in self.coeffs))
+        neg = self.spec.neg
+        return _poly(self.spec, [neg(c) for c in self.ints])
 
     def __mul__(self, other: Poly | FieldElement) -> Poly:
         if isinstance(other, FieldElement):
-            return Poly(self.spec, tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.spec)
-        zero = self.spec.zero()
-        prod = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                if not bj.is_zero:
-                    prod[i + j] = prod[i + j] + ai * bj
-        return Poly(self.spec, prod)
+            return self._scale(other.encoding)
+        spec = _common_spec(self, other)
+        if not self.ints or not other.ints:
+            return _poly(spec, [])
+        add, mul = spec.add, spec.mul
+        terms = [(j, b) for j, b in enumerate(other.ints) if b]
+        prod = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
+            if a:
+                for j, b in terms:
+                    prod[i + j] = add(prod[i + j], mul(a, b))
+        return _poly(spec, prod)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero:
+        if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
-        spec = self.spec
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        inv_lead = other.leading.inverse()
-        qlen = max(len(rem) - db, 0)
-        quo = [spec.zero()] * qlen
-        while len(rem) - 1 >= db and rem:
-            k = len(rem) - 1 - db
-            c = rem[-1] * inv_lead
-            quo[k] = c
-            for i, bi in enumerate(other.coeffs):
-                rem[i + k] = rem[i + k] - c * bi
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return Poly(spec, quo), Poly(spec, rem)
+        spec = _common_spec(self, other)
+        add, neg, mul = spec.add, spec.neg, spec.mul
+        db = len(other.ints) - 1
+        inv_lead = spec.inv(other.ints[-1])
+        # the nonzero lower divisor terms, negated so that the elimination adds
+        terms = [(i, neg(b)) for i, b in enumerate(other.ints[:-1]) if b]
+        rem = list(self.ints)
+        quo = [0] * max(len(rem) - db, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + db]
+            if c:
+                c = quo[k] = mul(c, inv_lead)
+                for i, b in terms:
+                    rem[i + k] = add(rem[i + k], mul(c, b))
+        del rem[db:]  # every term of degree >= db has been eliminated
+        return _poly(spec, quo), _poly(spec, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -166,60 +184,64 @@ class Poly:
 
     def derivative(self) -> Poly:
         """Formal derivative; characteristic-p collapses included."""
-        if len(self.coeffs) <= 1:
-            return Poly.zero(self.spec)
-        out = []
-        for k in range(1, len(self.coeffs)):
-            out.append(self.coeffs[k] * self.spec.element(k))
-        return Poly(self.spec, out)
+        mul, p = self.spec.mul, self.spec.p
+        return _poly(self.spec, [mul(c, k % p) for k, c in enumerate(self.ints) if k])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = self.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        add, mul, r = self.spec.add, self.spec.mul, x.encoding
+        acc = 0
+        for c in reversed(self.ints):
+            acc = add(mul(acc, r), c)
+        return FieldElement(self.spec, acc)
 
     def multiplicity_at(self, rho: FieldElement) -> int:
-        """Order of vanishing at x = rho (0 if rho is not a root)."""
-        if self.is_zero:
+        """Order of vanishing at x = rho (0 if rho is not a root).  Each pass
+        is one synthetic division by x - rho: the Horner partial sums are
+        the quotient's coefficients, and the last one is the value."""
+        if not self.ints:
             raise ValueError("multiplicity of the zero polynomial is undefined")
-        lin = Poly(self.spec, (-rho, self.spec.one()))
+        add, mul = self.spec.add, self.spec.mul
+        r = rho.encoding
+        cur = self.ints[::-1]  # descending; the leading term is nonzero throughout
         m = 0
-        cur = self
-        while cur.evaluate(rho).is_zero:
-            cur = cur // lin
+        while True:
+            acc, quo = 0, []
+            for c in cur:
+                acc = add(mul(acc, r), c)
+                quo.append(acc)
+            if acc:
+                return m
+            quo.pop()
+            cur = quo
             m += 1
-        return m
 
     def shift(self, k: int) -> Poly:
         """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly(self.spec, (self.spec.zero(),) * k + self.coeffs)
+        return _poly(self.spec, [0] * k + list(self.ints))
 
     # -- comparisons and rendering ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.spec == other.spec and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.ints))
 
     @property
     def term_count(self) -> int:
-        return sum(1 for c in self.coeffs if not c.is_zero)
+        return sum(1 for c in self.ints if c)
 
     def render(self) -> str:
         """Ascending rendering: ``c0 + c1*x + c2*x^2 + ...``."""
-        if self.is_zero:
+        if not self.ints:
             return "0"
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
+        for k, c in enumerate(self.ints):
+            if not c:
                 continue
-            cs = c.render()
+            cs = FieldElement(self.spec, c).render()
             if k == 0:
                 terms.append(cs)
             else:
@@ -233,11 +255,9 @@ class Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor (gcd(0, 0) = 0)."""
-    while not b.is_zero:
+    while b.ints:
         a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    return a.monic() if a.ints else a
 
 
 def split_at_degree(h: Poly, m: int, inclusive: bool = True) -> tuple[Poly, Poly]:
@@ -249,10 +269,8 @@ def split_at_degree(h: Poly, m: int, inclusive: bool = True) -> tuple[Poly, Poly
     if m < 0:
         raise ValueError("split degree must be nonnegative")
     cut = m + 1 if inclusive else m
-    zero = h.spec.zero()
-    low = Poly(h.spec, h.coeffs[:cut])
-    high_coeffs = (zero,) * cut + h.coeffs[cut:]
-    high = Poly(h.spec, high_coeffs)
+    low = _poly(h.spec, list(h.ints[:cut]))
+    high = _poly(h.spec, [0] * cut + list(h.ints[cut:]))
     return low, high
 
 
@@ -264,22 +282,22 @@ class RatFn:
     def __init__(self, num: Poly, den: Poly | None = None, *, _reduced: bool = False):
         if den is None:
             den = Poly.one(num.spec)
-        if den.is_zero:
+        if not den.ints:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
+        if not num.ints:
             self.num = num
             self.den = Poly.one(num.spec)
             return
         if not _reduced:
             g = poly_gcd(num, den)
-            if g.degree > 0:
+            if len(g.ints) > 1:
                 num = num // g
                 den = den // g
-            lead = den.leading
-            if not lead == den.spec.one():
-                inv = lead.inverse()
-                num = num * inv
-                den = den * inv
+            lead = den.ints[-1]
+            if lead != 1:
+                inv = den.spec.inv(lead)
+                num = num._scale(inv)
+                den = den._scale(inv)
         self.num = num
         self.den = den
 
@@ -333,10 +351,8 @@ class RatFn:
         return RatFn(-self.num, self.den, _reduced=True)
 
     def __mul__(self, other: RatFn | FieldElement) -> RatFn:
-        if isinstance(other, FieldElement):
-            if other.is_zero:
-                return RatFn.zero(self.spec)
-            return RatFn(self.num * other, self.den, _reduced=True)
+        if isinstance(other, FieldElement):  # a zero product comes out as 0/1
+            return RatFn(self.num._scale(other.encoding), self.den, _reduced=True)
         if self.is_zero or other.is_zero:
             return RatFn.zero(self.spec)
         # cross-reduce before multiplying to keep degrees down
@@ -390,14 +406,10 @@ class RatFn:
 
     def render(self) -> str:
         """Canonical text form ``num/den`` (den omitted when 1)."""
-        if self.is_poly:
-            c = self.den.coefficient(0)
-            if c == self.spec.one():
-                return self.num.render()
-            # non-monic constant denominators cannot occur in canonical form
-        num_s = _wrap(self.num)
-        den_s = _wrap(self.den)
-        return f"{num_s}/{den_s}"
+        if self.den.ints == (1,):
+            return self.num.render()
+        # non-monic constant denominators cannot occur in canonical form
+        return f"{_wrap(self.num)}/{_wrap(self.den)}"
 
     def __repr__(self) -> str:
         return f"RatFn({self.render()})"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cycliccover import gf
 from cycliccover.cli import (
     MAX_DEGREE,
     MAX_F_TERMS,
@@ -18,6 +19,7 @@ from cycliccover.cli import (
     main,
     parse_curve_spec,
 )
+from cycliccover.gf import FieldSpec
 
 REPO = Path(__file__).resolve().parents[1]
 QUARTIC_SPEC = REPO / "specs" / "kummer_quartic.json"
@@ -50,6 +52,25 @@ def test_parse_extension_field_spec():
     }
     curve = parse_curve_spec(doc)
     assert curve.spec.q == 9 and curve.n == 4
+
+
+def test_parsed_curves_share_field_specs_within_the_table_budget(monkeypatch):
+    monkeypatch.setattr(gf, "_SHARED", {})
+    doc = json.loads(QUARTIC_SPEC.read_text())
+    spec = parse_curve_spec(doc).spec
+    assert parse_curve_spec(doc).spec is spec and FieldSpec.shared(spec.p) is spec
+    # the held sizes q sum to at most MAX_Q; the least recently used go first
+    FieldSpec.shared(gf.MAX_Q - 15)  # 65521, prime
+    assert FieldSpec.shared(spec.p) is spec
+    assert list(gf._SHARED) == [(gf.MAX_Q - 15, None), (spec.p, None)]
+    FieldSpec.shared(31)
+    assert list(gf._SHARED) == [(spec.p, None), (31, None)]
+    assert sum(s.q for s in gf._SHARED.values()) <= gf.MAX_Q
+    bad = {"type": "kummer", "p": 3, "ext_modulus": [1, 1, 1], "n": 2, "branch": [{"rho": 1, "l": 2}]}
+    for _ in range(2):
+        with pytest.raises(SpecFileError, match="^ext_modulus: .* not irreducible"):
+            parse_curve_spec(bad)
+    assert list(gf._SHARED) == [(spec.p, None), (31, None)]
 
 
 def test_parse_rejects_unknown_keys():

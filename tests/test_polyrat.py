@@ -25,6 +25,13 @@ def test_poly_core_examples():
         divmod(P(F5, 1), Poly.zero(F5))
 
 
+def test_mismatched_fields_raise():
+    a, b = P(F5, 1, 1), P(F7, 1, 1)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b), lambda: poly_gcd(a, b)):
+        with pytest.raises(ValueError, match="mismatched"):
+            op()
+
+
 def test_zero_polynomial_degree_sentinel():
     assert Poly.zero(F5).degree == NEG_INFINITY
     assert Poly.zero(F5).degree < 0

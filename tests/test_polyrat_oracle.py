@@ -1,0 +1,271 @@
+"""Polynomial and rational-function arithmetic against oracles that share no
+code with ``polyrat``.
+
+* Prime fields (p = 2, 3, 5, 31): products, long division, gcds,
+  derivatives, evaluation and root multiplicities against
+  ``sympy.polys.galoistools`` on seeded random polynomials.
+* Extension fields (q = 4, 9, 25, 49): brute force over polynomials of
+  degree <= 2.  Field arithmetic comes from addition and multiplication
+  tables built here from Z/p[z] mod m(z); the gcd is the monic common
+  divisor of largest degree, found from the roots in F_q (a polynomial of
+  degree <= 2 has no other monic divisors than 1, its monic form and the
+  x - rho of its roots).  Over F_4 every pair is checked.  Larger fields
+  have q^6 pairs, so there every pair whose coefficients lie in
+  {0, 1, z, the largest encoding} is checked, plus seeded random pairs.
+* ``hypothesis``: the field axioms of ``RatFn`` and its canonical form
+  (monic denominator, gcd 1, zero is 0/1), checked with the table gcd.
+
+Polynomials cross the boundary as ascending lists of field encodings.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_diff, gf_div, gf_eval, gf_gcd, gf_mul
+
+from cycliccover.gf import FieldSpec
+from cycliccover.polyrat import Poly, RatFn, poly_gcd
+
+EXTENSIONS = {4: (2, [1, 1, 1]), 9: (3, [1, 0, 1]), 25: (5, [2, 0, 1]), 49: (7, [1, 0, 1])}
+
+
+def _ints(poly):
+    return [c.encoding for c in poly.coeffs]
+
+
+def _trim(ks):
+    while ks and not ks[-1]:
+        ks.pop()
+    return ks
+
+
+def _poly(spec, ks):
+    return Poly(spec, [spec.from_encoding(k) for k in ks])
+
+
+# -- prime fields against galoistools (descending coefficient lists) ---------------
+
+
+def _desc(ks):
+    return list(reversed(ks))
+
+
+def _asc(f):
+    return list(reversed(f))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_prime_field_polynomials_match_galoistools(p):
+    spec = FieldSpec(p)
+    rng = random.Random(p)
+
+    for _ in range(150):
+        a, b = (_trim([rng.randrange(p) for _ in range(rng.randrange(12))]) for _ in range(2))
+        A, B = _poly(spec, a), _poly(spec, b)
+        assert _ints(A * B) == _asc(gf_mul(_desc(a), _desc(b), p, ZZ)), (a, b)
+        assert _ints(poly_gcd(A, B)) == _asc(gf_gcd(_desc(a), _desc(b), p, ZZ)), (a, b)
+        assert _ints(A.derivative()) == _asc(gf_diff(_desc(a), p, ZZ)), a
+        if b:
+            q, r = gf_div(_desc(a), _desc(b), p, ZZ)
+            Q, R = divmod(A, B)
+            assert (_ints(Q), _ints(R)) == (_asc(q), _asc(r)), (a, b)
+        rho = rng.randrange(p)
+        assert A.evaluate(spec.element(rho)).encoding == gf_eval(_desc(a), rho, p, ZZ), (a, rho)
+        if a:
+            m, f = 0, _desc(a)
+            while True:
+                q, r = gf_div(f, [1, -rho % p], p, ZZ)
+                if r:
+                    break
+                m, f = m + 1, q
+            assert A.multiplicity_at(spec.element(rho)) == m, (a, rho)
+
+
+def test_prime_field_repeated_roots_match_galoistools():
+    # random polynomials rarely have repeated roots; build them as products
+    spec = FieldSpec(5)
+    rng = random.Random(55)
+    for _ in range(60):
+        f = [1]
+        for _ in range(rng.randrange(1, 7)):
+            f = gf_mul(f, [1, -rng.randrange(3) % 5], 5, ZZ)
+        F = _poly(spec, _asc(f))
+        for rho in range(5):
+            m, g = 0, f
+            while not gf_div(g, [1, -rho % 5], 5, ZZ)[1]:
+                m, g = m + 1, gf_div(g, [1, -rho % 5], 5, ZZ)[0]
+            assert F.multiplicity_at(spec.element(rho)) == m, (f, rho)
+        g = gf_mul(f, [1, -rng.randrange(5) % 5], 5, ZZ)
+        assert _ints(poly_gcd(F, _poly(spec, _asc(g)))) == _asc(gf_gcd(f, g, 5, ZZ))
+
+
+# -- F_q by tables, built from Z/p[z] mod m(z) -------------------------------------
+
+
+class TableField:
+    """F_q with every operation a lookup in tables built from Z/p[z] mod m."""
+
+    def __init__(self, p, modulus=None):
+        m = modulus or [0, 1]
+        self.p, self.d = p, len(m) - 1
+        self.q = p**self.d
+        digits = [[k // p**i % p for i in range(self.d)] for k in range(self.q)]
+
+        def encode(cs):
+            return sum(c * p**i for i, c in enumerate(cs))
+
+        def mul(a, b):
+            prod = [0] * (2 * self.d - 1)
+            for i, x in enumerate(digits[a]):
+                for j, y in enumerate(digits[b]):
+                    prod[i + j] += x * y
+            for k in range(len(prod) - 1, self.d - 1, -1):  # z^d = -(m_0 + ... + m_{d-1} z^{d-1})
+                c, prod[k] = prod[k], 0
+                for i in range(self.d):
+                    prod[k - self.d + i] -= c * m[i]
+            return encode(c % p for c in prod[: self.d])
+
+        r = range(self.q)
+        self.add = [[encode((x + y) % p for x, y in zip(digits[a], digits[b])) for b in r] for a in r]
+        self.mul = [[mul(a, b) for b in r] for a in r]
+        self.neg = [encode(-x % p for x in digits[a]) for a in r]
+        self.inv = {a: b for a in r for b in r if self.mul[a][b] == 1}
+
+    def padd(self, a, b):
+        n = max(len(a), len(b))
+        return _trim([self.add[x][y] for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
+
+    def pneg(self, a):
+        return [self.neg[x] for x in a]
+
+    def pmul(self, a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.add[out[i + j]][self.mul[x][y]]
+        return _trim(out)
+
+    def pdivmod(self, a, b):
+        rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+        inv = self.inv[b[-1]]
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = self.mul[rem[k + len(b) - 1]][inv]
+            for i, y in enumerate(b):
+                rem[k + i] = self.add[rem[k + i]][self.neg[self.mul[c][y]]]
+        return _trim(quo), _trim(rem)
+
+    def pmonic(self, a):
+        inv = self.inv[a[-1]]
+        return [self.mul[c][inv] for c in a]
+
+    def pgcd(self, a, b):
+        while b:
+            a, b = b, self.pdivmod(a, b)[1]
+        return self.pmonic(a) if a else []
+
+    def peval(self, a, x):
+        acc = 0
+        for c in reversed(a):
+            acc = self.add[self.mul[acc][x]][c]
+        return acc
+
+
+def _monic_divisors(field, a):
+    """Every monic divisor of a nonzero a of degree <= 2, by its roots."""
+    out = [(1,), tuple(field.pmonic(a))]
+    out += [(field.neg[rho], 1) for rho in range(field.q) if field.peval(a, rho) == 0]
+    return set(out)
+
+
+def _brute_gcd(field, a, b, divisors):
+    if not a or not b:
+        return field.pmonic(a or b) if (a or b) else []
+    return list(max(divisors[tuple(a)] & divisors[tuple(b)], key=len))
+
+
+def _brute_multiplicity(field, a, rho):
+    m = 0
+    while True:
+        quo, rem = field.pdivmod(a, [field.neg[rho], 1])
+        if rem:
+            return m
+        m, a = m + 1, quo
+
+
+@pytest.mark.parametrize("q", sorted(EXTENSIONS))
+def test_extension_field_polynomials_of_degree_two_by_brute_force(q):
+    p, modulus = EXTENSIONS[q]
+    spec, field = FieldSpec(p, modulus), TableField(p, modulus)
+    coeffs = range(q) if q == 4 else (0, 1, p, q - 1)  # encoding p is z
+    polys = [_trim(list(t)) for t in itertools.product(coeffs, repeat=3)]
+    pairs = list(itertools.product(polys, repeat=2))
+    rng = random.Random(q)
+    for _ in range(0 if q == 4 else 1500):
+        pairs.append(tuple(_trim([rng.randrange(q) for _ in range(rng.randrange(4))]) for _ in range(2)))
+    divisors = {tuple(a): _monic_divisors(field, a) for pair in pairs for a in pair if a}
+    made = {tuple(a): _poly(spec, a) for a in divisors}
+    made[()] = Poly.zero(spec)
+    for a, b in pairs:
+        A, B = made[tuple(a)], made[tuple(b)]
+        assert _ints(A * B) == field.pmul(a, b), (a, b)
+        assert _ints(A + B) == field.padd(a, b) and _ints(A - B) == field.padd(a, field.pneg(b)), (a, b)
+        assert _ints(poly_gcd(A, B)) == _brute_gcd(field, a, b, divisors), (a, b)
+        if b:
+            Q, R = divmod(A, B)
+            assert [_ints(Q), _ints(R)] == list(field.pdivmod(a, b)), (a, b)
+    for a in divisors:
+        A = made[a]
+        for rho in range(q):
+            x = spec.from_encoding(rho)
+            assert A.evaluate(x).encoding == field.peval(a, rho), (a, rho)
+            assert A.multiplicity_at(x) == _brute_multiplicity(field, list(a), rho), (a, rho)
+
+
+# -- RatFn properties ----------------------------------------------------------------------
+
+SPECS = {spec: TableField(spec.p, spec.modulus) for spec in (FieldSpec(2), FieldSpec(5), FieldSpec(*EXTENSIONS[9]))}
+
+
+@st.composite
+def ratfns(draw, count):
+    spec = draw(st.sampled_from(sorted(SPECS, key=lambda s: s.q)))
+    out = []
+    for _ in range(count):
+        num = draw(st.lists(st.integers(0, spec.q - 1), max_size=4))
+        den = draw(st.lists(st.integers(0, spec.q - 1), min_size=1, max_size=4).filter(any))
+        out.append((num, den, RatFn(_poly(spec, num), _poly(spec, den))))
+    return spec, out
+
+
+def _canonical(spec, h):
+    field = SPECS[spec]
+    num, den = _ints(h.num), _ints(h.den)
+    if not num:
+        return den == [1]
+    return den[-1] == 1 and field.pgcd(num, den) == [1]
+
+
+@given(ratfns(3))
+def test_ratfn_field_axioms_and_canonical_form(drawn):
+    spec, [(num, den, a), (_, _, b), (_, _, c)] = drawn
+    field = SPECS[spec]
+    zero, one = RatFn.zero(spec), RatFn.one(spec)
+    # a represents num/den: cross-multiplication with the unreduced input
+    assert field.pmul(_ints(a.num), den) == field.pmul(num, _ints(a.den))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero
+    assert (a + (-a)).is_zero and a - b == a + (-b) and (a - b) + b == a
+    results = [a, a + b, a - b, a * b, -a, a.derivative()]
+    if not b.is_zero:
+        assert b * b.inverse() == one and (a / b) * b == a
+        results += [b.inverse(), a / b]
+    for h in results:
+        assert _canonical(spec, h), h
