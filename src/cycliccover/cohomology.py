@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
-from .funcfield import FFDiff, FFElem, place_classes, pairing, valuation_bound
+from .funcfield import FFDiff, FFElem, pairing, poles
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, split_at_degree
 
@@ -339,17 +339,9 @@ def _require_h1_class(curve: Curve, f: FFElem) -> None:
     require_valid(curve)
     if f.curve is not curve:
         raise ValueError("element does not live on the given curve")
-    if f.is_zero:
-        return
-    for place in place_classes(curve):
-        if place.kind != "branch" or place.covers_zero:
-            continue
-        bound, exact = valuation_bound(f, place)
-        if bound < 0:
-            kind = "pole" if exact else "possible pole"
-            raise ValueError(
-                f"element has a {kind} at {place.label()}: not an O(U_0 cap U_inf) class"
-            )
+    found = poles(f, lambda place: place.kind != "branch" or place.covers_zero)
+    if found:
+        raise ValueError(f"element has a pole at {found[0][0].label()}: not an O(U_0 cap U_inf) class")
 
 
 def h1_coordinates(

@@ -246,9 +246,6 @@ class MuTable:
     def __getitem__(self, mu: int) -> MuRow:
         return self.rows[mu]
 
-    def __contains__(self, mu: int) -> bool:
-        return mu in self.rows
-
     def mus(self) -> list[int]:
         return sorted(self.rows)
 

@@ -18,17 +18,21 @@ no local uniformizer machinery exists anywhere.
 
 Regularity questions are answered through ``valuation_bound``, which
 scores each y-monomial a_j y^j at a place class by the exact valuations
-of x - rho, y and dx there and takes the minimum.  At a branch place the
-summand valuations are pairwise distinct mod the ramification index
-(gcd(lambda_i, e_i) = 1 for Kummer, gcd(l_i, p) = 1 for Artin-Schreier),
-so a uniquely attained minimum is the true valuation; over zero and
-infinity the result is only a safe lower bound and is flagged as such.
+of x - rho, y and dx there and takes the minimum.  That minimum is the
+valuation of the class, min_P v_P over its points P, for every class
+``place_classes`` builds: the minimising monomials share one residue of
+j mod the ramification index, so divided by one of them they leave a
+nonzero polynomial, of degree below the number of points, in a unit with
+pairwise distinct values at those points (Vandermonde; the proof is in
+``valuation_bound``).  ``poles`` is the one walk over the place classes
+that finds the poles of an element or differential off an allowed locus.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .curve import Curve, ram_data, require_valid
 from .gf import FieldElement, nth_root_of_unity
@@ -365,29 +369,57 @@ def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
     return curve.places
 
 
-def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> tuple[int, bool]:
-    """Lower bound for the valuation of an element or differential at
-    every point of the place class, with an exactness flag.
+def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
+    """The valuation of a nonzero element or differential at the place
+    class: min over the points P of the class of v_P(obj).
 
-    The bound is min over nonzero y-monomials of v(a_j) + j v(y), plus
-    v(dx) for differentials.  It is exact when a single monomial attains
-    the minimum at a branch place; over zero and infinity different
-    points of the class can see different cross-monomial cancellation, so
-    only the bound is guaranteed there.
+    It is computed as min over nonzero y-monomials of v(a_j) + j v(y),
+    plus v(dx) for differentials (v(dx) is the same at every point of the
+    class).  Every point has v_P >= that minimum; some point attains it.
+    Let k be the least j of the minimising monomials.  They have j = k
+    mod e: gcd(lambda_i, e_i) = 1 at a Kummer branch place, gcd(l_i, p) = 1
+    at an Artin-Schreier one, and e = 1 over 0 and infinity.  So h/(a_k y^k)
+    is sum_m c_m u^m plus terms of positive valuation, where each c_m is a
+    rational function of x of valuation 0, hence with one nonzero value at
+    every point, the degree in m is below the number of points, and u is a
+    unit whose values at those points are pairwise distinct:
+      - Kummer over 0, resp. infinity: u = y, resp. y/x^t, whose values
+        are the n-th roots of f(0), resp. of the leading coefficient of f;
+      - Kummer branch place: u = y^e/(x - rho)^lambda, whose values are
+        the g_i-th roots of a nonzero constant;
+      - Artin-Schreier over 0, resp. infinity: u = y, whose values are the
+        p roots of T^p - T - r(0), resp. T^p - T - r(infinity);
+      - Artin-Schreier branch place: one point, nothing to show.
+    A nonzero polynomial of degree below the number of points cannot vanish
+    at all of those values (Vandermonde), so h/(a_k y^k) is a unit at some
+    point, and there v_P(h) is the minimum.  See Stichtenoth, Algebraic
+    Function Fields and Codes, 3.3, and Neukirch, Algebraic Number Theory,
+    II.6 (Newton polygons).
     """
     elem = obj.coeff if isinstance(obj, FFDiff) else obj
     if elem.is_zero:
-        raise ValueError("valuation bound of the zero element is undefined")
-    vals = [
+        raise ValueError("valuation of the zero element is undefined")
+    value = min(
         place.coeff_valuation(a) + j * place.v_y
         for j, a in enumerate(elem.coeffs)
         if not a.is_zero
-    ]
-    bound = min(vals)
-    exact = place.kind == "branch" and vals.count(bound) == 1
-    if isinstance(obj, FFDiff):
-        bound += place.v_dx
-    return bound, exact
+    )
+    return value + place.v_dx if isinstance(obj, FFDiff) else value
+
+
+def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[tuple[PlaceClass, int]]:
+    """The place classes outside the allowed locus where obj has a pole,
+    each with its (negative) valuation; the zero element has none."""
+    elem = obj.coeff if isinstance(obj, FFDiff) else obj
+    if elem.is_zero:
+        return []
+    found = []
+    for place in place_classes(elem.curve):
+        if not allowed(place):
+            value = valuation_bound(obj, place)
+            if value < 0:
+                found.append((place, value))
+    return found
 
 
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:

@@ -327,10 +327,6 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
     # -- field operations -----------------------------------------------------------
 
     def __add__(self, other: RatFn) -> RatFn:

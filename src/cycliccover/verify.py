@@ -1,10 +1,9 @@
 """Machine verification of every identity asserted about the bases.
 
-Each check returns a ``CheckResult`` whose status is pass, fail, or
-inconclusive.  Inconclusive is reserved for valuation-bound checks where
-the bound is negative but not exact (over the fibers at 0 and infinity a
-bound is only a lower bound), so a limitation of the bound is never
-mistaken for a counterexample; the emitted bases never trigger it.
+Each check returns a ``CheckResult`` whose status is pass or fail.  The
+locus check reads exact class valuations (``funcfield.valuation_bound``),
+so a negative one is a pole at some point of the class, never a
+limitation of the bound.
 
 Serre duality itself is not re-proved: the duality check computes the
 full pairing matrix and demands the identity.  The exactness check reads
@@ -46,7 +45,7 @@ from .cohomology import (
     omega_basis,
 )
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff, FFElem, place_classes, valuation_bound
+from .funcfield import FFDiff, FFElem, place_classes, poles, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn
 
@@ -54,7 +53,7 @@ from .polyrat import Poly, RatFn
 @dataclass
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "inconclusive"
+    status: str  # "pass" | "fail"
     details: str
     payload: dict = field(default_factory=dict)
 
@@ -138,38 +137,18 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
     both fibers."""
     triple, label = _triple(item, label)
     name = f"locus:{label}"
-    places = None
-    confirmed: list[str] = []
-    possible: list[str] = []
-
-    def scan(obj, slot: str, skip) -> None:
-        nonlocal places
-        inner = obj.coeff if isinstance(obj, FFDiff) else obj
-        if inner.is_zero:
-            return
-        if places is None:
-            places = place_classes(inner.curve)
-        for place in places:
-            if skip(place):
-                continue
-            bound, exact = valuation_bound(obj, place)
-            if bound < 0:
-                note = f"{slot} at {place.label()}: bound {bound}"
-                (confirmed if exact else possible).append(note)
-
-    scan(triple.omega0, "omega_0", lambda pl: pl.covers_zero)
-    scan(triple.omega_inf, "omega_inf", lambda pl: pl.kind == "over_infinity")
-    scan(triple.f0inf, "f_0inf", lambda pl: pl.kind != "branch" or pl.covers_zero)
-
-    if confirmed:
-        return CheckResult(name, "fail", "; ".join(confirmed), {"violations": confirmed})
-    if possible:
-        return CheckResult(
-            name,
-            "inconclusive",
-            "; ".join(possible),
-            {"unresolved_bounds": possible},
-        )
+    slots = (
+        ("omega_0", triple.omega0, lambda pl: pl.covers_zero),
+        ("omega_inf", triple.omega_inf, lambda pl: pl.kind == "over_infinity"),
+        ("f_0inf", triple.f0inf, lambda pl: pl.kind != "branch" or pl.covers_zero),
+    )
+    violations = [
+        f"{slot} at {place.label()}: bound {value}"
+        for slot, obj, allowed in slots
+        for place, value in poles(obj, allowed)
+    ]
+    if violations:
+        return CheckResult(name, "fail", "; ".join(violations), {"violations": violations})
     return CheckResult(name, "pass", "all slots regular away from their allowed fibers")
 
 
@@ -298,7 +277,7 @@ def divisor_checks(curve: Curve) -> CheckResult:
                 expected = row.at_branch[place.index - 1]
             else:
                 expected = row.at_zero if place.kind == "over_zero" else row.at_infinity
-            bound, _ = valuation_bound(row.elem, place)
+            bound = valuation_bound(row.elem, place)
             items.append(_item(f"({row.label}) at {place.label()}", bound == expected, expected, bound))
             total += bound * place.npoints
         label = row.degree_label or row.label

@@ -64,7 +64,7 @@ def test_omega_basis_is_holomorphic_everywhere():
         assert len(basis) == genus_rh(curve)
         for _, w in basis:
             for place in place_classes(curve):
-                bound, _ = valuation_bound(w, place)
+                bound = valuation_bound(w, place)
                 assert bound >= 0
 
 
@@ -87,7 +87,7 @@ def test_h1_representatives_have_poles_only_over_zero_and_infinity():
             for place in place_classes(curve):
                 if place.kind != "branch" or place.covers_zero:
                     continue
-                bound, _ = valuation_bound(h, place)
+                bound = valuation_bound(h, place)
                 assert bound >= 0
 
 
@@ -194,7 +194,7 @@ def test_derham_split_adjustment_keeps_omega0_finite_at_infinity():
     assert classes, "the cubic has a nonempty a-family"
     inf = [p for p in place_classes(CUBIC_F7) if p.kind == "over_infinity"][0]
     for cls in classes:
-        bound, _ = valuation_bound(cls.triple.omega0, inf)
+        bound = valuation_bound(cls.triple.omega0, inf)
         assert bound >= 0
 
 

@@ -6,20 +6,28 @@ cover over F_9.
 
 For random elements a, b of F = F_q(x)[y]: each power of the generator is
 a ring automorphism fixing F_q(x), the powers compose, the coefficient
-trace equals the sum over the Galois orbit, and ``exterior_d`` obeys the
-Leibniz rule.  On each curve, the generator has order exactly deg, and
-y^deg satisfies the defining relation, written here from the curve data
-alone.
+trace equals the sum over the Galois orbit, ``exterior_d`` obeys the
+Leibniz rule, and d(a^p) = 0 in characteristic p.  On each curve, the
+generator has order exactly deg, and y^deg satisfies the defining
+relation, written here from the curve data alone.
+
+End to end, every random valid small spec document of either family
+(p <= 7, total branch multiplicity <= 8) verifies: ``full_report`` passes
+every check, and no check reports a status other than pass or fail.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cycliccover.cli import parse_curve_spec
 from cycliccover.curve import ASCurve, KummerCurve, validate
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
+from cycliccover.verify import full_report
 
 F4 = FieldSpec(2, [1, 1, 1])  # z^2 + z + 1
 F9 = FieldSpec(3, [1, 0, 1])  # z^2 + 1
@@ -108,6 +116,15 @@ def test_exterior_d_obeys_leibniz(name, data):
 
 
 @pytest.mark.parametrize("name", IDS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_exterior_d_kills_pth_powers(name, data):
+    curve = CURVES[name]
+    a = data.draw(elements(curve))
+    assert (a**curve.spec.p).exterior_d().is_zero
+
+
+@pytest.mark.parametrize("name", IDS)
 def test_the_generator_has_order_deg(name):
     curve = CURVES[name]
     y = FFElem.y(curve)
@@ -123,3 +140,44 @@ def test_y_to_the_degree_satisfies_the_relation(name):
     else:
         expected = y + FFElem.from_ratfn(curve, curve.r_fn)  # y^p = y + r
     assert y**curve.degree == expected
+
+
+SMALL_PRIMES = (3, 5, 7)
+MAX_BRANCH_DEGREE = 8
+
+
+@st.composite
+def kummer_docs(draw):
+    """y^n = prod (x - rho_i)^(l_i) over F_p: n | p - 1, n | sum l_i and
+    gcd(n, l_1, ..., l_r) = 1."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+    total = n * draw(st.integers(1, MAX_BRANCH_DEGREE // n))
+    rhos = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, total), unique=True))
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=len(rhos) - 1, max_size=len(rhos) - 1, unique=True))
+    bounds = [0] + sorted(cuts) + [total]
+    ls = [b - a for a, b in zip(bounds, bounds[1:])]
+    assume(math.gcd(n, *ls) == 1)
+    return {"type": "kummer", "p": p, "n": n, "branch": [{"rho": r, "l": l} for r, l in zip(rhos, ls)]}
+
+
+@st.composite
+def as_docs(draw):
+    """y^p - y = f / prod (x - rho_i)^(l_i) over F_p: p prime to each l_i,
+    deg f = sum l_i, and f nonzero at 0 and at every rho_i."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    rhos = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3, unique=True))
+    ls = [draw(st.integers(1, 4).filter(lambda l: l % p)) for _ in rhos]
+    assume(sum(ls) <= MAX_BRANCH_DEGREE)
+    f = draw(st.lists(st.integers(0, p - 1), min_size=sum(ls), max_size=sum(ls)))
+    f.append(draw(st.integers(1, p - 1)))
+    assume(all(sum(c * x**k for k, c in enumerate(f)) % p for x in set(rhos) | {0}))
+    return {"type": "artin-schreier", "p": p, "branch": [{"rho": r, "l": l} for r, l in zip(rhos, ls)], "f": f}
+
+
+@settings(max_examples=60)
+@given(doc=st.one_of(kummer_docs(), as_docs()))
+def test_small_valid_specs_pass_every_check(doc):
+    report = full_report(parse_curve_spec(doc))
+    assert {c.status for c in report.checks} <= {"pass", "fail"}
+    assert report.all_pass, [c.name for c in report.checks if c.status != "pass"]

@@ -3,9 +3,10 @@ explicit errors instead of ``assert`` (which ``python -O`` strips),
 per-curve values live in declared fields, not in a string-keyed cache
 dict on the curve, the function field arithmetic (``FFElem``,
 ``FFDiff``, ``pairing``) reads every family fact from the curve's family
-table, never from ``.kind``, and the polynomial arithmetic works on field
+table, never from ``.kind``, the polynomial arithmetic works on field
 encodings: it neither builds a ``FieldElement`` nor reads one out of a
-``Poly``."""
+``Poly``, and every ``CheckResult`` is built with the literal status
+"pass" or "fail", the only two verdicts."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,7 @@ INT_CODED = {
 }
 # attributes that hand out a FieldElement: Poly's readers and FieldSpec's constructors
 ELEMENT_ATTRS = ("coeffs", "coefficient", "leading", "evaluate", "element", "from_encoding")
+STATUSES = ("pass", "fail")
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -140,3 +142,52 @@ def test_the_encoding_rule_catches_violations():
         "line 12: RatFn.__init__ uses .one()",
         "line 14: poly_gcd uses FieldElement(...)",
     ]
+
+
+def _check_results(tree: ast.AST) -> tuple[int, list[str]]:
+    """How many ``CheckResult(...)`` calls the tree makes, and each one whose
+    status (second positional argument or ``status=``) is not a literal
+    from ``STATUSES``."""
+    calls, out = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "CheckResult":
+            continue
+        calls += 1
+        keyword = [k.value for k in node.keywords if k.arg == "status"]
+        status = node.args[1] if len(node.args) > 1 else (keyword[0] if keyword else None)
+        if not (isinstance(status, ast.Constant) and status.value in STATUSES):
+            shown = ast.unparse(status) if status is not None else "missing"
+            out.append(f"line {node.lineno}: CheckResult status {shown}")
+    return calls, out
+
+
+def test_check_results_have_literal_pass_or_fail_status():
+    calls = 0
+    for path in MODULES:
+        found, bad = _check_results(ast.parse(path.read_text(encoding="utf-8")))
+        assert bad == [], path.name
+        calls += found
+    assert calls >= 10  # the rule sees the checks of verify.py
+
+
+def test_the_status_rule_catches_violations():
+    tree = ast.parse(
+        "CheckResult('a', 'pass', 'ok')\n"
+        "CheckResult('b', 'inconclusive', 'maybe')\n"
+        "verify.CheckResult('c', status)\n"
+        "CheckResult(name='d', status='fail', details='')\n"
+        "CheckResult(name='e', status='unknown', details='')\n"
+        "CheckResult('f')\n"
+    )
+    assert _check_results(tree) == (
+        6,
+        [
+            "line 2: CheckResult status 'inconclusive'",
+            "line 3: CheckResult status status",
+            "line 5: CheckResult status 'unknown'",
+            "line 6: CheckResult status missing",
+        ],
+    )

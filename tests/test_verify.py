@@ -1,4 +1,6 @@
-from cycliccover.cohomology import DeRhamTriple, derham_basis, omega_basis
+import pytest
+
+from cycliccover.cohomology import DeRhamTriple, derham_basis, h1_coordinates, omega_basis
 from cycliccover.curve import ASCurve, KummerCurve
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.gf import FieldSpec
@@ -81,17 +83,37 @@ def test_locus_check_engineered_failure():
     assert "branch" in result.details
 
 
-def test_locus_check_inconclusive_on_unresolved_bound():
-    # two monomials with equal branch valuations: the minimum is attained
-    # twice, the bound is negative, and no exact verdict exists
+def _locus_on_f0inf(elem):
+    return locus_check(DeRhamTriple(FFDiff.zero(elem.curve), FFDiff.zero(elem.curve), elem), "engineered")
+
+
+def test_locus_check_fails_on_a_tied_minimum_at_both_points():
+    # y^4 = (x-1)^2 (x-2) (x-3): two monomials tie at the e = 2 branch point.
+    # With u = y^2/(x-1), the element is (u + 1)/(x-1), and u^2 = 2 there,
+    # so u + 1 != 0 at both points and each has a double pole
     curve = KummerCurve(F5, 4, [(F5.element(1), 2), (F5.element(2), 1), (F5.element(3), 1)])
-    lin = Poly.from_ints(F5, [-1, 1])  # x - 1, the e = 2 branch point
+    lin = Poly.from_ints(F5, [-1, 1])  # x - 1
     elem = FFElem.monomial(curve, 2, RatFn(Poly.one(F5), lin * lin)) + FFElem.monomial(
         curve, 0, RatFn(Poly.one(F5), lin)
     )
-    triple = DeRhamTriple(FFDiff.zero(curve), FFDiff.zero(curve), elem)
-    result = locus_check(triple, "engineered")
-    assert result.status == "inconclusive"
+    result = _locus_on_f0inf(elem)
+    assert result.status == "fail"
+    assert result.details == "f_0inf at branch[1]@1: bound -2"
+
+
+def test_locus_check_fails_on_a_pole_at_one_point_of_the_class():
+    # y^4 = (x-1)^2 (x-3) (x-4): u = y^2/(x-1) has u^2 = 1 over x = 1, so
+    # (u - 1)/(x-1) cancels at the point u = 1 and has a double pole at u = -1
+    curve = KummerCurve(F5, 4, [(F5.element(1), 2), (F5.element(3), 1), (F5.element(4), 1)])
+    lin = RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))
+    u = FFElem.monomial(curve, 2, lin)
+    elem = (u - FFElem.one(curve)).scale(lin)
+    result = _locus_on_f0inf(elem)
+    assert result.status == "fail"
+    assert result.details == "f_0inf at branch[1]@1: bound -2"
+    assert result.payload == {"violations": ["f_0inf at branch[1]@1: bound -2"]}
+    with pytest.raises(ValueError, match=r"has a pole at branch\[1\]@1"):
+        h1_coordinates(curve, elem)
 
 
 def test_divisor_checks_pass_on_worked_curves():
@@ -110,13 +132,13 @@ def test_divisor_checks_cover_the_identity_suite():
     ram = ram_data(QUARTIC)
     total = 0
     for place, entry in zip(place_classes(QUARTIC), ram.branch):
-        bound, exact = valuation_bound(y, place)
-        assert (bound, exact) == (entry.lam, True)
+        bound = valuation_bound(y, place)
+        assert bound == entry.lam
         total += bound * place.npoints
     # AS (dx) degree is 2g - 2 = 2
     dx = FFDiff(FFElem.one(AS_P3))
     total = sum(
-        valuation_bound(dx, place)[0] * place.npoints for place in place_classes(AS_P3)
+        valuation_bound(dx, place) * place.npoints for place in place_classes(AS_P3)
     )
     assert total == 2
 
