@@ -165,11 +165,10 @@ class KummerAux:
     gg_product: Poly
 
 
-def kummer_psi(curve: KummerCurve, mu: int, nu: int, table: MuTable | None = None) -> Poly:
-    """The splitting polynomial
-    sum_i g_i v_i x prod_{j in I \\ {i}} (x - rho_j)  -  nu n prod_{i in I} (x - rho_i);
-    empty index sets degenerate to the constant -nu*n."""
-    table = table if table is not None else mu_table(curve)
+def _kummer_psi_parts(curve: KummerCurve, mu: int, table: MuTable) -> tuple[Poly, Poly]:
+    """(x A_mu, n S_mu), where A_mu = sum_{i in I} g_i v_i prod_{j in I \\ {i}} (x - rho_j)
+    and S_mu = prod_{i in I} (x - rho_i): psi_{mu,nu} = x A_mu - nu n S_mu,
+    and neither part depends on nu."""
     row = table[mu]
     spec = curve.spec
     ram = ram_data(curve)
@@ -178,10 +177,23 @@ def kummer_psi(curve: KummerCurve, mu: int, nu: int, table: MuTable | None = Non
     total = Poly.zero(spec)
     for i in I:
         weight = spec.element(ram.branch[i - 1].g * row.v[i - 1])
-        prod = Poly.from_roots(spec, [(rhos[j], 1) for j in I if j != i])
-        total = total + (prod * weight).shift(1)
+        total = total + Poly.from_roots(spec, [(rhos[j], 1) for j in I if j != i]) * weight
     full = Poly.from_roots(spec, [(rhos[i], 1) for i in I])
-    return total - full * spec.element(nu * curve.n)
+    return total.shift(1), full * spec.element(curve.n)
+
+
+def _psi_at(parts: tuple[Poly, Poly], nu: int) -> Poly:
+    """psi_{mu,nu} from the parts of ``_kummer_psi_parts`` at mu."""
+    x_a, n_s = parts
+    return x_a - n_s * n_s.spec.element(nu)
+
+
+def kummer_psi(curve: KummerCurve, mu: int, nu: int, table: MuTable | None = None) -> Poly:
+    """The splitting polynomial
+    sum_i g_i v_i x prod_{j in I \\ {i}} (x - rho_j)  -  nu n prod_{i in I} (x - rho_i);
+    empty index sets degenerate to the constant -nu*n."""
+    table = table if table is not None else mu_table(curve)
+    return _psi_at(_kummer_psi_parts(curve, mu, table), nu)
 
 
 def kummer_aux(curve: KummerCurve, mu: int, nu: int) -> KummerAux:
@@ -278,11 +290,14 @@ def _build_derham_basis(
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out: list[DeRhamClass] = []
+    parts_mu, psi_parts = None, None  # the indices come mu ascending: rebuild when mu changes
     for idx in h1_indices(curve, range_policy):
         mu, nu = idx
         if curve.kind == "kummer":
             n = curve.n
-            psi = kummer_psi(curve, mu, nu, table)
+            if mu != parts_mu:
+                parts_mu, psi_parts = mu, _kummer_psi_parts(curve, mu, table)
+            psi = _psi_at(psi_parts, nu)
             split_deg = nu + 1 if table[n - mu].t >= 2 else nu
             lo, hi = split_at_degree(psi, split_deg, inclusive=True)
             base = FFElem.monomial(curve, mu, RatFn(table[n - mu].g_mu, curve.f))

@@ -10,11 +10,20 @@ reads the family facts from ``curve.family_table``, built once per curve:
     generator      y -> zeta_n y           y -> y + 1
     trace          Tr(1) = n               Tr(y^(p-1)) = -1
     pairing scale  -1/n                    1
+    pairing terms  a_i b_j, i + j = 0;      a_i b_j, i + j = p - 1
+                   f a_i b_j, i + j = n     or i + j = 2p - 2
 
 Elements are y-coefficient vectors (a_0, ..., a_{deg-1}) of rational
 functions, reduced by the relation after every product.  Differentials
 are (element) * dx, since x is a separating variable in both families;
 no local uniformizer machinery exists anywhere.
+
+``pairing`` forms only the y coefficient of f * coeff(omega) that the
+trace reads, from the terms a_i b_j y^(i+j) in the last table row, and
+sums their residues on unreduced fractions, so it takes no gcd.
+``differential_terms`` lists the terms of d(a_j y^j) unreduced;
+``exterior_d`` reduces them, and the cocycle check tests their sum for
+zero without reducing.
 
 Regularity questions are answered through ``valuation_bound``, which
 scores each y-monomial a_j y^j at a place class by the exact valuations
@@ -36,7 +45,7 @@ from typing import Callable
 
 from .curve import Curve, ram_data, require_valid
 from .gf import FieldElement, nth_root_of_unity
-from .polyrat import RatFn, residue_at_infinity
+from .polyrat import Poly, RatFn, fraction_residue
 
 
 @dataclass(frozen=True)
@@ -229,20 +238,31 @@ class FFElem:
 
     # -- differential --------------------------------------------------------------------
 
-    def exterior_d(self) -> FFDiff:
-        """Exterior derivative as a global (element) * dx differential:
-        d(a_j y^j) = a_j' y^j dx + j a_j y^(j-1) dy, with dy = c y^e dx."""
+    def differential_terms(self) -> list[tuple[int, Poly, Poly]]:
+        """The terms of d(sum a_j y^j) = sum a_j' y^j dx + j a_j y^(j-1) dy,
+        with dy = c y^e dx, as (y index, num, den), unreduced: for a_j = u/v,
+        a_j' = (u' v - u v')/v^2 at index j, and j u c_num/(v c_den) at
+        index j - 1 + e."""
         curve = self.curve
         table = _family_table(curve)
-        out = [RatFn.zero(curve.spec)] * curve.degree
+        c = table.dy_coeff
+        out = []
         for j, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
-            out[j] = out[j] + a.derivative()
+            u, v = a.num, a.den
+            out.append((j, u.derivative() * v - u * v.derivative(), v * v))
             if j:
-                k = j - 1 + table.dy_exponent
-                out[k] = out[k] + a * table.dy_coeff * curve.spec.element(j)
-        return FFDiff(FFElem(curve, out))
+                out.append((j - 1 + table.dy_exponent, u * c.num * curve.spec.element(j), v * c.den))
+        return out
+
+    def exterior_d(self) -> FFDiff:
+        """Exterior derivative as a global (element) * dx differential: the
+        sum of the reduced ``differential_terms``."""
+        out = [RatFn.zero(self.curve.spec)] * self.curve.degree
+        for k, num, den in self.differential_terms():
+            out[k] = out[k] + RatFn(num, den)
+        return FFDiff(FFElem(self.curve, out))
 
     # -- rendering -------------------------------------------------------------------------
 
@@ -425,6 +445,33 @@ def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[t
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     """Serre duality pairing of an H^1 representative against a
     differential: c * Res_inf(Tr(f * coeff(omega))), c the table's pairing
-    scale.  The product refuses arguments on mismatched curves."""
-    tr = (f * omega.coeff).trace()
-    return _family_table(f.curve).pairing_scale * residue_at_infinity(tr)
+    scale; arguments on mismatched curves are refused.  Only the y^k
+    coefficient the trace reads is formed, k the trace index: the terms
+    a_i b_j with i + j = k, with i + j = k + deg times the relation, and,
+    when the relation has a y term and k > 0, with i + j = k + deg - 1.
+    The residue is linear, so it is summed over the terms' unreduced
+    num/den products, with no gcd, and scaled by c Tr(y^k)."""
+    w = omega.coeff
+    f._check(w)
+    curve = f.curve
+    spec = curve.spec
+    table = _family_table(curve)
+    deg, k = curve.degree, table.trace_index
+    reach = [(k, None), (k + deg, table.relation)]
+    if table.relation_has_y and k:
+        reach.append((k + deg - 1, None))
+    total = 0
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero:
+            continue
+        for s, factor in reach:
+            j = s - i
+            if not 0 <= j < deg or w.coeffs[j].is_zero:
+                continue
+            b = w.coeffs[j]
+            num, den = a.num * b.num, a.den * b.den
+            if factor is not None:
+                num, den = num * factor.num, den * factor.den
+            total = spec.add(total, fraction_residue(num, den))
+    scale = table.pairing_scale * spec.element(table.trace_value)
+    return FieldElement(spec, spec.mul(scale.encoding, total))

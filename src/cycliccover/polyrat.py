@@ -15,6 +15,10 @@ differential h(x) dx.  Substituting x = 1/u sends dx to -u^{-2} du, so
 Res_inf(h dx) = -c, where c is the x^{-1} coefficient of the descending
 expansion of h.  That coefficient is read off exactly from one long
 division: c equals the constant coefficient of quotient(num * x, den).
+The quotient does not change when num and den share a factor, so
+``fraction_residue`` works on unreduced num/den pairs, and
+``fraction_sum`` adds such pairs without a gcd for checks that only ask
+whether a sum is zero.
 """
 
 from __future__ import annotations
@@ -77,13 +81,16 @@ class Poly:
 
     @classmethod
     def from_roots(cls, spec: FieldSpec, roots: Sequence[tuple[FieldElement, int]]) -> Poly:
-        """prod (x - rho)^m over the given (rho, m) pairs."""
-        out = cls.one(spec)
+        """prod (x - rho)^m over the given (rho, m) pairs.  Each factor is
+        multiplied in by one pass: (x + r) sum c_k x^k has the coefficients
+        r c_0, c_0 + r c_1, ..., c_(d-1) + r c_d, c_d."""
+        add, mul = spec.add, spec.mul
+        out = [1]
         for rho, m in roots:
-            lin = _poly(spec, [spec.neg(rho.encoding), 1])
+            r = spec.neg(rho.encoding)
             for _ in range(m):
-                out = out * lin
-        return out
+                out = [mul(r, out[0])] + [add(c, mul(r, d)) for c, d in zip(out, out[1:])] + [1]
+        return _poly(spec, out)
 
     # -- structure -----------------------------------------------------------
 
@@ -419,14 +426,39 @@ def _wrap(p: Poly) -> str:
     return f"({s})"
 
 
-def residue_at_infinity(h: RatFn) -> FieldElement:
-    """Residue at x = infinity of the differential h(x) dx.
+def fraction_residue(num: Poly, den: Poly) -> int:
+    """Encoding of the residue at x = infinity of (num/den) dx, for any
+    nonzero den, reduced or not.
 
-    Equals minus the x^{-1} coefficient of the expansion of h in
-    descending powers; that coefficient is the constant term of the
-    polynomial quotient of num * x by den.
+    It is minus the x^{-1} coefficient of the expansion of num/den in
+    descending powers, which is the constant term of the polynomial
+    quotient of num * x by den.  A common factor g of num and den leaves
+    that quotient unchanged (num x = q den + r gives num g x = q (den g) +
+    r g, with deg r g < deg den g), so no gcd is needed.
     """
-    if h.is_zero:
-        return h.spec.zero()
-    quo = h.num.shift(1) // h.den
-    return -quo.coefficient(0)
+    quo = divmod(num.shift(1), den)[0].ints
+    return den.spec.neg(quo[0]) if quo else 0
+
+
+def fraction_sum(spec: FieldSpec, terms: Iterable[tuple[Poly, Poly]]) -> tuple[Poly, Poly]:
+    """The sum of the fractions num/den as one unreduced fraction over the
+    product of their distinct denominators: the numerators over one
+    denominator are added first, and no gcd is taken.  The sum is zero iff
+    its numerator is, and a zero sum is 0/1."""
+    by_den: dict[tuple[int, ...], tuple[Poly, Poly]] = {}  # keyed by the denominator's encodings
+    for num, den in terms:
+        key = den.ints
+        by_den[key] = (by_den[key][0] + num, den) if key in by_den else (num, den)
+    fractions = [(num, den) for num, den in by_den.values() if num.ints]
+    if not fractions:
+        return Poly.zero(spec), Poly.one(spec)
+    total, common = fractions[0]
+    for num, den in fractions[1:]:
+        total, common = total * den + num * common, common * den
+    return total, common
+
+
+def residue_at_infinity(h: RatFn) -> FieldElement:
+    """Residue at x = infinity of the differential h(x) dx (see
+    ``fraction_residue``)."""
+    return FieldElement(h.spec, fraction_residue(h.num, h.den))

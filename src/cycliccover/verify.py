@@ -10,6 +10,11 @@ full pairing matrix and demands the identity.  The exactness check reads
 H^1 coordinates through that pairing, so ``full_report`` orders duality
 before exactness.
 
+The cocycle check sums each y coefficient of d f_0inf - omega_0 +
+omega_inf over the product of its terms' distinct denominators, with no
+gcd, and passes iff every numerator is zero.  Only a failing check
+reduces the sums, into the canonical residual its payload renders.
+
 The checks read their bases and the pairing matrix from the curve's
 ``cohomology.BasisContext``, so a full report builds each basis once per
 policy and sign convention and pairs the matrix once: the duality check
@@ -47,7 +52,7 @@ from .cohomology import (
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
 from .funcfield import FFDiff, FFElem, place_classes, poles, valuation_bound
 from .gf import FieldElement
-from .polyrat import Poly, RatFn
+from .polyrat import Poly, RatFn, fraction_sum
 
 
 @dataclass
@@ -115,14 +120,32 @@ def _triple(item: DeRhamTriple | DeRhamClass, label: str | None) -> tuple[DeRham
     return item, label or "triple"
 
 
+def _cocycle_sums(triple: DeRhamTriple) -> list[tuple[Poly, Poly]]:
+    """Per y index, the dx coefficient of d f_0inf - omega_0 + omega_inf as
+    one unreduced fraction num/den: the identity holds iff every numerator
+    is zero.  Slots on mismatched curves are refused."""
+    f, omega0, omega_inf = triple.f0inf, triple.omega0.coeff, triple.omega_inf.coeff
+    if not (f.curve is omega0.curve is omega_inf.curve):
+        raise ValueError("de Rham triple slots on mismatched curves")
+    curve = f.curve
+    terms: list[list[tuple[Poly, Poly]]] = [[] for _ in range(curve.degree)]
+    for k, num, den in f.differential_terms():
+        terms[k].append((num, den))
+    for k, (a, b) in enumerate(zip(omega0.coeffs, omega_inf.coeffs)):
+        terms[k] += [(-a.num, a.den), (b.num, b.den)]
+    return [fraction_sum(curve.spec, index_terms) for index_terms in terms]
+
+
 def cocycle_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> CheckResult:
-    """d f_0inf = omega_0 - omega_inf, demanded as exact equality of all
-    reduced coefficients."""
+    """d f_0inf = omega_0 - omega_inf, demanded as exact equality: every
+    y coefficient of the difference, summed unreduced, has numerator zero.
+    A failing check reduces the sums into the residual it reports."""
     triple, label = _triple(item, label)
     name = f"cocycle:{label}"
-    residual = triple.f0inf.exterior_d() - triple.omega0 + triple.omega_inf
-    if residual.is_zero:
+    sums = _cocycle_sums(triple)
+    if all(num.is_zero for num, _ in sums):
         return CheckResult(name, "pass", "exterior derivative matches the slot difference")
+    residual = FFDiff(FFElem(triple.f0inf.curve, [RatFn(num, den) for num, den in sums]))
     return CheckResult(
         name,
         "fail",

@@ -28,6 +28,7 @@ F7 = FieldSpec(7)
 QUARTIC = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
 AS_P3 = ASCurve(F3, Poly.from_ints(F3, [1, 0, 1]), [(F3.element(1), 1), (F3.element(2), 1)])
 CUBIC_F7 = KummerCurve(F7, 3, [(F7.element(i), 1) for i in (1, 2, 3)])  # the t_{n-mu} = 1 case
+SEXTIC_F7 = KummerCurve(F7, 3, [(F7.element(i), 1) for i in range(1, 7)])  # genus 4, three nu at mu = 2
 
 
 def _corpus():
@@ -125,6 +126,37 @@ def test_kummer_psi_degenerate_empty_support():
     fake = MuTable("extended", {1: MuRow(1, (0, 0, 0, 0), (0, 0, 0, 0), Poly.one(F5), 0, ())})
     psi = kummer_psi(QUARTIC, 1, 1, fake)
     assert psi == Poly.from_ints(F5, [-2])
+
+
+def test_derham_builder_builds_the_psi_parts_once_per_mu(monkeypatch):
+    from cycliccover import cohomology
+
+    curve = SEXTIC_F7
+    calls = []
+    original = cohomology._kummer_psi_parts
+
+    def counted(curve, mu, table):
+        calls.append(mu)
+        return original(curve, mu, table)
+
+    monkeypatch.setattr(cohomology, "_kummer_psi_parts", counted)
+    classes = [c for c in derham_basis(curve) if c.kind == "a"]
+    mus = [idx.mu for idx in h1_indices(curve)]
+    assert len(classes) == len(mus) > len(set(mus))  # some mu has several nu
+    assert sorted(calls) == sorted(set(mus))
+
+
+def test_divisor_identities_do_not_read_the_psi_builder(monkeypatch):
+    # the per-mu identities rebuild their products from the branch data
+    from cycliccover import cohomology, verify
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the divisor check must not call the de Rham builder's psi")
+
+    for module in (cohomology, verify):  # verify would hold its own binding after a from-import
+        for name in ("_kummer_psi_parts", "_psi_at", "kummer_psi"):
+            monkeypatch.setattr(module, name, broken, raising=False)
+    assert verify.divisor_checks(SEXTIC_F7).status == "pass"
 
 
 def test_as_aux_examples():

@@ -2,7 +2,8 @@
 code with ``polyrat``.
 
 * Prime fields (p = 2, 3, 5, 31): products, long division, gcds,
-  derivatives, evaluation and root multiplicities against
+  derivatives, evaluation, root multiplicities and products of linear
+  factors (``from_roots``) against
   ``sympy.polys.galoistools`` on seeded random polynomials.
 * Extension fields (q = 4, 9, 25, 49): brute force over polynomials of
   degree <= 2.  Field arithmetic comes from addition and multiplication
@@ -83,6 +84,20 @@ def test_prime_field_polynomials_match_galoistools(p):
                     break
                 m, f = m + 1, q
             assert A.multiplicity_at(spec.element(rho)) == m, (a, rho)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_from_roots_matches_galoistools(p):
+    spec = FieldSpec(p)
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        roots = [(rng.randrange(p), rng.randrange(4)) for _ in range(rng.randrange(5))]
+        f = [1]
+        for rho, m in roots:
+            for _ in range(m):
+                f = gf_mul(f, [1, -rho % p], p, ZZ)
+        got = Poly.from_roots(spec, [(spec.element(rho), m) for rho, m in roots])
+        assert _ints(got) == _asc(f), roots
 
 
 def test_prime_field_repeated_roots_match_galoistools():

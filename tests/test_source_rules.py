@@ -6,7 +6,12 @@ dict on the curve, the function field arithmetic (``FFElem``,
 table, never from ``.kind``, the polynomial arithmetic works on field
 encodings: it neither builds a ``FieldElement`` nor reads one out of a
 ``Poly``, and every ``CheckResult`` is built with the literal status
-"pass" or "fail", the only two verdicts."""
+"pass" or "fail", the only two verdicts.  The pairing and the cocycle
+zero test compute only what their verdicts read: they and the helpers
+they call build no reduced ``RatFn``, take no gcd, take no whole trace
+and form no product of function field elements.  The divisor
+identities in ``verify`` never name the de Rham builder's Kummer psi, so
+they stay an independent check of it."""
 
 import ast
 from pathlib import Path
@@ -19,13 +24,23 @@ CACHE_DICT = "_" "cache"  # the retired string-keyed dict; spelt apart so a grep
 FAMILY_BLIND = ("FFElem", "FFDiff", "pairing")  # funcfield definitions that must not read .kind
 # polyrat arithmetic on encodings, by class ("" for module level)
 INT_CODED = {
-    "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic"),
+    "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic", "from_roots"),
     "RatFn": ("__init__",),
-    "": ("poly_gcd",),
+    "": ("poly_gcd", "fraction_residue", "fraction_sum"),
 }
 # attributes that hand out a FieldElement: Poly's readers and FieldSpec's constructors
 ELEMENT_ATTRS = ("coeffs", "coefficient", "leading", "evaluate", "element", "from_encoding")
 STATUSES = ("pass", "fail")
+# the pairing, the cocycle zero test and the helpers they call, by module and class ("" for module level)
+UNREDUCED = {
+    "funcfield.py": {"": ("pairing",), "FFElem": ("differential_terms",)},
+    "verify.py": {"": ("_cocycle_sums",)},
+    "polyrat.py": {"": ("fraction_residue", "fraction_sum")},
+}
+REDUCING_CALLS = ("RatFn", "poly_gcd", "trace", "trace_by_orbit", "exterior_d")
+# attributes holding a function field element or differential
+ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
+BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at")  # names verify.py must not use
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -191,3 +206,126 @@ def test_the_status_rule_catches_violations():
             "line 6: CheckResult status missing",
         ],
     )
+
+
+def _is_element(node: ast.AST, names: set[str]) -> bool:
+    return (isinstance(node, ast.Name) and node.id in names) or (
+        isinstance(node, ast.Attribute) and node.attr in ELEMENT_FIELDS
+    )
+
+
+def _reductions(tree: ast.Module, wanted: dict[str, tuple[str, ...]]) -> tuple[set[str], list[str]]:
+    """The wanted definitions found, and each place one of them calls a
+    name or method from ``REDUCING_CALLS`` or ``__mul__``, or multiplies a
+    function field element: a parameter annotated ``FFElem``/``FFDiff``,
+    ``self`` in an ``FFElem`` method, a name bound (also by tuple
+    unpacking) to one of those or to an attribute from ``ELEMENT_FIELDS``,
+    or such an attribute itself."""
+    found, out = set(), []
+    scopes = [("", tree)] + [(n.name, n) for n in tree.body if isinstance(n, ast.ClassDef)]
+    for owner, scope in scopes:
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in wanted.get(owner, ()):
+                continue
+            name = f"{owner}.{fn.name}" if owner else fn.name
+            found.add(name)
+            elements = {a.arg for a in fn.args.args if a.annotation is not None
+                        and ast.unparse(a.annotation) in ("FFElem", "FFDiff")}
+            if owner == "FFElem" and fn.args.args:
+                elements.add(fn.args.args[0].arg)
+            for sub in ast.walk(fn):
+                if not isinstance(sub, ast.Assign):
+                    continue
+                for target in sub.targets:
+                    unpacked = isinstance(target, ast.Tuple) and isinstance(sub.value, ast.Tuple)
+                    pairs = zip(target.elts, sub.value.elts) if unpacked else [(target, sub.value)]
+                    elements |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_element(v, elements)}
+            for sub in ast.walk(fn):
+                what = None
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in REDUCING_CALLS + ("__mul__",):
+                        what = f"calls {called}"
+                elif isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Mult):
+                    operands = (sub.left, sub.right) if isinstance(sub, ast.BinOp) else (sub.target, sub.value)
+                    if any(_is_element(op, elements) for op in operands):
+                        what = "multiplies function field elements"
+                if what:
+                    out.append(f"line {sub.lineno}: {name} {what}")
+    return found, out
+
+
+def test_the_pairing_and_the_cocycle_zero_test_reduce_nothing():
+    for module, wanted in UNREDUCED.items():
+        found, bad = _reductions(ast.parse((SRC / module).read_text(encoding="utf-8")), wanted)
+        assert found == {f"{c}.{f}" if c else f for c, fs in wanted.items() for f in fs}, module
+        assert bad == [], module
+
+
+def test_the_reduction_rule_catches_violations():
+    tree = ast.parse(
+        "class FFElem:\n"
+        "    def differential_terms(self):\n"
+        "        return [(0, RatFn(a.num, a.den).num, 1) for a in self.coeffs]\n"
+        "    def galois(self, j):\n"
+        "        return self * self\n"
+        "def pairing(f: FFElem, omega: FFDiff):\n"
+        "    w = omega.coeff\n"
+        "    tr = (f * w).trace()\n"
+        "    g = poly_gcd(tr.num, tr.den)\n"
+        "    return f.__mul__(w), omega.coeff * f, f.coeffs[0] * w.coeffs[0]\n"
+        "def _cocycle_sums(triple):\n"
+        "    f, w = triple.f0inf, triple.omega0.coeff\n"
+        "    residual = f.exterior_d() - w\n"
+        "    return f * w, triple.f0inf * 2\n"
+    )
+    wanted = {"": ("pairing", "_cocycle_sums"), "FFElem": ("differential_terms",)}
+    found, bad = _reductions(tree, wanted)
+    assert found == {"pairing", "_cocycle_sums", "FFElem.differential_terms"}
+    assert sorted(bad, key=lambda line: int(line.split()[1].rstrip(":"))) == [
+        "line 3: FFElem.differential_terms calls RatFn",
+        "line 8: pairing calls trace",
+        "line 8: pairing multiplies function field elements",
+        "line 9: pairing calls poly_gcd",
+        "line 10: pairing calls __mul__",
+        "line 10: pairing multiplies function field elements",
+        "line 13: _cocycle_sums calls exterior_d",
+        "line 14: _cocycle_sums multiplies function field elements",
+        "line 14: _cocycle_sums multiplies function field elements",
+    ]
+
+
+def _builder_psi_uses(tree: ast.Module) -> list[str]:
+    """Each name, attribute or import of ``BUILDER_PSI``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for alias in node.names for n in (alias.name.rsplit(".", 1)[-1], alias.asname)]
+        else:
+            continue
+        out += [f"line {node.lineno}: uses {n}" for n in names if n in BUILDER_PSI]
+    return out
+
+
+def test_the_divisor_identities_do_not_use_the_builder_psi():
+    assert _builder_psi_uses(ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))) == []
+
+
+def test_the_builder_psi_rule_catches_violations():
+    tree = ast.parse(
+        "from .cohomology import _kummer_psi_parts, as_psi\n"
+        "from . import cohomology as kummer_psi\n"
+        "def f(curve):\n"
+        "    return cohomology._psi_at(_kummer_psi_parts(curve, 1, t), 2), as_psi(curve)\n"
+    )
+    assert sorted(_builder_psi_uses(tree)) == [
+        "line 1: uses _kummer_psi_parts",
+        "line 2: uses kummer_psi",
+        "line 4: uses _kummer_psi_parts",
+        "line 4: uses _psi_at",
+    ]

@@ -52,6 +52,13 @@ def test_duality_matrix_full_identity_across_distinct_mu():
             assert v == (F11.one() if i == j else F11.zero())
 
 
+def test_cocycle_check_refuses_slots_on_mismatched_curves():
+    triple = derham_basis(QUARTIC)[0].triple
+    other = FFDiff(FFElem.one(AS_P3))
+    with pytest.raises(ValueError, match="mismatched curves"):
+        cocycle_check(DeRhamTriple(triple.omega0, other, triple.f0inf))
+
+
 def test_cocycle_check_examples():
     classes = derham_basis(QUARTIC)
     assert cocycle_check(classes[0]).status == "pass"
