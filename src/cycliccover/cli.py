@@ -23,6 +23,7 @@ from typing import Any, Iterable
 
 from .cohomology import derham_basis, h1_basis, omega_basis
 from .curve import ASCurve, Curve, KummerCurve, genus_from_basis, genus_rh, mu_table, ram_data, validate
+from .funcfield import FFDiff
 from .gf import FieldElement, FieldSpec, digits, find_irreducible_poly, is_prime
 from .polyrat import Poly
 from .verify import Report, VerifyOptions, full_report
@@ -208,13 +209,20 @@ def curve_section(curve: Curve, policy: str) -> dict:
 
 
 def bases_section(curve: Curve, policy: str, sign: str) -> dict:
-    omega_lines = [f"omega[{i.mu},{i.nu}] = {w.render()}" for i, w in omega_basis(curve, policy)]
+    omegas = omega_basis(curve, policy)
+    # a delta class's omega_0 and omega_inf are a differential of omegas, rendered once
+    rendered = {id(w): w.render() for _, w in omegas}
+
+    def render(w: FFDiff) -> str:
+        return rendered.get(id(w)) or w.render()
+
+    omega_lines = [f"omega[{i.mu},{i.nu}] = {rendered[id(w)]}" for i, w in omegas]
     h1_lines = [f"h[{i.mu},{i.nu}] = {h.render()}" for i, h in h1_basis(curve, policy)]
     derham_docs = [
         {
             "label": cls.label,
-            "omega0": cls.triple.omega0.render(),
-            "omega_inf": cls.triple.omega_inf.render(),
+            "omega0": render(cls.triple.omega0),
+            "omega_inf": render(cls.triple.omega_inf),
             "f0inf": cls.triple.f0inf.render(),
         }
         for cls in derham_basis(curve, policy, sign)

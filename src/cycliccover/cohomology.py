@@ -32,6 +32,16 @@ need adjustment to satisfy the membership conditions verbatim:
   simple pole over infinity and the split must stop at degree nu; with
   that adjustment every emitted triple passes the membership checks.
 
+Each nonzero y coefficient of an a-class slot is one closed-form fraction,
+written as an unreduced num/den product and reduced once by ``RatFn``:
+
+    Kummer, y^mu:              g_{n-mu} lo|hi(psi) / (n x^{nu+1} f)
+    Artin-Schreier, y^{mu-1}:  lo|hi(phi) / (x^{nu+1} g_{mu-1})
+    Artin-Schreier, y^{mu-2}:  (mu-1) g_{p-mu} lo|hi(psi) / (x^nu prod (x-rho_i)^{l_i+1})
+
+(the last absent at mu = 1).  psi_AS and prod (x-rho_i)^{l_i+1} are built
+once per build, the Kummer psi parts once per mu.
+
 Compute once.  Each curve keeps one ``BasisContext`` per mu-range policy
 in ``curve.basis_contexts``.  It builds the differential and H^1 bases on
 first use, one de Rham basis per sign convention (whose delta-family
@@ -243,6 +253,17 @@ def as_psi(curve: ASCurve) -> Poly:
     return curve.psi
 
 
+def _as_pole_den(curve: ASCurve) -> Poly:
+    """prod_i (x - rho_i)^{l_i + 1}, the denominator of dy and of omega_mu."""
+    return Poly.from_roots(curve.spec, [(rho, l + 1) for rho, l in curve.branch])
+
+
+def _as_phi(curve: ASCurve, table: MuTable, mu: int, nu: int) -> Poly:
+    """The splitting polynomial phi_{mu,nu} = x g_{p-mu}' g_{mu-1} - nu g_{p-mu} g_{mu-1}."""
+    g_pm, g_prev = table[curve.p - mu].g_mu, table[mu - 1].g_mu
+    return (g_pm.derivative() * g_prev).shift(1) - g_pm * g_prev * curve.spec.element(nu)
+
+
 def as_omega_mu(curve: ASCurve, mu: int, range_policy: str = "extended") -> FFDiff:
     """The correction differential (mu-1) g_{p-mu} y^{mu-2} / prod (x-rho_i)^{l_i+1} dx,
     defined for 1 <= mu <= p (zero at mu = 1 through the mu-1 factor)."""
@@ -251,8 +272,7 @@ def as_omega_mu(curve: ASCurve, mu: int, range_policy: str = "extended") -> FFDi
         return FFDiff.zero(curve)
     table = mu_table(curve, range_policy)
     g_pm = table[curve.p - mu].g_mu
-    den = Poly.from_roots(curve.spec, [(rho, l + 1) for rho, l in curve.branch])
-    coeff = RatFn(g_pm * curve.spec.element(mu - 1), den)
+    coeff = RatFn(g_pm * curve.spec.element(mu - 1), _as_pole_den(curve))
     return FFDiff(FFElem.monomial(curve, mu - 2, coeff))
 
 
@@ -262,16 +282,7 @@ def as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str = "extended") -> 
     if curve.kind != "artin-schreier":
         raise ValueError("as_aux requires an Artin-Schreier curve")
     _require_index(h1_indices(curve, range_policy), mu, nu, "H^1")
-    return _as_aux(curve, mu, nu, range_policy)
-
-
-def _as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str) -> ASAux:
-    """``as_aux`` without the index check, for callers walking ``h1_indices``."""
-    table = mu_table(curve, range_policy)
-    spec = curve.spec
-    g_pm = table[curve.p - mu].g_mu
-    g_prev = table[mu - 1].g_mu
-    phi = (g_pm.derivative() * g_prev).shift(1) - g_pm * g_prev * spec.element(nu)
+    phi = _as_phi(curve, mu_table(curve, range_policy), mu, nu)
     return ASAux(phi=phi, psi=as_psi(curve), omega_mu=as_omega_mu(curve, mu, range_policy))
 
 
@@ -279,6 +290,15 @@ def _as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str) -> ASAux:
 
 
 SIGN_CONVENTIONS = ("paper", "negated-infty")
+
+
+def _slot(curve: Curve, terms: list[tuple[int, Poly, Poly]]) -> FFDiff:
+    """One slot: the differential sum of (num/den) y^j dx over the (j, num, den) terms,
+    at distinct j, each coefficient reduced once."""
+    coeffs = [RatFn.zero(curve.spec)] * curve.degree
+    for j, num, den in terms:
+        coeffs[j] = RatFn(num, den)
+    return FFDiff(FFElem(curve, coeffs))
 
 
 def _build_derham_basis(
@@ -289,33 +309,36 @@ def _build_derham_basis(
 ) -> list[DeRhamClass]:
     table = mu_table(curve, range_policy)
     spec = curve.spec
+    kummer = curve.kind == "kummer"
+    if kummer:
+        n_f = curve.f * spec.element(curve.n)
+        parts_mu, psi_parts = None, None  # the indices come mu ascending: rebuild when mu changes
+    else:
+        psi, pole_den = as_psi(curve), _as_pole_den(curve)
     out: list[DeRhamClass] = []
-    parts_mu, psi_parts = None, None  # the indices come mu ascending: rebuild when mu changes
     for idx in h1_indices(curve, range_policy):
         mu, nu = idx
-        if curve.kind == "kummer":
-            n = curve.n
+        if kummer:
             if mu != parts_mu:
                 parts_mu, psi_parts = mu, _kummer_psi_parts(curve, mu, table)
-            psi = _psi_at(psi_parts, nu)
-            split_deg = nu + 1 if table[n - mu].t >= 2 else nu
-            lo, hi = split_at_degree(psi, split_deg, inclusive=True)
-            base = FFElem.monomial(curve, mu, RatFn(table[n - mu].g_mu, curve.f))
-            scale_den = Poly.monomial(spec, nu + 1, spec.element(n))
-            omega0 = FFDiff(base.scale(RatFn(lo, scale_den)))
-            omega_inf = FFDiff(base.scale(RatFn(hi, scale_den)))
-            den = Poly.monomial(spec, nu) * table[mu].g_mu
-            f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), den))
+            row = table[curve.n - mu]
+            split_deg = nu + 1 if row.t >= 2 else nu
+            lo, hi = split_at_degree(_psi_at(psi_parts, nu), split_deg, inclusive=True)
+            den = n_f.shift(nu + 1)
+            terms0, terms_inf = [(mu, row.g_mu * lo, den)], [(mu, row.g_mu * hi, den)]
+            f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), table[mu].g_mu.shift(nu)))
         else:
-            aux = _as_aux(curve, mu, nu, range_policy)
-            w_prev = FFDiff(FFElem.monomial(curve, mu - 1, RatFn(Poly.one(spec), table[mu - 1].g_mu)))
-            lo_phi, hi_phi = split_at_degree(aux.phi, nu + 1, inclusive=False)
-            lo_psi, hi_psi = split_at_degree(aux.psi, nu, inclusive=False)
-            x_nu1 = Poly.monomial(spec, nu + 1)
-            x_nu = Poly.monomial(spec, nu)
-            omega0 = w_prev.scale(RatFn(lo_phi, x_nu1)) + aux.omega_mu.scale(RatFn(lo_psi, x_nu))
-            omega_inf = w_prev.scale(RatFn(hi_phi, x_nu1)) + aux.omega_mu.scale(RatFn(hi_psi, x_nu))
-            f0inf = FFElem.monomial(curve, mu - 1, RatFn(table[curve.p - mu].g_mu, x_nu))
+            g_pm = table[curve.p - mu].g_mu
+            lo_phi, hi_phi = split_at_degree(_as_phi(curve, table, mu, nu), nu + 1, inclusive=False)
+            phi_den = table[mu - 1].g_mu.shift(nu + 1)
+            terms0, terms_inf = [(mu - 1, lo_phi, phi_den)], [(mu - 1, hi_phi, phi_den)]
+            if mu > 1:  # the omega_mu term, zero at mu = 1
+                lo_psi, hi_psi = split_at_degree(psi, nu, inclusive=False)
+                c, psi_den = g_pm * spec.element(mu - 1), pole_den.shift(nu)
+                terms0.append((mu - 2, c * lo_psi, psi_den))
+                terms_inf.append((mu - 2, c * hi_psi, psi_den))
+            f0inf = FFElem.monomial(curve, mu - 1, RatFn(g_pm, Poly.monomial(spec, nu)))
+        omega0, omega_inf = _slot(curve, terms0), _slot(curve, terms_inf)
         if sign_convention == "negated-infty":
             omega_inf = -omega_inf
         out.append(DeRhamClass("a", idx, DeRhamTriple(omega0, omega_inf, f0inf)))

@@ -202,13 +202,15 @@ class Poly:
         return FieldElement(self.spec, acc)
 
     def multiplicity_at(self, rho: FieldElement) -> int:
-        """Order of vanishing at x = rho (0 if rho is not a root).  Each pass
-        is one synthetic division by x - rho: the Horner partial sums are
-        the quotient's coefficients, and the last one is the value."""
+        """Order of vanishing at x = rho (0 if rho is not a root): the x-adic
+        order at rho = 0, elsewhere one synthetic division by x - rho per
+        pass, whose Horner partial sums are the quotient and the value."""
         if not self.ints:
             raise ValueError("multiplicity of the zero polynomial is undefined")
-        add, mul = self.spec.add, self.spec.mul
         r = rho.encoding
+        if not r:
+            return _x_order(self.ints)
+        add, mul = self.spec.add, self.spec.mul
         cur = self.ints[::-1]  # descending; the leading term is nonzero throughout
         m = 0
         while True:
@@ -260,8 +262,20 @@ class Poly:
         return f"Poly({self.render()})"
 
 
+def _x_order(ints: tuple[int, ...]) -> int:
+    """The x-adic order of a nonzero polynomial: its count of leading zero encodings."""
+    return next(k for k, c in enumerate(ints) if c)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (gcd(0, 0) = 0)."""
+    """Monic greatest common divisor (gcd(0, 0) = 0).  When either operand
+    is a monomial c x^k, its monic divisors are the x^j with j <= k, so the
+    gcd is x^min(ord_x a, ord_x b), with the order of 0 taken as infinite."""
+    spec = _common_spec(a, b)
+    for m, other in ((a.ints, b.ints), (b.ints, a.ints)):
+        if m and not any(m[:-1]):  # m is c x^k
+            k = min(len(m) - 1, _x_order(other)) if other else len(m) - 1
+            return _poly(spec, [0] * k + [1])
     while b.ints:
         a, b = b, a % b
     return a.monic() if a.ints else a
@@ -287,8 +301,9 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None, *, _reduced: bool = False):
-        if den is None:
-            den = Poly.one(num.spec)
+        if den is None:  # 1 is monic and coprime to everything: nothing to reduce
+            self.num, self.den = num, Poly.one(num.spec)
+            return
         if not den.ints:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num.ints:
@@ -356,8 +371,8 @@ class RatFn:
     def __mul__(self, other: RatFn | FieldElement) -> RatFn:
         if isinstance(other, FieldElement):  # a zero product comes out as 0/1
             return RatFn(self.num._scale(other.encoding), self.den, _reduced=True)
-        if self.is_zero or other.is_zero:
-            return RatFn.zero(self.spec)
+        if self.is_zero or other.is_zero:  # a zero operand is 0/1 already
+            return self if self.is_zero else other
         # cross-reduce before multiplying to keep degrees down
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)

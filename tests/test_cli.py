@@ -13,6 +13,7 @@ from cycliccover.cli import (
     MAX_P,
     SWEEP_MAX,
     SpecFileError,
+    bases_section,
     curve_to_spec_doc,
     enumerate_as_specs,
     enumerate_kummer_specs,
@@ -153,6 +154,27 @@ def test_cmd_basis_derham_rendering(capsys):
     assert main(["basis", str(QUARTIC_SPEC), "derham"]) == 0
     out = capsys.readouterr().out
     assert "a[1,1]:" in out and "delta[1,1]:" in out
+
+
+def test_bases_section_renders_each_differential_once(monkeypatch):
+    from cycliccover.cohomology import derham_basis, omega_basis
+    from cycliccover.funcfield import FFDiff
+
+    curve = parse_curve_spec(json.loads(AS_SPEC.read_text()))
+    omegas, classes = omega_basis(curve), derham_basis(curve)
+    distinct = {id(w) for _, w in omegas}
+    distinct |= {id(slot) for c in classes for slot in (c.triple.omega0, c.triple.omega_inf)}
+    expected = {
+        "omega": [f"omega[{i.mu},{i.nu}] = {w.render()}" for i, w in omegas],
+        "derham": [(c.triple.omega0.render(), c.triple.omega_inf.render()) for c in classes],
+    }
+    calls = []
+    original = FFDiff.render
+    monkeypatch.setattr(FFDiff, "render", lambda self: calls.append(id(self)) or original(self))
+    section = bases_section(curve, "extended", "negated-infty")
+    assert sorted(calls) == sorted(distinct) and len(distinct) < len(omegas) + 2 * len(classes)
+    assert section["omega"] == expected["omega"]
+    assert [(d["omega0"], d["omega_inf"]) for d in section["derham"]] == expected["derham"]
 
 
 def test_cmd_verify_exit_codes(capsys):

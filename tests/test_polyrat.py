@@ -27,7 +27,10 @@ def test_poly_core_examples():
 
 def test_mismatched_fields_raise():
     a, b = P(F5, 1, 1), P(F7, 1, 1)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b), lambda: poly_gcd(a, b)):
+    monomial = P(F5, 0, 1)  # poly_gcd has a closed form for it, which checks the fields too
+    ops = (lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b), lambda: poly_gcd(a, b),
+           lambda: poly_gcd(monomial, b), lambda: poly_gcd(b, monomial))
+    for op in ops:
         with pytest.raises(ValueError, match="mismatched"):
             op()
 
@@ -194,6 +197,20 @@ def test_ratfn_canonical_form():
     assert poly_gcd(a.num, a.den).degree == 0
     zero = RatFn(Poly.zero(F5), P(F5, 3, 1))
     assert zero.is_zero and zero.den == Poly.one(F5)
+
+
+def test_ratfn_without_denominator_takes_no_gcd_and_zero_products_keep_the_operand(monkeypatch):
+    from cycliccover import polyrat
+
+    def refused(a, b):
+        raise AssertionError("no gcd expected")
+
+    monkeypatch.setattr(polyrat, "poly_gcd", refused)
+    a = RatFn(P(F5, 2, 0, 3))
+    assert (a.num, a.den) == (P(F5, 2, 0, 3), Poly.one(F5))
+    assert RatFn.one(F5).den == Poly.one(F5) and RatFn(Poly.zero(F5)).is_zero
+    zero = RatFn.zero(F5)
+    assert a * zero is zero and zero * a is zero and zero.den == Poly.one(F5)
 
 
 def test_ratfn_field_ops_random():

@@ -13,6 +13,9 @@ code with ``polyrat``.
   x - rho of its roots).  Over F_4 every pair is checked.  Larger fields
   have q^6 pairs, so there every pair whose coefficients lie in
   {0, 1, z, the largest encoding} is checked, plus seeded random pairs.
+* Gcds with a monomial operand c x^k and the order at x = 0, which
+  ``polyrat`` computes in closed form, against galoistools, a search over
+  every monic polynomial of low degree, and repeated division by x.
 * ``hypothesis``: the field axioms of ``RatFn`` and its canonical form
   (monic denominator, gcd 1, zero is 0/1), checked with the table gcd.
 
@@ -284,3 +287,96 @@ def test_ratfn_field_axioms_and_canonical_form(drawn):
         results += [b.inverse(), a / b]
     for h in results:
         assert _canonical(spec, h), h
+
+
+# -- closed forms at x = 0: gcds with a monomial operand and the x-adic order ------------
+#
+# When either operand of a gcd is a monomial c x^k, its monic divisors are
+# the powers x^j, j <= k.  The oracles below do not use that fact: over prime
+# fields the gcd comes from galoistools, over F_4 and F_9 from a search over
+# every monic polynomial of low degree, and the order at x = 0 from repeated
+# division by x.
+
+
+def _with_content(rng, p, content, deg):
+    """x^content times a random polynomial of degree < deg with nonzero constant term."""
+    body = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(deg))]
+    return _trim([0] * content + body)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_monomial_gcd_matches_galoistools(p):
+    spec = FieldSpec(p)
+    rng = random.Random(300 + p)
+    for k in range(5):
+        for _ in range(30):
+            m = [0] * k + [rng.randrange(1, p)]
+            content = rng.randrange(6)
+            others = [[], [0] * content + [rng.randrange(1, p)], _with_content(rng, p, content, 8)]
+            others.append(_with_content(rng, p, 0, 8))  # no x-power content
+            for b in others:
+                M, B = _poly(spec, m), _poly(spec, b)
+                expected = _asc(gf_gcd(_desc(m), _desc(b), p, ZZ))
+                assert _ints(poly_gcd(M, B)) == expected, (m, b)
+                assert _ints(poly_gcd(B, M)) == expected, (b, m)
+
+
+def _monics(field, max_deg):
+    """Every monic polynomial of degree <= max_deg, as ascending encodings."""
+    out = []
+    for d in range(max_deg + 1):
+        out += [list(t) + [1] for t in itertools.product(range(field.q), repeat=d)]
+    return out
+
+
+def _searched_divisors(field, a, monics):
+    return {tuple(d) for d in monics if len(d) <= len(a) and not field.pdivmod(a, d)[1]}
+
+
+@pytest.mark.parametrize("q, max_deg", [(4, 3), (9, 2)])
+def test_monomial_gcd_by_brute_force_over_extension_fields(q, max_deg):
+    p, modulus = EXTENSIONS[q]
+    spec, field = FieldSpec(p, modulus), TableField(p, modulus)
+    monics = _monics(field, max_deg)
+    polys = [_trim(list(t)) for t in itertools.product(range(q), repeat=max_deg + 1)]
+    divisors = {tuple(a): _searched_divisors(field, a, monics) for a in polys if a}
+    made = {tuple(a): _poly(spec, a) for a in polys}
+    for k in range(max_deg + 1):
+        for c in range(1, q):
+            m = [0] * k + [c]
+            M = made[tuple(m)]
+            for b in polys:
+                if b:
+                    expected = list(max(divisors[tuple(m)] & divisors[tuple(b)], key=len))
+                else:
+                    expected = field.pmonic(m)
+                B = made[tuple(b)]
+                assert _ints(poly_gcd(M, B)) == expected, (m, b)
+                assert _ints(poly_gcd(B, M)) == expected, (b, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_multiplicity_at_zero_matches_division_by_x(p):
+    spec = FieldSpec(p)
+    rng = random.Random(400 + p)
+    for content in range(7):
+        for _ in range(20):
+            a = _with_content(rng, p, content, rng.randrange(1, 9))
+            m, f = 0, _desc(a)
+            while True:
+                q, r = gf_div(f, [1, 0], p, ZZ)
+                if r:
+                    break
+                m, f = m + 1, q
+            assert m == content
+            assert _poly(spec, a).multiplicity_at(spec.zero()) == m, a
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_multiplicity_at_zero_by_division_over_extension_fields(q):
+    p, modulus = EXTENSIONS[q]
+    spec, field = FieldSpec(p, modulus), TableField(p, modulus)
+    for t in itertools.product(range(q), repeat=4):
+        a = _trim(list(t))
+        if a:
+            assert _poly(spec, a).multiplicity_at(spec.zero()) == _brute_multiplicity(field, a, 0), a
