@@ -32,7 +32,7 @@ from .curve import (
     genus_rh,
     genus_from_basis,
 )
-from .funcfield import FFElem, FFDiff, PlaceClass, place_classes, valuation_bound, pairing
+from .funcfield import FFElem, FFDiff, PlaceClass, place_classes, valuations, valuation_bound, pairing
 from .cohomology import (
     BasisIndex,
     DeRhamTriple,
@@ -80,6 +80,7 @@ __all__ = [
     "FFDiff",
     "PlaceClass",
     "place_classes",
+    "valuations",
     "valuation_bound",
     "pairing",
     "BasisIndex",

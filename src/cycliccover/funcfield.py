@@ -25,16 +25,19 @@ sums their residues on unreduced fractions, so it takes no gcd.
 ``exterior_d`` reduces them, and the cocycle check tests their sum for
 zero without reducing.
 
-Regularity questions are answered through ``valuation_bound``, which
-scores each y-monomial a_j y^j at a place class by the exact valuations
-of x - rho, y and dx there and takes the minimum.  That minimum is the
-valuation of the class, min_P v_P over its points P, for every class
-``place_classes`` builds: the minimising monomials share one residue of
-j mod the ramification index, so divided by one of them they leave a
-nonzero polynomial, of degree below the number of points, in a unit with
-pairwise distinct values at those points (Vandermonde; the proof is in
-``valuation_bound``).  ``poles`` is the one walk over the place classes
-that finds the poles of an element or differential off an allowed locus.
+Regularity questions are answered through ``valuations``, which scores
+each y-monomial a_j y^j at every place class by the exact valuations of
+x - rho, y and dx there and takes the minimum per class.  That minimum
+is the valuation of the class, min_P v_P over its points P, for every
+class ``place_classes`` builds: the minimising monomials share one
+residue of j mod the ramification index, so divided by one of them they
+leave a nonzero polynomial, of degree below the number of points, in a
+unit with pairwise distinct values at those points (Vandermonde; the
+proof is in ``valuation_bound``).  An element's valuations come from one
+walk over its nonzero y coefficients and are kept on the element.
+``valuation_bound`` reads one class from the walk, and ``poles`` zips it
+with the place classes to find the poles of an element or differential
+off an allowed locus.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def _family_table(curve: Curve) -> FamilyTable:
 class FFElem:
     """Element sum a_j y^j of the function field, y-degree < cover degree."""
 
-    __slots__ = ("curve", "coeffs")
+    __slots__ = ("curve", "coeffs", "_valuations")
 
     def __init__(self, curve: Curve, coeffs):
         deg = curve.degree
@@ -99,6 +102,7 @@ class FFElem:
             raise ValueError(f"coefficient vector must have length {deg}")
         self.curve = curve
         self.coeffs = tuple(cs)
+        self._valuations: tuple[int, ...] | None = None  # valuations, on first use
 
     # -- constructors ---------------------------------------------------------
 
@@ -133,7 +137,7 @@ class FFElem:
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.coeffs)
+        return not any(a.num.ints for a in self.coeffs)
 
     def _check(self, other: FFElem) -> None:
         if self.curve is not other.curve:
@@ -349,15 +353,7 @@ class PlaceClass:
     v_y: int
     v_dx: int
     npoints: int
-
-    def coeff_valuation(self, a: RatFn) -> int:
-        """Exact valuation of a rational function of x at any point of
-        the class (the x-adic order scaled by the ramification index)."""
-        if self.kind == "branch":
-            return self.e * a.root_multiplicity(self.rho)
-        if self.kind == "over_zero":
-            return a.root_multiplicity(self.rho)
-        return a.degree_valuation()
+    position: int  # the class's index in place_classes
 
     def label(self) -> str:
         if self.kind == "branch":
@@ -381,17 +377,49 @@ def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
     out = []
     for i, b in enumerate(ram.branch, start=1):
         v_y, v_dx = (b.lam, b.e - 1) if kummer else (-b.l, (b.e - 1) * (b.l + 1))
-        out.append(PlaceClass("branch", i, b.rho, b.e, v_y, v_dx, b.g))
+        out.append(PlaceClass("branch", i, b.rho, b.e, v_y, v_dx, b.g, len(out)))
     if not any(b.rho.is_zero for b in ram.branch):
-        out.append(PlaceClass("over_zero", None, curve.spec.zero(), 1, 0, 0, curve.degree))
-    out.append(PlaceClass("over_infinity", None, None, 1, -curve.t if kummer else 0, -2, curve.degree))
+        out.append(PlaceClass("over_zero", None, curve.spec.zero(), 1, 0, 0, curve.degree, len(out)))
+    out.append(PlaceClass("over_infinity", None, None, 1, -curve.t if kummer else 0, -2, curve.degree, len(out)))
     curve.places = tuple(out)
     return curve.places
 
 
+def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:
+    """The valuation of a nonzero element or differential at each place
+    class, in ``place_classes`` order: min over the nonzero y-monomials of
+    v(a_j) + j v(y), plus v(dx) for a differential (see
+    ``valuation_bound``).  An element's tuple comes from one walk over its
+    nonzero y coefficients and is kept on the element, which is immutable;
+    a differential adds v(dx) to its coefficient's tuple."""
+    if isinstance(obj, FFDiff):
+        return tuple(v + place.v_dx for v, place in zip(valuations(obj.coeff), place_classes(obj.curve)))
+    if obj._valuations is None:
+        places = place_classes(obj.curve)
+        best = None
+        for j, a in enumerate(obj.coeffs):
+            num, den = a.num, a.den
+            if not num.ints:
+                continue
+            scores = []
+            for place in places:
+                if place.rho is None:  # over infinity: deg den - deg num
+                    v = len(den.ints) - len(num.ints)
+                else:
+                    v = place.e * (num.multiplicity_at(place.rho) - den.multiplicity_at(place.rho))
+                scores.append(v + j * place.v_y)
+            best = scores if best is None else list(map(min, best, scores))
+        if best is None:
+            raise ValueError("valuation of the zero element is undefined")
+        obj._valuations = tuple(best)
+    return obj._valuations
+
+
 def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
     """The valuation of a nonzero element or differential at the place
-    class: min over the points P of the class of v_P(obj).
+    class: min over the points P of the class of v_P(obj).  It is read
+    from the element's ``valuations`` tuple, one walk per element over its
+    nonzero y coefficients, plus v(dx) for a differential.
 
     It is computed as min over nonzero y-monomials of v(a_j) + j v(y),
     plus v(dx) for differentials (v(dx) is the same at every point of the
@@ -416,15 +444,9 @@ def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
     Function Fields and Codes, 3.3, and Neukirch, Algebraic Number Theory,
     II.6 (Newton polygons).
     """
-    elem = obj.coeff if isinstance(obj, FFDiff) else obj
-    if elem.is_zero:
-        raise ValueError("valuation of the zero element is undefined")
-    value = min(
-        place.coeff_valuation(a) + j * place.v_y
-        for j, a in enumerate(elem.coeffs)
-        if not a.is_zero
-    )
-    return value + place.v_dx if isinstance(obj, FFDiff) else value
+    if isinstance(obj, FFDiff):
+        return valuations(obj.coeff)[place.position] + place.v_dx
+    return valuations(obj)[place.position]
 
 
 def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[tuple[PlaceClass, int]]:
@@ -433,13 +455,11 @@ def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[t
     elem = obj.coeff if isinstance(obj, FFDiff) else obj
     if elem.is_zero:
         return []
-    found = []
-    for place in place_classes(elem.curve):
-        if not allowed(place):
-            value = valuation_bound(obj, place)
-            if value < 0:
-                found.append((place, value))
-    return found
+    return [
+        (place, value)
+        for place, value in zip(place_classes(elem.curve), valuations(obj))
+        if value < 0 and not allowed(place)
+    ]
 
 
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:

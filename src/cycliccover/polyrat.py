@@ -170,6 +170,10 @@ class Poly:
         inv_lead = spec.inv(other.ints[-1])
         # the nonzero lower divisor terms, negated so that the elimination adds
         terms = [(i, neg(b)) for i, b in enumerate(other.ints[:-1]) if b]
+        if not terms:  # c x^db: the terms of degree >= db, shifted down and scaled, and the rest
+            top = self.ints[db:]
+            quo = list(top) if inv_lead == 1 else [mul(c, inv_lead) for c in top]
+            return _poly(spec, quo), _poly(spec, list(self.ints[:db]))
         rem = list(self.ints)
         quo = [0] * max(len(rem) - db, 0)
         for k in range(len(quo) - 1, -1, -1):
@@ -347,7 +351,7 @@ class RatFn:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.ints
 
     # -- field operations -----------------------------------------------------------
 
@@ -397,20 +401,6 @@ class RatFn:
         """Formal derivative via the quotient rule."""
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RatFn(num, self.den * self.den)
-
-    # -- valuations -----------------------------------------------------------------
-
-    def root_multiplicity(self, rho: FieldElement) -> int:
-        """Order of vanishing at x = rho; negative for a pole."""
-        if self.is_zero:
-            raise ValueError("valuation of zero is undefined")
-        return self.num.multiplicity_at(rho) - self.den.multiplicity_at(rho)
-
-    def degree_valuation(self) -> int:
-        """Valuation at infinity: deg(den) - deg(num)."""
-        if self.is_zero:
-            raise ValueError("valuation of zero is undefined")
-        return int(self.den.degree) - int(self.num.degree)
 
     # -- comparisons and rendering -------------------------------------------------------
 

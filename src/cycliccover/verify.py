@@ -1,9 +1,9 @@
 """Machine verification of every identity asserted about the bases.
 
 Each check returns a ``CheckResult`` whose status is pass or fail.  The
-locus check reads exact class valuations (``funcfield.valuation_bound``),
-so a negative one is a pole at some point of the class, never a
-limitation of the bound.
+locus check reads exact class valuations (``funcfield.poles``, from the
+one walk ``funcfield.valuations``), so a negative one is a pole at some
+point of the class, never a limitation of the bound.
 
 Serre duality itself is not re-proved: the duality check computes the
 full pairing matrix and demands the identity.  The exactness check reads

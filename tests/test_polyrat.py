@@ -79,39 +79,6 @@ def test_split_property_random():
                 assert k > cut
 
 
-def test_root_multiplicity_examples():
-    a = RatFn(P(F5, 1, -2, 1), P(F5, -2, 1))  # (x-1)^2 / (x-2)
-    assert a.root_multiplicity(F5.element(1)) == 2
-    assert a.root_multiplicity(F5.element(2)) == -1
-    b = RatFn(Poly.one(F5), P(F5, 4, 0, 0, 0, 1))
-    assert b.root_multiplicity(F5.element(1)) == -1
-
-
-def test_root_multiplicity_additivity():
-    rng = random.Random(2)
-    rho = F7.element(3)
-    for _ in range(100):
-        def rand_ratfn():
-            num = Poly(F7, [F7.from_encoding(rng.randrange(7)) for _ in range(rng.randrange(1, 6))])
-            den = Poly(F7, [F7.from_encoding(rng.randrange(7)) for _ in range(rng.randrange(1, 6))])
-            if num.is_zero or den.is_zero:
-                return None
-            return RatFn(num, den)
-
-        a, b = rand_ratfn(), rand_ratfn()
-        if a is None or b is None or a.is_zero or b.is_zero:
-            continue
-        assert (a * b).root_multiplicity(rho) == a.root_multiplicity(rho) + b.root_multiplicity(rho)
-
-
-def test_degree_valuation_examples():
-    assert RatFn(Poly.x(F5)).degree_valuation() == -1
-    assert RatFn(Poly.one(F5), P(F5, 0, 0, 1)).degree_valuation() == 2
-    assert RatFn(P(F5, 1, 0, 1), P(F5, 3, 0, 1)).degree_valuation() == 0
-    with pytest.raises(ValueError):
-        RatFn.zero(F5).degree_valuation()
-
-
 def test_residue_examples():
     for k in range(4):
         assert residue_at_infinity(RatFn(Poly.monomial(F5, k))).is_zero

@@ -16,6 +16,10 @@ code with ``polyrat``.
 * Gcds with a monomial operand c x^k and the order at x = 0, which
   ``polyrat`` computes in closed form, against galoistools, a search over
   every monic polynomial of low degree, and repeated division by x.
+* Division by a monomial c x^k, which ``polyrat`` does by shifting and
+  scaling, against galoistools over prime fields and, over F_4 and F_9,
+  against the defining identity a = q * c x^k + r with deg r < k in table
+  arithmetic (division with remainder is unique).
 * ``hypothesis``: the field axioms of ``RatFn`` and its canonical form
   (monic denominator, gcd 1, zero is 0/1), checked with the table gcd.
 
@@ -380,3 +384,36 @@ def test_multiplicity_at_zero_by_division_over_extension_fields(q):
         a = _trim(list(t))
         if a:
             assert _poly(spec, a).multiplicity_at(spec.zero()) == _brute_multiplicity(field, a, 0), a
+
+
+# -- division by a monomial c x^k ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_division_by_a_monomial_matches_galoistools(p):
+    spec = FieldSpec(p)
+    rng = random.Random(500 + p)
+    for k in range(6):
+        for _ in range(30):
+            m = [0] * k + [rng.randrange(1, p)]
+            a = _trim([rng.randrange(p) for _ in range(rng.randrange(2 * k + 3))])
+            q, r = gf_div(_desc(a), _desc(m), p, ZZ)
+            Q, R = divmod(_poly(spec, a), _poly(spec, m))
+            assert (_ints(Q), _ints(R)) == (_asc(q), _asc(r)), (a, m)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_division_by_a_monomial_by_brute_force_over_extension_fields(q):
+    p, modulus = EXTENSIONS[q]
+    spec, field = FieldSpec(p, modulus), TableField(p, modulus)
+    dividends = [_trim(list(t)) for t in itertools.product(range(q), repeat=4 if q == 4 else 3)]
+    if q == 9:  # degree up to 4 with coefficients in {0, 1, z, the largest encoding}
+        dividends += [_trim(list(t)) for t in itertools.product((0, 1, p, q - 1), repeat=5)]
+    for k in range(4):
+        for c in range(1, q):
+            m = [0] * k + [c]
+            M = _poly(spec, m)
+            for a in dividends:
+                Q, R = divmod(_poly(spec, a), M)
+                quo, rem = _ints(Q), _ints(R)
+                assert len(rem) <= k and field.padd(field.pmul(quo, m), rem) == a, (a, m)

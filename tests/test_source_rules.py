@@ -11,7 +11,9 @@ zero test compute only what their verdicts read: they and the helpers
 they call build no reduced ``RatFn``, take no gcd, take no whole trace
 and form no product of function field elements.  The divisor
 identities in ``verify`` never name the de Rham builder's Kummer psi, so
-they stay an independent check of it."""
+they stay an independent check of it.  ``verify`` and ``cohomology`` never
+name a root multiplicity or a per-coefficient valuation, so every
+valuation they read comes from ``funcfield.valuations``, the one walk."""
 
 import ast
 from pathlib import Path
@@ -41,6 +43,8 @@ REDUCING_CALLS = ("RatFn", "poly_gcd", "trace", "trace_by_orbit", "exterior_d")
 # attributes holding a function field element or differential
 ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
 BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at")  # names verify.py must not use
+# valuation primitives that verify.py and cohomology.py must not use
+VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -296,8 +300,8 @@ def test_the_reduction_rule_catches_violations():
     ]
 
 
-def _builder_psi_uses(tree: ast.Module) -> list[str]:
-    """Each name, attribute or import of ``BUILDER_PSI``."""
+def _uses(tree: ast.Module, banned: tuple[str, ...]) -> list[str]:
+    """Each name, attribute or import of a banned name."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -308,12 +312,12 @@ def _builder_psi_uses(tree: ast.Module) -> list[str]:
             names = [n for alias in node.names for n in (alias.name.rsplit(".", 1)[-1], alias.asname)]
         else:
             continue
-        out += [f"line {node.lineno}: uses {n}" for n in names if n in BUILDER_PSI]
+        out += [f"line {node.lineno}: uses {n}" for n in names if n in banned]
     return out
 
 
 def test_the_divisor_identities_do_not_use_the_builder_psi():
-    assert _builder_psi_uses(ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))) == []
+    assert _uses(ast.parse((SRC / "verify.py").read_text(encoding="utf-8")), BUILDER_PSI) == []
 
 
 def test_the_builder_psi_rule_catches_violations():
@@ -323,9 +327,29 @@ def test_the_builder_psi_rule_catches_violations():
         "def f(curve):\n"
         "    return cohomology._psi_at(_kummer_psi_parts(curve, 1, t), 2), as_psi(curve)\n"
     )
-    assert sorted(_builder_psi_uses(tree)) == [
+    assert sorted(_uses(tree, BUILDER_PSI)) == [
         "line 1: uses _kummer_psi_parts",
         "line 2: uses kummer_psi",
         "line 4: uses _kummer_psi_parts",
         "line 4: uses _psi_at",
+    ]
+
+
+def test_the_checks_read_valuations_only_through_the_walk():
+    for module in ("verify.py", "cohomology.py"):
+        assert _uses(ast.parse((SRC / module).read_text(encoding="utf-8")), VALUATION_PRIMITIVES) == [], module
+
+
+def test_the_valuation_rule_catches_violations():
+    tree = ast.parse(
+        "from .polyrat import multiplicity_at as order\n"
+        "def f(place, a, poly, rho):\n"
+        "    v = place.coeff_valuation(a) + a.num.multiplicity_at(rho)\n"
+        "    return v + poly.multiplicity_at(rho) + valuation_bound(a, place)\n"
+    )
+    assert sorted(_uses(tree, VALUATION_PRIMITIVES)) == [
+        "line 1: uses multiplicity_at",
+        "line 3: uses coeff_valuation",
+        "line 3: uses multiplicity_at",
+        "line 4: uses multiplicity_at",
     ]

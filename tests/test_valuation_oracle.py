@@ -1,4 +1,4 @@
-"""Newton-polygon oracle for ``funcfield.valuation_bound``.
+"""Newton-polygon oracle for ``funcfield.valuations`` and ``valuation_bound``.
 
 For h in F, the characteristic polynomial prod_j (T - sigma^j h) over the
 Galois orbit has its coefficients c_k (of T^(deg-k)) in F_q(x).  At a
@@ -9,9 +9,11 @@ the Newton polygon (Neukirch, Algebraic Number Theory, II.6).
 
 The orders of the c_k come from this module's own loop: repeated
 synthetic division by x - rho on the coefficient list, or the degree
-difference at infinity.  Nothing here calls ``PlaceClass.coeff_valuation``
-or reuses the monomial minimum of ``valuation_bound``; the local data
-(e, v(y), v(dx)) is written from the curve data.
+difference at infinity.  Nothing here calls ``Poly.multiplicity_at``
+or reuses the monomial minimum of ``valuations``; the local data
+(e, v(y), v(dx)) is written from the curve data.  ``valuations`` keeps an
+element's tuple on the element, so the tuple is also compared with a
+fresh walk over a copy.
 
 The elements are seeded sums of two or three y-monomials whose
 coefficients are built so the monomial scores tie at a class (each class
@@ -23,8 +25,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from cycliccover.curve import ASCurve, KummerCurve
-from cycliccover.funcfield import FFDiff, FFElem, place_classes, valuation_bound
+from cycliccover.funcfield import FFDiff, FFElem, place_classes, valuation_bound, valuations
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 
@@ -168,11 +172,12 @@ def test_valuation_bound_is_the_newton_polygon_valuation():
     for h in ELEMENTS:
         cs = _char_poly(h)
         any_tie = any_uneven = False
-        for place in place_classes(h.curve):
+        walk = zip(place_classes(h.curve), valuations(h), valuations(FFDiff(h)), strict=True)
+        for place, walked, walked_dx in walk:
             e, _, v_dx = _local_data(h.curve, place)
             expected, attained = newton_valuation(cs, e, place)
-            assert valuation_bound(h, place) == expected, (h.render(), place.label())
-            assert valuation_bound(FFDiff(h), place) == expected + v_dx
+            assert walked == valuation_bound(h, place) == expected, (h.render(), place.label())
+            assert walked_dx == valuation_bound(FFDiff(h), place) == expected + v_dx
             if _tied(h, place):
                 any_tie = True
                 any_uneven |= attained < h.curve.degree
@@ -195,3 +200,17 @@ def test_the_oracle_separates_the_points_of_a_class():
     place = place_classes(curve)[0]
     assert newton_valuation(_char_poly(h), 2, place) == (-2, 2)
     assert valuation_bound(h, place) == -2
+
+
+def test_the_kept_tuple_is_a_fresh_walk_and_zero_has_none():
+    for h in ELEMENTS:
+        kept = valuations(h)
+        assert valuations(h) is kept  # read back, not walked again
+        copy = FFElem(h.curve, h.coeffs)
+        assert copy._valuations is None and valuations(copy) == kept
+    for curve in CURVES.values():
+        for obj in (FFElem.zero(curve), FFDiff.zero(curve)):
+            with pytest.raises(ValueError, match="valuation of the zero element is undefined"):
+                valuations(obj)
+            with pytest.raises(ValueError, match="valuation of the zero element is undefined"):
+                valuation_bound(obj, place_classes(curve)[0])
