@@ -16,9 +16,14 @@ takes the primitive element g of smallest encoding and tabulates
 two logarithms needs no reduction), ``log[a]`` with g^log[a] = a for
 a != 0, and the Zech logarithm ``zech[i]`` = log(1 + g^i) (None where
 1 + g^i = 0).  Then g^i * g^j = g^(i + j) and g^i + g^j = g^(i + zech[j - i]);
-a negative index j - i wraps modulo q - 1 by Python's own indexing.  The
-tables take O(q) time and about 90 bytes per element: at the input budget
-q = 2^16 (``MAX_Q``) about 6 MB, built in well under a second.
+a negative index j - i wraps modulo q - 1 by Python's own indexing.  For
+d >= 2 the search for g skips the constants, whose order divides
+p - 1 < q - 1.  The powers of g come from ``_power_walk``: the digits of
+the current power sit in one int, multiplication by g is two lookups in
+tables of p^ceil(d/2) entries, one per half of the digits, and one
+integer compare reduces every digit mod p at once.  The tables take O(q)
+time and about 90 bytes per element: at the input budget q = 2^16
+(``MAX_Q``) about 6 MB, built in under 0.1 s.
 
 ``FieldSpec.shared(p, modulus)`` hands out one spec per (p, modulus), so a
 sweep builds each field's tables once.  It keeps the most recently used
@@ -29,7 +34,6 @@ outweigh one field at the budget.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 MAX_Q = 2**16  # largest field size q = p^d; the tables hold O(q) entries
@@ -154,6 +158,57 @@ def _zp_is_irreducible(m: list[int], p: int) -> bool:
     return True
 
 
+def _power_walk(p: int, m: list[int], g_code: int, order: int) -> list[int]:
+    """The encodings of g^0, ..., g^(order - 1) for g of encoding ``g_code``
+    in Z/p[z]/(m), by one fixed step of integer arithmetic per power.
+
+    The walk holds an element's d digits in one int, ``w`` = bitlen(p) + 1
+    bits per digit (its wide form).  Multiplication by g is Z/p-linear, so
+    the image of an element is the image of its low h = floor(d/2) digits
+    plus the image of its high d - h digits, each read from a table of at
+    most p^ceil(d/2) entries keyed by the wide half.  Both images are
+    reduced, so every slot of the sum is below 2p, and one compare reduces
+    all slots mod p at once: adding 2^(w-1) - p to a slot sets its top bit
+    exactly when the slot is >= p.  A third table takes a wide half back to
+    its base-p encoding.
+    """
+    d = len(m) - 1
+    w, h = p.bit_length() + 1, d // 2
+    offset = sum(((1 << w - 1) - p) << w * i for i in range(d))
+    tops = sum(1 << w * i + w - 1 for i in range(d))
+
+    def mod_p(s: int) -> int:
+        return s - (((s + offset) & tops) >> w - 1) * p
+
+    # wide images of g z^i, i < d: multiply by z and fold z^d = -(m_0 + ... + m_{d-1} z^{d-1})
+    images, col = [], digits(g_code, p, d)
+    for _ in range(d):
+        images.append(sum(c << w * i for i, c in enumerate(col)))
+        col = [(c - col[-1] * mi) % p for c, mi in zip([0] + col[:-1], m)]
+
+    def tables(start: int, count: int) -> tuple[dict, dict]:
+        """Wide form of g times the digits start..start+count-1, and the
+        base-p encoding of those digits, keyed by their wide form."""
+        keys, values, codes = [0], [0], [0]
+        for i in range(count):
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(mod_p(multiples[-1] + images[start + i]))
+            keys = [k + (c << w * i) for c in range(p) for k in keys]
+            values = [mod_p(v + x) for x in multiples for v in values]
+            codes = [k + c * p**i for c in range(p) for k in codes]
+        return dict(zip(keys, values)), dict(zip(keys, codes))
+
+    low, _ = tables(0, h)
+    high, decode = tables(h, d - h)  # d - h >= h, so decode covers both halves
+    mask, half = (1 << w * h) - 1, p**h
+    wide, power = [0] * order, 1
+    for i in range(order):
+        wide[i] = power
+        power = mod_p(low[power & mask] + high[power >> w * h])
+    return [decode[x & mask] + half * decode[x >> w * h] for x in wide]
+
+
 class FieldSpec:
     """Description of F_q = F_p[z]/(m(z)) and its arithmetic on encodings;
     immutable once constructed."""
@@ -201,18 +256,14 @@ class FieldSpec:
     def _build_tables(self) -> None:
         p, d, order = self.p, self.d, self.q - 1
         m = list(self.modulus or (0, 1))  # F_p = Z/p[z]/(z)
-        # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1
+        # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1;
+        # a constant's order divides p - 1 < q - 1, so for d >= 2 the search starts at z
         factors = prime_factors(order)
-        for g_code in range(1, self.q):
+        for g_code in range(1 if d == 1 else p, self.q):
             g = _zp_trim(digits(g_code, p, d))
             if all(_zp_powmod(g, order // r, m, p) != [1] for r in factors):
                 break
-        weights = [p**i for i in range(d)]
-        exp = [1] * order
-        power = [1]
-        for i in range(1, order):
-            power = _zp_mulmod(power, g, m, p)
-            exp[i] = sum(map(operator.mul, power, weights))
+        exp = _power_walk(p, m, g_code, order)
         log: list = [None] * self.q
         for i, a in enumerate(exp):
             log[a] = i

@@ -6,6 +6,13 @@ modulus, and prime fields against Python ints mod p.  Elements cross the
 boundary as their canonical encoding, decoded here with plain integer
 arithmetic.  ``hypothesis`` checks the field axioms, powers against
 repeated products and the encoding round trip.
+
+The tables themselves are checked, for every (p, d) with q <= 1024 and
+d <= 5 (modulus: the monic irreducible of smallest encoding, found with
+galoistools), against a walk that shares no code with ``gf``: each power
+g^(i+1) is g^i * g as a Z/p polynomial product reduced modulo m.  The
+generator g is checked to be the primitive element of smallest encoding
+by computing multiplicative orders by brute force.
 """
 
 import random
@@ -14,6 +21,7 @@ import time
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcdex, gf_irreducible_p, gf_mul, gf_rem, gf_sub
 
@@ -130,6 +138,60 @@ def test_tables_at_the_field_size_budget_build_within_a_second(p, modulus):
     assert time.process_time() - start < 1.0
     assert spec.q > 60000
     assert sorted(spec.exp[: spec.q - 1]) == list(range(1, spec.q))
+
+
+# -- the tables against a polynomial walk ------------------------------------------------
+
+
+def _smallest_irreducible(p, d):
+    """Ascending modulus: the monic irreducible of degree d whose lower
+    coefficients, read as base-p digits, are smallest."""
+    for k in range(p**d):
+        low = [k // p**i % p for i in range(d)]
+        if gf_irreducible_p([1] + low[::-1], p, ZZ):
+            return low + [1]
+    raise AssertionError("no irreducible polynomial")
+
+
+class PolyWalk:
+    """F_p[z]/(m) on encodings, each product one Z/p polynomial product
+    reduced modulo m."""
+
+    def __init__(self, p, modulus):
+        self.p, self.d, self.m = p, len(modulus) - 1, modulus[::-1]
+
+    def mul(self, a, b):
+        return _from_sympy(gf_rem(gf_mul(_to_sympy(a, self.p, self.d), _to_sympy(b, self.p, self.d), self.p, ZZ),
+                                  self.m, self.p, ZZ), self.p)
+
+    def order(self, a):
+        power, k = a, 1
+        while power != 1:
+            power, k = self.mul(power, a), k + 1
+        return k
+
+
+TABLE_FIELDS = [(p, d) for d in range(1, 6) for p in primerange(2, 1025) if p**d <= 1024]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_tables_match_a_polynomial_walk(d):
+    for p in [p for p, e in TABLE_FIELDS if e == d]:
+        modulus = [0, 1] if d == 1 else _smallest_irreducible(p, d)
+        spec = FieldSpec(p, None if d == 1 else modulus)
+        field, q = PolyWalk(p, modulus), p**d
+        g = spec.exp[1]
+        assert field.order(g) == q - 1, (p, d)
+        assert all(field.order(c) < q - 1 for c in range(1, g)), (p, d)
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(field.mul(exp[-1], g))
+        log = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        one = [1]
+        zech = [log[_from_sympy(gf_add(_to_sympy(a, p, d), one, p, ZZ), p)] for a in exp]
+        assert spec.exp == exp + exp and spec.log == log and spec.zech == zech, (p, d)
 
 
 # -- properties ----------------------------------------------------------------------

@@ -22,6 +22,14 @@ code with ``polyrat``.
   arithmetic (division with remainder is unique).
 * ``hypothesis``: the field axioms of ``RatFn`` and its canonical form
   (monic denominator, gcd 1, zero is 0/1), checked with the table gcd.
+* Products by Kronecker substitution, over F_2, F_3, F_31, F_65521, F_4,
+  F_8, F_9, F_27, F_81 and F_961, against two oracles: galoistools (one
+  product over Z/p of the operands written in z, with x = z^(2d-1), then
+  each coefficient reduced modulo m(z)) and a schoolbook product whose
+  coefficient arithmetic is galoistools' over Z/p[z] mod m(z).  Zero and
+  constant operands, operands on both sides of the crossover, degrees of
+  64 and more, and coefficients whose every digit is p - 1 (the largest
+  slot values) are covered.
 
 Polynomials cross the boundary as ascending lists of field encodings.
 """
@@ -33,8 +41,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_diff, gf_div, gf_eval, gf_gcd, gf_mul
+from sympy.polys.galoistools import gf_add, gf_diff, gf_div, gf_eval, gf_gcd, gf_mul, gf_rem
 
+from cycliccover import polyrat
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn, poly_gcd
 
@@ -417,3 +426,91 @@ def test_division_by_a_monomial_by_brute_force_over_extension_fields(q):
                 Q, R = divmod(_poly(spec, a), M)
                 quo, rem = _ints(Q), _ints(R)
                 assert len(rem) <= k and field.padd(field.pmul(quo, m), rem) == a, (a, m)
+
+
+# -- products by Kronecker substitution -------------------------------------------------
+
+PRODUCT_FIELDS = {
+    2: (2, None), 3: (3, None), 31: (31, None), 65521: (65521, None),
+    4: (2, [1, 1, 1]), 8: (2, [1, 1, 0, 1]), 9: (3, [1, 0, 1]), 27: (3, [1, 2, 0, 1]),
+    81: (3, [2, 1, 0, 0, 1]), 961: (31, [1, 0, 1]),
+}
+
+
+def _digits_desc(k, p, d):
+    """The element of encoding k as a descending galoistools list over Z/p."""
+    return _desc(_trim([k // p**i % p for i in range(d)]))
+
+
+def _encode_desc(f, p):
+    k = 0
+    for c in f:
+        k = k * p + c
+    return k
+
+
+def _galois_product(p, modulus, a, b):
+    """a * b by one galoistools product over Z/p: coefficient k of a sits
+    at z^(k (2d - 1)), so no two coefficient products overlap."""
+    d = len(modulus) - 1 if modulus else 1
+    step = 2 * d - 1
+
+    def flat(ks):
+        out = [0] * (len(ks) * step)
+        for k, e in enumerate(ks):
+            for i in range(d):
+                out[k * step + i] = e // p**i % p
+        return _desc(_trim(out))
+
+    prod = _asc(gf_mul(flat(a), flat(b), p, ZZ))
+    m = _desc(modulus) if modulus else [1, 0]
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        block = _trim(prod[k * step:(k + 1) * step])
+        out.append(_encode_desc(gf_rem(_desc(block), m, p, ZZ), p))
+    return _trim(out)
+
+
+def _schoolbook_product(p, modulus, a, b):
+    d = len(modulus) - 1 if modulus else 1
+    m = _desc(modulus) if modulus else [1, 0]
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            xy = gf_mul(_digits_desc(x, p, d), _digits_desc(y, p, d), p, ZZ)
+            out[i + j] = gf_add(out[i + j], gf_rem(xy, m, p, ZZ), p, ZZ)
+    return _trim([_encode_desc(c, p) for c in out])
+
+
+def _operands(q, rng):
+    """Pairs of nonzero operands: constants, lengths on both sides of the
+    crossover, degree >= 64, and the all-(q - 1) operands."""
+    lengths = [(1, 1), (1, 7), (2, 3), (3, 3), (4, 9), (5, 5), (8, 11), (12, 30), (20, 21), (65, 70), (1, 80)]
+    pairs = []
+    for la, lb in lengths:
+        a = [rng.randrange(q) for _ in range(la - 1)] + [rng.randrange(1, q)]
+        b = [rng.randrange(q) for _ in range(lb - 1)] + [rng.randrange(1, q)]
+        pairs.append((a, b))
+    pairs.append(([q - 1] * 66, [q - 1] * 64))
+    pairs.append(([0] * 9 + [q - 1], [q - 1] * 40))  # a monomial
+    return pairs
+
+
+@pytest.mark.parametrize("q", sorted(PRODUCT_FIELDS))
+def test_kronecker_products_match_galoistools_and_a_schoolbook(q):
+    p, modulus = PRODUCT_FIELDS[q]
+    spec = FieldSpec(p, modulus)
+    rng = random.Random(700 + q)
+    crossed = set()
+    for a, b in _operands(q, rng):
+        expected = _galois_product(p, modulus, a, b)
+        assert _schoolbook_product(p, modulus, a, b) == expected, (a, b)
+        assert polyrat._kronecker_product(spec, a, b) == expected, (a, b)
+        assert _ints(_poly(spec, a) * _poly(spec, b)) == expected, (a, b)
+        nonzero = (len(a) - a.count(0)) * (len(b) - b.count(0))
+        crossed.add(nonzero >= polyrat.KRONECKER_TERMS * spec.d**2)
+    assert crossed == {False, True}  # both routes of Poly.__mul__ are taken
+    zero, one = Poly.zero(spec), Poly.one(spec)
+    a = _poly(spec, _operands(q, rng)[-3][0])
+    assert (zero * a).is_zero and (a * zero).is_zero and (zero * zero).is_zero
+    assert a * one == a and one * a == a

@@ -28,7 +28,7 @@ FAMILY_BLIND = ("FFElem", "FFDiff", "pairing")  # funcfield definitions that mus
 INT_CODED = {
     "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic", "from_roots"),
     "RatFn": ("__init__",),
-    "": ("poly_gcd", "fraction_residue", "fraction_sum"),
+    "": ("poly_gcd", "fraction_residue", "fraction_sum", "_kronecker_product", "_digit_planes"),
 }
 # attributes that hand out a FieldElement: Poly's readers and FieldSpec's constructors
 ELEMENT_ATTRS = ("coeffs", "coefficient", "leading", "evaluate", "element", "from_encoding")

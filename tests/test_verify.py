@@ -1,5 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from cycliccover import verify
+from cycliccover.cli import enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import DeRhamTriple, derham_basis, h1_coordinates, omega_basis
 from cycliccover.curve import ASCurve, KummerCurve
 from cycliccover.funcfield import FFDiff, FFElem
@@ -24,6 +29,7 @@ F11 = FieldSpec(11)
 QUARTIC = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
 AS_P3 = ASCurve(F3, Poly.from_ints(F3, [1, 0, 1]), [(F3.element(1), 1), (F3.element(2), 1)])
 GENUS6 = KummerCurve(F11, 5, [(F11.element(i), 1) for i in (1, 2, 3, 4, 5)])
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def test_duality_matrix_quartic():
@@ -209,3 +215,25 @@ def test_full_report_on_invalid_curve_reports_only_validation():
     assert report.pairing_matrix is None
     assert all(c.name.startswith("validate:") for c in report.checks)
     assert {c.status for c in report.checks} == {"fail"}
+
+
+def test_the_kummer_identities_build_two_products_of_roots_per_mu(monkeypatch):
+    # each prod_(I-i) (x - rho) is divided out of the support, so per mu only
+    # the support and phi are built from their roots
+    docs = [json.loads((SPECS / f"{name}.json").read_text()) for name in ("kummer_quartic", "as_p3")]
+    docs += enumerate_kummer_specs(13, 6, 12, 64, 7)
+    calls, built = [], Poly.from_roots.__func__
+    monkeypatch.setattr(Poly, "from_roots", classmethod(lambda cls, *args: calls.append(1) or built(cls, *args)))
+    identities, counts = verify._kummer_identities, []
+
+    def counted(curve, table, ram):
+        before = len(calls)
+        items = identities(curve, table, ram)
+        counts.append((len(calls) - before, len(table.mus())))
+        return items
+
+    monkeypatch.setattr(verify, "_kummer_identities", counted)
+    for doc in docs:
+        assert divisor_checks(parse_curve_spec(doc)).status == "pass"
+    assert len(counts) == 1 + 64
+    assert all(made <= 2 * mus for made, mus in counts), counts
