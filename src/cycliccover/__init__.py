@@ -13,8 +13,8 @@ Modules
 gf          finite field arithmetic F_q = F_p[z]/(m(z))
 polyrat     polynomials and reduced rational functions over F_q
 curve       curve models, validation, ramification and Euclidean tables
-funcfield   function field arithmetic, trace, differentials, valuations
-cohomology  the three bases and the auxiliary polynomials
+funcfield   function field arithmetic, differentials, valuations, pairing
+cohomology  the three bases and the maps of the exact sequence
 verify      machine verification of the asserted identities
 cli         batch front end (info / basis / verify / sweep)
 """
@@ -39,8 +39,6 @@ from .cohomology import (
     DeRhamClass,
     omega_basis,
     h1_basis,
-    kummer_aux,
-    as_aux,
     derham_basis,
     map_i,
     map_p,
@@ -88,8 +86,6 @@ __all__ = [
     "DeRhamClass",
     "omega_basis",
     "h1_basis",
-    "kummer_aux",
-    "as_aux",
     "derham_basis",
     "map_i",
     "map_p",

@@ -450,25 +450,15 @@ def enumerate_kummer_specs(
 
 
 def _round_robin(cells: list[list[dict]], cap: int) -> list[dict]:
+    """The first document of every cell, then the second, and so on, cut at
+    cap.  Cells hold distinct documents (each pattern gets distinct point
+    tuples) and differ in p or n, so the merge has no duplicates."""
     out: list[dict] = []
-    seen: set[str] = set()
-    index = 0
-    while len(out) < cap:
-        progressed = False
-        for cell in cells:
-            if index < len(cell):
-                doc = cell[index]
-                key = json.dumps(doc, sort_keys=True)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(doc)
-                    progressed = True
-                    if len(out) >= cap:
-                        break
-        if not progressed:
+    for index in range(max(map(len, cells), default=0)):
+        out += [cell[index] for cell in cells if index < len(cell)]
+        if len(out) >= cap:
             break
-        index += 1
-    return out
+    return out[:cap]
 
 
 def _admissible_numerators(spec: FieldSpec, branch: list, l: int, count: int) -> list[Poly]:

@@ -1,4 +1,5 @@
-"""Constructors for the three cohomology bases and their auxiliaries.
+"""Constructors for the three cohomology bases, the maps of the exact
+sequence and H^1 coordinates.
 
 Index conventions.  A pair (mu, nu) is admissible on the differential
 side when t_mu >= 2 and 1 <= nu <= t_mu - 1; the Kummer H^1 side reuses
@@ -17,10 +18,11 @@ with the Kummer omegas stored with y cleared from the denominator
 A de Rham class is a triple (omega_0, omega_inf, f_0inf) with
 d f_0inf = omega_0 - omega_inf; omega_0 regular away from the fiber over
 0, omega_inf away from the fiber over infinity, f_0inf away from both.
-The a-family is built by splitting the auxiliary polynomial so that the
-low part divided by the x-power stays bounded at infinity and the high
-part stays regular at 0.  Two knobs exist because the source formulas
-need adjustment to satisfy the membership conditions verbatim:
+The a-family is built by splitting a polynomial (psi for Kummer, phi and
+psi for Artin-Schreier) so that the low part divided by the x-power
+stays bounded at infinity and the high part stays regular at 0.  Two
+knobs exist because the source formulas need adjustment to satisfy the
+membership conditions verbatim:
 
 * sign convention: the displayed triples satisfy d f = omega_0 +
   omega_inf (the split is a sum), while the Cech quotient wants a
@@ -114,11 +116,6 @@ def h1_indices(curve: Curve, range_policy: str = "extended") -> list[BasisIndex]
     return sorted(_partner(curve, idx) for idx in omega_indices(curve, range_policy))
 
 
-def _require_index(indices: list[BasisIndex], mu: int, nu: int, side: str) -> None:
-    if BasisIndex(mu, nu) not in indices:
-        raise ValueError(f"index (mu={mu}, nu={nu}) is not admissible on the {side} side")
-
-
 # -- bases -------------------------------------------------------------------
 
 
@@ -164,15 +161,7 @@ def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIn
     return list(basis_context(curve, range_policy).h1)
 
 
-# -- Kummer auxiliaries ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KummerAux:
-    I_mu: tuple[int, ...]
-    psi: Poly
-    phi_mu: Poly
-    gg_product: Poly
+# -- splitting polynomials of the de Rham builder ----------------------------------
 
 
 def _kummer_psi_parts(curve: KummerCurve, mu: int, table: MuTable) -> tuple[Poly, Poly]:
@@ -198,47 +187,6 @@ def _psi_at(parts: tuple[Poly, Poly], nu: int) -> Poly:
     return x_a - n_s * n_s.spec.element(nu)
 
 
-def kummer_psi(curve: KummerCurve, mu: int, nu: int, table: MuTable | None = None) -> Poly:
-    """The splitting polynomial
-    sum_i g_i v_i x prod_{j in I \\ {i}} (x - rho_j)  -  nu n prod_{i in I} (x - rho_i);
-    empty index sets degenerate to the constant -nu*n."""
-    table = table if table is not None else mu_table(curve)
-    return _psi_at(_kummer_psi_parts(curve, mu, table), nu)
-
-
-def kummer_aux(curve: KummerCurve, mu: int, nu: int) -> KummerAux:
-    """Auxiliary objects of the Kummer de Rham construction at an
-    admissible index: the support set I, the splitting polynomial psi,
-    the n-th power phi_mu = (y^mu / g_mu)^n, and f / prod_{i in I}(x - rho_i)
-    computed independently for cross-checking against g_mu * g_{n-mu}."""
-    if curve.kind != "kummer":
-        raise ValueError("kummer_aux requires a Kummer curve")
-    _require_index(omega_indices(curve), mu, nu, "Kummer")
-    table = mu_table(curve)
-    row = table[mu]
-    ram = ram_data(curve)
-    psi = kummer_psi(curve, mu, nu, table)
-    phi_mu = Poly.from_roots(
-        curve.spec,
-        [(e.rho, v * e.g) for e, v in zip(ram.branch, row.v)],
-    )
-    support = Poly.from_roots(curve.spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
-    gg, rem = divmod(curve.f, support)
-    if not rem.is_zero:
-        raise ArithmeticError("f is not divisible by the I-support product, which the construction forces")
-    return KummerAux(I_mu=row.I, psi=psi, phi_mu=phi_mu, gg_product=gg)
-
-
-# -- Artin-Schreier auxiliaries -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ASAux:
-    phi: Poly
-    psi: Poly
-    omega_mu: FFDiff
-
-
 def as_psi(curve: ASCurve) -> Poly:
     """Numerator of dy: f sum_i l_i prod_{j != i}(x - rho_j) - f' prod_i (x - rho_i)."""
     if curve.psi is not None:
@@ -262,28 +210,6 @@ def _as_phi(curve: ASCurve, table: MuTable, mu: int, nu: int) -> Poly:
     """The splitting polynomial phi_{mu,nu} = x g_{p-mu}' g_{mu-1} - nu g_{p-mu} g_{mu-1}."""
     g_pm, g_prev = table[curve.p - mu].g_mu, table[mu - 1].g_mu
     return (g_pm.derivative() * g_prev).shift(1) - g_pm * g_prev * curve.spec.element(nu)
-
-
-def as_omega_mu(curve: ASCurve, mu: int, range_policy: str = "extended") -> FFDiff:
-    """The correction differential (mu-1) g_{p-mu} y^{mu-2} / prod (x-rho_i)^{l_i+1} dx,
-    defined for 1 <= mu <= p (zero at mu = 1 through the mu-1 factor)."""
-    require_valid(curve)
-    if mu == 1:
-        return FFDiff.zero(curve)
-    table = mu_table(curve, range_policy)
-    g_pm = table[curve.p - mu].g_mu
-    coeff = RatFn(g_pm * curve.spec.element(mu - 1), _as_pole_den(curve))
-    return FFDiff(FFElem.monomial(curve, mu - 2, coeff))
-
-
-def as_aux(curve: ASCurve, mu: int, nu: int, range_policy: str = "extended") -> ASAux:
-    """Auxiliary objects of the Artin-Schreier de Rham construction at an
-    admissible H^1-side index."""
-    if curve.kind != "artin-schreier":
-        raise ValueError("as_aux requires an Artin-Schreier curve")
-    _require_index(h1_indices(curve, range_policy), mu, nu, "H^1")
-    phi = _as_phi(curve, mu_table(curve, range_policy), mu, nu)
-    return ASAux(phi=phi, psi=as_psi(curve), omega_mu=as_omega_mu(curve, mu, range_policy))
 
 
 # -- de Rham basis ------------------------------------------------------------------

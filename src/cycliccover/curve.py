@@ -65,7 +65,7 @@ class CyclicCover:
         self.ram: RamData | None = None  # ram_data
         self.mu_tables: dict[str, MuTable] = {}  # mu_table, per mu-range policy
         self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
-        self.family_table: FamilyTable | None = None  # funcfield: relation, dy, generator, trace, pairing scale
+        self.family_table: FamilyTable | None = None  # funcfield: relation, dy, trace index
         self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
         self.basis_contexts: dict[str, BasisContext] = {}  # cohomology.basis_context, per policy
 

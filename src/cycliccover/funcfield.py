@@ -1,15 +1,14 @@
 """Arithmetic in the function field F = E[y]/(relation), E = F_q(x).
 
-Both families are cyclic covers whose generator acts on y by an affine
-map.  ``FFElem``, ``FFDiff`` and ``pairing`` have one code path each that
-reads the family facts from ``curve.family_table``, built once per curve:
+Both families are cyclic covers of P^1.  ``FFElem``, ``FFDiff`` and
+``pairing`` have one code path each that reads the family facts from
+``curve.family_table``, built once per curve:
 
                    Kummer y^n = f          Artin-Schreier y^p - y = r
     relation       y^n = f                 y^p = r + y
     dy             (f'/(n f)) y dx         -r' dx
-    generator      y -> zeta_n y           y -> y + 1
-    trace          Tr(1) = n               Tr(y^(p-1)) = -1
-    pairing scale  -1/n                    1
+    trace index k  0                       p - 1
+    c Tr(y^k)      (-1/n) n = -1           1 (-1) = -1
     pairing terms  a_i b_j, i + j = 0;      a_i b_j, i + j = p - 1
                    f a_i b_j, i + j = n     or i + j = 2p - 2
 
@@ -42,12 +41,11 @@ off an allowed locus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .curve import Curve, ram_data, require_valid
-from .gf import FieldElement, nth_root_of_unity
+from .gf import FieldElement
 from .polyrat import Poly, RatFn, fraction_residue
 
 
@@ -59,33 +57,24 @@ class FamilyTable:
     relation_has_y: bool
     dy_coeff: RatFn  # dy = dy_coeff * y^dy_exponent dx
     dy_exponent: int
-    gen_a: FieldElement  # the generator maps y to gen_a y + gen_b
-    gen_b: FieldElement
     trace_index: int  # the one k < deg with Tr(y^k) != 0
-    trace_value: int  # that trace, an integer
-    pairing_scale: FieldElement
 
 
 def _family_table(curve: Curve) -> FamilyTable:
     """The curve's family table, built on first use; the cover hypotheses are not checked."""
     if curve.family_table is None:
-        spec = curve.spec
         if curve.kind == "kummer":
-            inv_n = spec.element(curve.n).inverse()
+            inv_n = curve.spec.element(curve.n).inverse()
             curve.family_table = FamilyTable(
                 relation=RatFn.from_poly(curve.f), relation_has_y=False,
                 dy_coeff=RatFn(curve.f.derivative(), curve.f) * inv_n, dy_exponent=1,
-                gen_a=nth_root_of_unity(spec, curve.n), gen_b=spec.zero(),
-                trace_index=0, trace_value=curve.n,
-                pairing_scale=-inv_n,
+                trace_index=0,
             )
         else:
             curve.family_table = FamilyTable(
                 relation=curve.r_fn, relation_has_y=True,
                 dy_coeff=-curve.r_fn.derivative(), dy_exponent=0,
-                gen_a=spec.one(), gen_b=spec.one(),
-                trace_index=curve.p - 1, trace_value=-1,
-                pairing_scale=spec.one(),
+                trace_index=curve.p - 1,
             )
     return curve.family_table
 
@@ -164,10 +153,10 @@ class FFElem:
     def __neg__(self) -> FFElem:
         return FFElem(self.curve, [-a for a in self.coeffs])
 
-    def scale(self, c: RatFn | FieldElement) -> FFElem:
-        return FFElem(self.curve, [a * c for a in self.coeffs])
-
     def __mul__(self, other: FFElem) -> FFElem:
+        """The reduced product.  No report computes it, since ``pairing``
+        forms one y coefficient only; tests and the benchmark's call
+        counter (``bench/tracing.py``) name it, so it stays."""
         self._check(other)
         curve = self.curve
         deg = curve.degree
@@ -187,58 +176,6 @@ class FFElem:
                     out[k - deg + 1] = out[k - deg + 1] + raw[k]
                 out[k - deg] = out[k - deg] + raw[k] * table.relation
         return FFElem(curve, out)
-
-    def __pow__(self, e: int) -> FFElem:
-        if e < 0:
-            raise ValueError("negative powers of function field elements are not supported")
-        result = FFElem.one(self.curve)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    # -- Galois action and trace ------------------------------------------------------
-
-    def galois(self, j: int) -> FFElem:
-        """Image under the j-th power of the generator y -> a y + b:
-        sigma^j(y) = A y + B, and each a_k y^k maps to a_k (A y + B)^k."""
-        curve = self.curve
-        deg = curve.degree
-        if not 0 <= j < deg:
-            raise ValueError(f"Galois index {j} out of range for degree {deg}")
-        table = _family_table(curve)
-        spec = curve.spec
-        A, B = spec.one(), spec.zero()
-        for _ in range(j):  # sigma^i(y) = a sigma^(i-1)(y) + b
-            A, B = table.gen_a * A, table.gen_a * B + table.gen_b
-        out = [RatFn.zero(spec)] * deg
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for m in range(k + 1):  # binomial term C(k, m) A^m B^(k-m) y^m
-                c = spec.element(math.comb(k, m)) * A**m * B ** (k - m)
-                if not c.is_zero:
-                    out[m] = out[m] + a * c
-        return FFElem(curve, out)
-
-    def trace(self) -> RatFn:
-        """Trace to E = F_q(x): Tr(sum a_j y^j) = a_k Tr(y^k) for the one k
-        with a nonzero trace (a trace of -1 is a negation, not a product)."""
-        table = _family_table(self.curve)
-        a = self.coeffs[table.trace_index]
-        if table.trace_value == -1:
-            return -a
-        return a * self.curve.spec.element(table.trace_value)
-
-    def trace_by_orbit(self) -> RatFn:
-        """Independent trace: sum the full Galois orbit, read the y^0 part."""
-        total = self
-        for j in range(1, self.curve.degree):
-            total = total + self.galois(j)
-        return total.coeffs[0]
 
     # -- differential --------------------------------------------------------------------
 
@@ -316,9 +253,6 @@ class FFDiff:
 
     def __neg__(self) -> FFDiff:
         return FFDiff(-self.coeff)
-
-    def scale(self, c: RatFn | FieldElement) -> FFDiff:
-        return FFDiff(self.coeff.scale(c))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FFDiff):
@@ -464,13 +398,17 @@ def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[t
 
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     """Serre duality pairing of an H^1 representative against a
-    differential: c * Res_inf(Tr(f * coeff(omega))), c the table's pairing
-    scale; arguments on mismatched curves are refused.  Only the y^k
-    coefficient the trace reads is formed, k the trace index: the terms
-    a_i b_j with i + j = k, with i + j = k + deg times the relation, and,
-    when the relation has a y term and k > 0, with i + j = k + deg - 1.
-    The residue is linear, so it is summed over the terms' unreduced
-    num/den products, with no gcd, and scaled by c Tr(y^k)."""
+    differential: c * Res_inf(Tr(f * coeff(omega))), c = -1/n for Kummer
+    and 1 for Artin-Schreier; arguments on mismatched curves are refused.
+    Only the y^k coefficient the trace reads is formed, k the trace index:
+    the terms a_i b_j with i + j = k, with i + j = k + deg times the
+    relation, and, when the relation has a y term and k > 0, with
+    i + j = k + deg - 1.  The residue is linear, so it is summed over the
+    terms' unreduced num/den products, with no gcd, and scaled by
+    c Tr(y^k), which is -1 in both families:
+      - Kummer, k = 0: Tr(1) = n, so c Tr(1) = (-1/n) n = -1;
+      - Artin-Schreier, k = p - 1: Tr(y^(p-1)) = -1, so c Tr(y^(p-1)) = -1.
+    So the pairing is the negated residue sum."""
     w = omega.coeff
     f._check(w)
     curve = f.curve
@@ -493,5 +431,4 @@ def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
             if factor is not None:
                 num, den = num * factor.num, den * factor.den
             total = spec.add(total, fraction_residue(num, den))
-    scale = table.pairing_scale * spec.element(table.trace_value)
-    return FieldElement(spec, spec.mul(scale.encoding, total))
+    return FieldElement(spec, spec.neg(total))

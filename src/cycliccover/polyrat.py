@@ -124,9 +124,6 @@ class Poly:
     def coeffs(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.spec, c) for c in self.ints)
 
-    def coefficient(self, k: int) -> FieldElement:
-        return FieldElement(self.spec, self.ints[k] if 0 <= k < len(self.ints) else 0)
-
     @property
     def leading(self) -> FieldElement:
         if not self.ints:

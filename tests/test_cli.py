@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -293,6 +294,27 @@ def test_byte_identical_reports():
     second = subprocess.run(cmd, capture_output=True, cwd=REPO)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# sha256 of json.dumps(docs, sort_keys=True): the README sweeps and the large Kummer slice
+ENUMERATION_DIGESTS = [
+    (enumerate_kummer_specs, (13, 6, 12, 64, 7), "54d6d6265a4cad6e11b14c86b1bd7f063b4e55806ee98f840be4a19e94af8c9f"),
+    (enumerate_as_specs, (7, 3, 4, 40, 7), "0c0122cd65c25ff5c72a096f3724ac728d87bbbd375bc693ad26efcd930d11e5"),
+    (enumerate_kummer_specs, (31, 10, 20, 200, 7), "5d849d2161db9a73c12685966eadbe5f113cdc0c280e774e5caab290ba699da5"),
+]
+
+
+@pytest.mark.parametrize("enumerate_specs, bounds, digest", ENUMERATION_DIGESTS, ids=["kummer", "as", "slice"])
+def test_enumerated_documents_are_pinned(enumerate_specs, bounds, digest):
+    docs = enumerate_specs(*bounds)
+    assert len(docs) == bounds[3]
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_the_readme_library_snippet_runs(capsys):
+    snippet = (REPO / "README.md").read_text(encoding="utf-8").split("## Library\n\n```python\n")[1].split("```")[0]
+    exec(snippet, {})
+    assert capsys.readouterr().out == "omega[1,1] = (1/(4 + x^4))*y * dx\n"
 
 
 def test_enumerators_are_deterministic():

@@ -1,22 +1,20 @@
 import pytest
+from reference import as_omega_mu, kummer_psi
 
+from cycliccover import cohomology, verify
 from cycliccover.cohomology import (
     BasisIndex,
-    as_aux,
-    as_omega_mu,
     as_psi,
     derham_basis,
     h1_basis,
     h1_coordinates,
     h1_indices,
-    kummer_aux,
-    kummer_psi,
     map_i,
     map_p,
     omega_basis,
     omega_indices,
 )
-from cycliccover.curve import ASCurve, KummerCurve, MuRow, MuTable, genus_rh, mu_table
+from cycliccover.curve import ASCurve, KummerCurve, MuRow, MuTable, genus_rh, mu_table, ram_data
 from cycliccover.funcfield import FFElem, place_classes, valuation_bound
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
@@ -92,31 +90,14 @@ def test_h1_representatives_have_poles_only_over_zero_and_infinity():
                 assert bound >= 0
 
 
-def test_kummer_aux_quartic():
-    aux = kummer_aux(QUARTIC, 1, 1)
-    assert aux.psi == Poly.from_ints(F5, [2, 0, 0, 0, 2])
-    assert aux.phi_mu == QUARTIC.f
-    assert aux.gg_product == Poly.one(F5)
-    assert aux.I_mu == (1, 2, 3, 4)
-    row = mu_table(QUARTIC)[1]
-    assert row.g_mu * row.g_mu == aux.gg_product  # g_mu g_{n-mu} = f / prod_I
-
-
-def test_kummer_aux_raises_when_f_is_not_divisible_by_the_support():
-    curve = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
-    mu_table(curve)  # tables come from the true f
-    curve.f = Poly.one(F5)
-    with pytest.raises(ArithmeticError, match="not divisible by the I-support product"):
-        kummer_aux(curve, 1, 1)
-
-
-def test_kummer_aux_rejects_inadmissible_indices():
-    with pytest.raises(ValueError):
-        kummer_aux(QUARTIC, 1, 2)  # nu beyond t - 1
-    with pytest.raises(ValueError):
-        kummer_aux(CUBIC_F7, 1, 1)  # t^{(1)} = 1
-    with pytest.raises(ValueError):
-        kummer_aux(AS_P3, 1, 1)  # wrong family
+def test_kummer_psi_quartic():
+    table = mu_table(QUARTIC)
+    row = table[1]
+    assert row.I == (1, 2, 3, 4)
+    assert kummer_psi(QUARTIC, 1, 1, table) == Poly.from_ints(F5, [2, 0, 0, 0, 2])
+    # the divisor table checks g_mu g_{n-mu} prod_I (x - rho) = f and phi_mu = prod (x - rho)^(v g)
+    items = verify._kummer_identities(QUARTIC, table, ram_data(QUARTIC))
+    assert {item["item"]: item["ok"] for item in items} == {"gg:mu=1": True, "logder:mu=1": True}
 
 
 def test_kummer_psi_degenerate_empty_support():
@@ -129,8 +110,6 @@ def test_kummer_psi_degenerate_empty_support():
 
 
 def test_derham_builder_builds_the_psi_parts_once_per_mu(monkeypatch):
-    from cycliccover import cohomology
-
     curve = SEXTIC_F7
     calls = []
     original = cohomology._kummer_psi_parts
@@ -148,40 +127,28 @@ def test_derham_builder_builds_the_psi_parts_once_per_mu(monkeypatch):
 
 def test_divisor_identities_do_not_read_the_psi_builder(monkeypatch):
     # the per-mu identities rebuild their products from the branch data
-    from cycliccover import cohomology, verify
-
     def broken(*args, **kwargs):
         raise AssertionError("the divisor check must not call the de Rham builder's psi")
 
     for module in (cohomology, verify):  # verify would hold its own binding after a from-import
-        for name in ("_kummer_psi_parts", "_psi_at", "kummer_psi"):
+        for name in ("_kummer_psi_parts", "_psi_at"):
             monkeypatch.setattr(module, name, broken, raising=False)
     assert verify.divisor_checks(SEXTIC_F7).status == "pass"
 
 
-def test_as_aux_examples():
-    aux = as_aux(AS_P3, 2, 1)
-    assert aux.phi == Poly.from_ints(F3, [2, 0, 0, 0, 1])  # x^4 + 2
-    assert aux.psi == Poly.from_ints(F3, [0, 1])  # x
-    assert aux.omega_mu.render() == "(1/(2 + x^2)) * dx"
+def test_as_phi_psi_and_omega_mu_examples():
+    table = mu_table(AS_P3)
+    assert cohomology._as_phi(AS_P3, table, 2, 1) == Poly.from_ints(F3, [2, 0, 0, 0, 1])  # x^4 + 2
+    assert as_psi(AS_P3) == Poly.from_ints(F3, [0, 1])  # x
+    assert as_omega_mu(AS_P3, 2, table).render() == "(1/(2 + x^2)) * dx"
     # dy cross-check: coefficient of d(y) equals psi over prod (x-rho)^{l+1}
     dy = FFElem.y(AS_P3).exterior_d()
     den = Poly.from_roots(F3, [(rho, l + 1) for rho, l in AS_P3.branch])
     assert dy.coeff.coeffs[0] == RatFn(as_psi(AS_P3), den)
 
 
-def test_as_aux_index_gating():
-    with pytest.raises(ValueError):
-        as_aux(AS_P3, 1, 1)  # t^{(p-1)} = 0
-    with pytest.raises(ValueError):
-        as_aux(AS_P3, 3, 1, "paper")  # mu = p needs the extended policy
-    assert as_aux(AS_P3, 3, 1, "extended").phi is not None
-    with pytest.raises(ValueError):
-        as_aux(QUARTIC, 2, 1)  # wrong family
-
-
 def test_as_omega_mu_vanishes_at_mu_one():
-    assert as_omega_mu(AS_P3, 1).is_zero
+    assert as_omega_mu(AS_P3, 1, mu_table(AS_P3)).is_zero
 
 
 def test_derham_quartic_worked_triple():

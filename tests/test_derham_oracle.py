@@ -4,7 +4,8 @@
 omega_inf as one unreduced num/den product and reduces it once.  The
 oracle keeps the old route: it scales whole differentials by reduced
 rational functions and adds them, so every coefficient is reduced after
-each step.
+each step.  The Kummer psi and the Artin-Schreier omega_mu come from
+``reference``, built from their defining formulas.
 
     Kummer:          omega_{0|inf} = (g_{n-mu}/f y^mu dx) * lo|hi / (n x^{nu+1})
     Artin-Schreier:  omega_{0|inf} = (y^{mu-1}/g_{mu-1} dx) * lo|hi(phi) / x^{nu+1}
@@ -17,18 +18,12 @@ per nonzero slot coefficient.
 """
 
 import pytest
+from reference import as_omega_mu, kummer_psi, scale
 from test_pairing_oracle import CORPORA, POLICIES
 
 from cycliccover import cohomology, polyrat
 from cycliccover.cli import parse_curve_spec
-from cycliccover.cohomology import (
-    SIGN_CONVENTIONS,
-    as_omega_mu,
-    as_psi,
-    basis_context,
-    h1_indices,
-    kummer_psi,
-)
+from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, basis_context, h1_indices
 from cycliccover.curve import mu_table
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.polyrat import Poly, RatFn, split_at_degree
@@ -53,19 +48,19 @@ def scaled_route(curve, policy, sign):
             lo, hi = split_at_degree(psi, nu + 1 if table[n - mu].t >= 2 else nu, inclusive=True)
             base = FFElem.monomial(curve, mu, RatFn(table[n - mu].g_mu, curve.f))
             scale_den = Poly.monomial(spec, nu + 1, spec.element(n))
-            omega0 = FFDiff(base.scale(RatFn(lo, scale_den)))
-            omega_inf = FFDiff(base.scale(RatFn(hi, scale_den)))
+            omega0 = FFDiff(scale(base, RatFn(lo, scale_den)))
+            omega_inf = FFDiff(scale(base, RatFn(hi, scale_den)))
             f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), Poly.monomial(spec, nu) * table[mu].g_mu))
         else:
             g_pm, g_prev = table[curve.p - mu].g_mu, table[mu - 1].g_mu
             phi = (g_pm.derivative() * g_prev).shift(1) - g_pm * g_prev * spec.element(nu)
-            omega_mu = as_omega_mu(curve, mu, policy)
+            omega_mu = as_omega_mu(curve, mu, table)
             w_prev = FFDiff(FFElem.monomial(curve, mu - 1, RatFn(Poly.one(spec), g_prev)))
             lo_phi, hi_phi = split_at_degree(phi, nu + 1, inclusive=False)
             lo_psi, hi_psi = split_at_degree(as_psi(curve), nu, inclusive=False)
             x_nu1, x_nu = Poly.monomial(spec, nu + 1), Poly.monomial(spec, nu)
-            omega0 = w_prev.scale(RatFn(lo_phi, x_nu1)) + omega_mu.scale(RatFn(lo_psi, x_nu))
-            omega_inf = w_prev.scale(RatFn(hi_phi, x_nu1)) + omega_mu.scale(RatFn(hi_psi, x_nu))
+            omega0 = scale(w_prev, RatFn(lo_phi, x_nu1)) + scale(omega_mu, RatFn(lo_psi, x_nu))
+            omega_inf = scale(w_prev, RatFn(hi_phi, x_nu1)) + scale(omega_mu, RatFn(hi_psi, x_nu))
             f0inf = FFElem.monomial(curve, mu - 1, RatFn(g_pm, x_nu))
         if sign == "negated-infty":
             omega_inf = -omega_inf

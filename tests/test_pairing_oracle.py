@@ -2,9 +2,10 @@
 
 ``pairing`` forms only the y^k coefficient of f * coeff(omega) that the
 trace reads, and sums residues of unreduced fractions.  The oracle forms
-the whole reduced product, takes its trace (``FFElem.trace``, or the
-independent Galois orbit sum ``trace_by_orbit``) and then the residue:
-c * Res_inf(Tr(f * coeff(omega))), c the family table's pairing scale.
+the whole reduced product, takes its trace (the trace table, or the
+independent Galois orbit sum, both from ``reference``) and then the
+residue: c * Res_inf(Tr(f * coeff(omega))), with c = -1/n for Kummer and
+1 for Artin-Schreier taken from the curve, not from its family table.
 
 The two are compared on every (differential, H^1 column) pair of both
 spec files and both README sweep corpora, under both mu-range policies,
@@ -20,11 +21,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import galois, pairing_scale, trace, trace_by_orbit
 from test_funcfield_properties import CURVES, IDS, elements
 
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import basis_context
-from cycliccover.funcfield import FFDiff, _family_table, pairing
+from cycliccover.funcfield import FFDiff, pairing
 from cycliccover.polyrat import residue_at_infinity
 
 REPO = Path(__file__).resolve().parents[1]
@@ -47,8 +49,8 @@ def full_product_pairing(f, omega, orbit=False):
     """c * Res_inf(Tr(f * coeff(omega))) from the whole reduced product,
     with the trace read from the trace table or summed over the orbit."""
     product = f * omega.coeff
-    trace = product.trace_by_orbit() if orbit else product.trace()
-    return _family_table(f.curve).pairing_scale * residue_at_infinity(trace)
+    tr = trace_by_orbit(product) if orbit else trace(product)
+    return pairing_scale(f.curve) * residue_at_infinity(tr)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -83,4 +85,4 @@ def test_pairing_is_galois_invariant(name, data):
     curve = CURVES[name]
     f, w = data.draw(elements(curve)), data.draw(elements(curve))
     j = data.draw(st.integers(1, curve.degree - 1))
-    assert pairing(f.galois(j), FFDiff(w.galois(j))) == pairing(f, FFDiff(w))
+    assert pairing(galois(f, j), FFDiff(galois(w, j))) == pairing(f, FFDiff(w))

@@ -13,7 +13,10 @@ and form no product of function field elements.  The divisor
 identities in ``verify`` never name the de Rham builder's Kummer psi, so
 they stay an independent check of it.  ``verify`` and ``cohomology`` never
 name a root multiplicity or a per-coefficient valuation, so every
-valuation they read comes from ``funcfield.valuations``, the one walk."""
+valuation they read comes from ``funcfield.valuations``, the one walk.
+No class, function or field in ``src/`` takes the name of a route kept in
+``tests/reference.py`` or of a retired family-table field, so the
+references stay out of the path they check."""
 
 import ast
 from pathlib import Path
@@ -45,6 +48,11 @@ ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
 BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at")  # names verify.py must not use
 # valuation primitives that verify.py and cohomology.py must not use
 VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
+# reference routes and retired family-table fields that no src/ definition may be named
+REFERENCE_NAMES = (
+    "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
+    "gen_a", "gen_b", "trace_value", "pairing_scale", "KummerAux", "ASAux",
+)
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -352,4 +360,57 @@ def test_the_valuation_rule_catches_violations():
         "line 3: uses coeff_valuation",
         "line 3: uses multiplicity_at",
         "line 4: uses multiplicity_at",
+    ]
+
+
+def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
+    """Each definition of a banned name: a class or function, an annotated
+    name (a dataclass or NamedTuple field), an assigned attribute or a
+    keyword argument (a field set by a constructor)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        else:
+            continue
+        if name in banned:
+            out.append((node.lineno, f"line {node.lineno}: names {name}"))
+    return [line for _, line in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_definition_takes_a_reference_name(path):
+    assert _definitions(ast.parse(path.read_text(encoding="utf-8")), REFERENCE_NAMES) == []
+
+
+def test_the_reference_name_rule_catches_violations():
+    tree = ast.parse(
+        "class FFElem:\n"
+        "    def galois(self, j):\n"
+        "        return self\n"
+        "@dataclass\n"
+        "class FamilyTable:\n"
+        "    gen_a: int\n"
+        "    trace_index: int\n"
+        "def kummer_aux(curve):\n"
+        "    curve.pairing_scale = 1\n"
+        "    return FamilyTable(gen_a=1, trace_index=0)\n"
+        "class KummerAux:\n"
+        "    pass\n"
+        "def pairing(f, w):\n"
+        "    return trace(f) + f.trace_value\n"
+    )
+    assert _definitions(tree, REFERENCE_NAMES) == [
+        "line 2: names galois",
+        "line 6: names gen_a",
+        "line 8: names kummer_aux",
+        "line 9: names pairing_scale",
+        "line 10: names gen_a",
+        "line 11: names KummerAux",
     ]

@@ -13,7 +13,7 @@ difference at infinity.  Nothing here calls ``Poly.multiplicity_at``
 or reuses the monomial minimum of ``valuations``; the local data
 (e, v(y), v(dx)) is written from the curve data.  ``valuations`` keeps an
 element's tuple on the element, so the tuple is also compared with a
-fresh walk over a copy.
+fresh walk over a copy.  The Galois action is the ``reference`` route.
 
 The elements are seeded sums of two or three y-monomials whose
 coefficients are built so the monomial scores tie at a class (each class
@@ -26,6 +26,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import galois, scale
 
 from cycliccover.curve import ASCurve, KummerCurve
 from cycliccover.funcfield import FFDiff, FFElem, place_classes, valuation_bound, valuations
@@ -90,7 +91,7 @@ def _char_poly(h: FFElem) -> list[RatFn]:
     """c_0 = 1, c_1, ..., c_deg with prod_j (T - sigma^j h) = sum_k c_k T^(deg-k)."""
     cs = [FFElem.one(h.curve)]
     for j in range(h.curve.degree):
-        root = h.galois(j)
+        root = galois(h, j)
         cs = [
             (cs[k] if k < len(cs) else FFElem.zero(h.curve)) - (root * cs[k - 1] if k else FFElem.zero(h.curve))
             for k in range(len(cs) + 1)
@@ -196,7 +197,7 @@ def test_the_oracle_separates_the_points_of_a_class():
     # two of the four conjugates have the least valuation
     curve = CURVES["kummer_n4_F5"]
     inv_lin = RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))
-    h = (FFElem.monomial(curve, 2, inv_lin) - FFElem.one(curve)).scale(inv_lin)
+    h = scale(FFElem.monomial(curve, 2, inv_lin) - FFElem.one(curve), inv_lin)
     place = place_classes(curve)[0]
     assert newton_valuation(_char_poly(h), 2, place) == (-2, 2)
     assert valuation_bound(h, place) == -2

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from reference import scale
 
 from cycliccover import verify
 from cycliccover.cli import enumerate_kummer_specs, parse_curve_spec
@@ -120,7 +121,7 @@ def test_locus_check_fails_on_a_pole_at_one_point_of_the_class():
     curve = KummerCurve(F5, 4, [(F5.element(1), 2), (F5.element(3), 1), (F5.element(4), 1)])
     lin = RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))
     u = FFElem.monomial(curve, 2, lin)
-    elem = (u - FFElem.one(curve)).scale(lin)
+    elem = scale(u - FFElem.one(curve), lin)
     result = _locus_on_f0inf(elem)
     assert result.status == "fail"
     assert result.details == "f_0inf at branch[1]@1: bound -2"
