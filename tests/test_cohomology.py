@@ -94,7 +94,9 @@ def test_kummer_psi_quartic():
     table = mu_table(QUARTIC)
     row = table[1]
     assert row.I == (1, 2, 3, 4)
-    assert kummer_psi(QUARTIC, 1, 1, table) == Poly.from_ints(F5, [2, 0, 0, 0, 2])
+    expected = Poly.from_ints(F5, [2, 0, 0, 0, 2])
+    assert cohomology._psi_at(cohomology._kummer_psi_parts(QUARTIC, 1, table), 1) == expected
+    assert kummer_psi(QUARTIC, 1, 1, table) == expected
     # the divisor table checks g_mu g_{n-mu} prod_I (x - rho) = f and phi_mu = prod (x - rho)^(v g)
     items = verify._kummer_identities(QUARTIC, table, ram_data(QUARTIC))
     assert {item["item"]: item["ok"] for item in items} == {"gg:mu=1": True, "logder:mu=1": True}
@@ -105,8 +107,9 @@ def test_kummer_psi_degenerate_empty_support():
     # formula a synthetic row: psi must degenerate to the constant -nu*n.
     table = mu_table(QUARTIC)
     fake = MuTable("extended", {1: MuRow(1, (0, 0, 0, 0), (0, 0, 0, 0), Poly.one(F5), 0, ())})
-    psi = kummer_psi(QUARTIC, 1, 1, fake)
-    assert psi == Poly.from_ints(F5, [-2])
+    expected = Poly.from_ints(F5, [-2])
+    assert cohomology._psi_at(cohomology._kummer_psi_parts(QUARTIC, 1, fake), 1) == expected
+    assert kummer_psi(QUARTIC, 1, 1, fake) == expected
 
 
 def test_derham_builder_builds_the_psi_parts_once_per_mu(monkeypatch):
@@ -144,6 +147,7 @@ def test_as_phi_psi_and_omega_mu_examples():
     # dy cross-check: coefficient of d(y) equals psi over prod (x-rho)^{l+1}
     dy = FFElem.y(AS_P3).exterior_d()
     den = Poly.from_roots(F3, [(rho, l + 1) for rho, l in AS_P3.branch])
+    assert cohomology._as_pole_den(AS_P3) == den
     assert dy.coeff.coeffs[0] == RatFn(as_psi(AS_P3), den)
 
 
