@@ -37,6 +37,8 @@ from .cohomology import (
     BasisIndex,
     DeRhamTriple,
     DeRhamClass,
+    Bases,
+    build_bases,
     omega_basis,
     h1_basis,
     derham_basis,
@@ -84,6 +86,8 @@ __all__ = [
     "BasisIndex",
     "DeRhamTriple",
     "DeRhamClass",
+    "Bases",
+    "build_bases",
     "omega_basis",
     "h1_basis",
     "derham_basis",

@@ -21,7 +21,7 @@ import random
 import sys
 from typing import Any, Iterable
 
-from .cohomology import derham_basis, h1_basis, omega_basis
+from .cohomology import Bases, build_bases
 from .curve import ASCurve, Curve, KummerCurve, genus_from_basis, genus_rh, mu_table, ram_data, validate
 from .funcfield import FFDiff
 from .gf import FieldElement, FieldSpec, digits, find_irreducible_poly, is_prime
@@ -62,12 +62,17 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str) 
         raise SpecFileError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: true and false decode to bool, which Python counts as int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decode_field(spec: FieldSpec, value: Any, where: str) -> FieldElement:
     if isinstance(value, bool):
         raise SpecFileError(f"{where}: expected a field element encoding, got a boolean")
-    if isinstance(value, int):
+    if _is_int(value):
         return spec.element(value)
-    if isinstance(value, list) and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and all(map(_is_int, value)):
         if len(value) > spec.d:
             raise SpecFileError(f"{where}: {len(value)} coordinates but field degree is {spec.d}")
         return spec.element(value)
@@ -75,7 +80,7 @@ def _decode_field(spec: FieldSpec, value: Any, where: str) -> FieldElement:
 
 
 def _decode_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise SpecFileError(f"{where}: expected an integer")
     return value
 
@@ -99,7 +104,7 @@ def parse_curve_spec(doc: Any) -> Curve:
         raise SpecFileError(f"p: {p} is not prime")
     modulus = doc.get("ext_modulus")
     if modulus is not None:
-        if not isinstance(modulus, list) or not all(isinstance(v, int) for v in modulus):
+        if not isinstance(modulus, list) or not all(map(_is_int, modulus)):
             raise SpecFileError("ext_modulus: expected a list of integers")
         try:
             spec = FieldSpec.shared(p, modulus)
@@ -208,16 +213,15 @@ def curve_section(curve: Curve, policy: str) -> dict:
     return section
 
 
-def bases_section(curve: Curve, policy: str, sign: str) -> dict:
-    omegas = omega_basis(curve, policy)
-    # a delta class's omega_0 and omega_inf are a differential of omegas, rendered once
-    rendered = {id(w): w.render() for _, w in omegas}
+def bases_section(bases: Bases) -> dict:
+    # a delta class's omega_0 and omega_inf are a differential of the basis, rendered once
+    rendered = {id(w): w.render() for _, w in bases.omega}
 
     def render(w: FFDiff) -> str:
         return rendered.get(id(w)) or w.render()
 
-    omega_lines = [f"omega[{i.mu},{i.nu}] = {rendered[id(w)]}" for i, w in omegas]
-    h1_lines = [f"h[{i.mu},{i.nu}] = {h.render()}" for i, h in h1_basis(curve, policy)]
+    omega_lines = [f"omega[{i.mu},{i.nu}] = {rendered[id(w)]}" for i, w in bases.omega]
+    h1_lines = [f"h[{i.mu},{i.nu}] = {h.render()}" for i, h in bases.h1]
     derham_docs = [
         {
             "label": cls.label,
@@ -225,7 +229,7 @@ def bases_section(curve: Curve, policy: str, sign: str) -> dict:
             "omega_inf": render(cls.triple.omega_inf),
             "f0inf": cls.triple.f0inf.render(),
         }
-        for cls in derham_basis(curve, policy, sign)
+        for cls in bases.derham
     ]
     return {"omega": omega_lines, "h1": h1_lines, "derham": derham_docs}
 
@@ -245,9 +249,10 @@ def build_report_document(
     include_bases: bool = False,
     report: Report | None = None,
 ) -> dict:
+    """The report document; its bases are the report's own when one is given."""
     doc: dict[str, Any] = {"curve": curve_section(curve, policy)}
     if include_bases:
-        doc["bases"] = bases_section(curve, policy, sign)
+        doc["bases"] = bases_section(report.bases if report is not None else build_bases(curve, policy, sign))
     if report is not None:
         doc["pairing_matrix"] = (
             [[encode_field(v) for v in row] for row in report.pairing_matrix]
@@ -298,7 +303,7 @@ def _print_info_text(curve: Curve, policy: str) -> None:
 
 
 def _print_bases_text(curve: Curve, policy: str, sign: str, which: str) -> None:
-    section = bases_section(curve, policy, sign)
+    section = bases_section(build_bases(curve, policy, sign))
     if which in ("omega", "all"):
         for line in section["omega"]:
             print(line)

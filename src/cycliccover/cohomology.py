@@ -44,25 +44,19 @@ written as an unreduced num/den product and reduced once by ``RatFn``:
 (the last absent at mu = 1).  psi_AS and prod (x-rho_i)^{l_i+1} are built
 once per build, the Kummer psi parts once per mu.
 
-Compute once.  Each curve keeps one ``BasisContext`` per mu-range policy
-in ``curve.basis_contexts``.  It builds the differential and H^1 bases on
-first use, one de Rham basis per sign convention (whose delta-family
-reuses the differentials), and the pairing matrix of the differentials
-against the H^1 basis in duality order.  ``omega_basis``, ``h1_basis``,
-``derham_basis`` and ``h1_coordinates`` read the context, so every check
-and the report document see the same objects; the readers return fresh
-lists.  The context lives on the curve and goes away with it.
+``build_bases`` builds every basis of one curve, policy and sign once,
+into a ``Bases`` value that the checks and the report document share; the
+other constructors build what they need on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
 from .funcfield import FFDiff, FFElem, pairing, poles
-from .gf import FieldElement
+from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, split_at_degree
 
 
@@ -119,7 +113,8 @@ def h1_indices(curve: Curve, range_policy: str = "extended") -> list[BasisIndex]
 # -- bases -------------------------------------------------------------------
 
 
-def _build_omega_basis(curve: Curve, range_policy: str) -> list[tuple[BasisIndex, FFDiff]]:
+def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFDiff]]:
+    """Basis of holomorphic differentials for the active policy range."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out = []
@@ -136,7 +131,8 @@ def _build_omega_basis(curve: Curve, range_policy: str) -> list[tuple[BasisIndex
     return out
 
 
-def _build_h1_basis(curve: Curve, range_policy: str) -> list[tuple[BasisIndex, FFElem]]:
+def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFElem]]:
+    """Basis representatives of H^1(O), poles confined over 0 and infinity."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
     out = []
@@ -151,34 +147,30 @@ def _build_h1_basis(curve: Curve, range_policy: str) -> list[tuple[BasisIndex, F
     return out
 
 
-def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFDiff]]:
-    """Basis of holomorphic differentials for the active policy range."""
-    return list(basis_context(curve, range_policy).omega)
-
-
-def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFElem]]:
-    """Basis representatives of H^1(O), poles confined over 0 and infinity."""
-    return list(basis_context(curve, range_policy).h1)
-
-
 # -- splitting polynomials of the de Rham builder ----------------------------------
+
+
+def _cofactor_parts(spec: FieldSpec, terms: list[tuple[FieldElement, FieldElement]]) -> tuple[Poly, Poly]:
+    """(sum_i w_i prod_{j != i} (x - rho_j), prod_i (x - rho_i)) over the (rho, w) pairs,
+    from one walk over the roots: (S, P) |-> (S (x - rho) + w P, P (x - rho))."""
+    add, mul = spec.add, spec.mul
+    total, support = [0], [1]  # ascending encodings, total padded to the length of support
+    for rho, weight in terms:
+        r, w = spec.neg(rho.encoding), weight.encoding
+        total = [add(add(a, mul(r, b)), mul(w, c)) for a, b, c in zip([0] + total, total + [0], support + [0])]
+        support = [add(a, mul(r, b)) for a, b in zip([0] + support, support + [0])]
+    return Poly(spec, map(spec.from_encoding, total)), Poly(spec, map(spec.from_encoding, support))
 
 
 def _kummer_psi_parts(curve: KummerCurve, mu: int, table: MuTable) -> tuple[Poly, Poly]:
     """(x A_mu, n S_mu), where A_mu = sum_{i in I} g_i v_i prod_{j in I \\ {i}} (x - rho_j)
     and S_mu = prod_{i in I} (x - rho_i): psi_{mu,nu} = x A_mu - nu n S_mu,
     and neither part depends on nu."""
-    row = table[mu]
-    spec = curve.spec
-    ram = ram_data(curve)
-    I = row.I
-    rhos = {i: ram.branch[i - 1].rho for i in I}
-    total = Poly.zero(spec)
-    for i in I:
-        weight = spec.element(ram.branch[i - 1].g * row.v[i - 1])
-        total = total + Poly.from_roots(spec, [(rhos[j], 1) for j in I if j != i]) * weight
-    full = Poly.from_roots(spec, [(rhos[i], 1) for i in I])
-    return total.shift(1), full * spec.element(curve.n)
+    row, spec = table[mu], curve.spec
+    branch = ram_data(curve).branch
+    weights = [(branch[i - 1].rho, spec.element(branch[i - 1].g * row.v[i - 1])) for i in row.I]
+    total, support = _cofactor_parts(spec, weights)
+    return total.shift(1), support * spec.element(curve.n)
 
 
 def _psi_at(parts: tuple[Poly, Poly], nu: int) -> Poly:
@@ -191,12 +183,7 @@ def as_psi(curve: ASCurve) -> Poly:
     """Numerator of dy: f sum_i l_i prod_{j != i}(x - rho_j) - f' prod_i (x - rho_i)."""
     if curve.psi is not None:
         return curve.psi
-    spec = curve.spec
-    total = Poly.zero(spec)
-    for i, (rho, l) in enumerate(curve.branch):
-        others = Poly.from_roots(spec, [(r, 1) for k, (r, _) in enumerate(curve.branch) if k != i])
-        total = total + others * spec.element(l)
-    support = Poly.from_roots(spec, [(rho, 1) for rho, _ in curve.branch])
+    total, support = _cofactor_parts(curve.spec, [(rho, curve.spec.element(l)) for rho, l in curve.branch])
     curve.psi = curve.f * total - curve.f.derivative() * support
     return curve.psi
 
@@ -231,8 +218,11 @@ def _build_derham_basis(
     curve: Curve,
     range_policy: str,
     sign_convention: str,
-    omegas: tuple[tuple[BasisIndex, FFDiff], ...],
+    omegas: list[tuple[BasisIndex, FFDiff]],
 ) -> list[DeRhamClass]:
+    """The a-family, then the delta-family on the given differential objects."""
+    if sign_convention not in SIGN_CONVENTIONS:
+        raise ValueError(f"unknown sign convention {sign_convention!r}; use one of {SIGN_CONVENTIONS}")
     table = mu_table(curve, range_policy)
     spec = curve.spec
     kummer = curve.kind == "kummer"
@@ -280,9 +270,28 @@ def derham_basis(
 ) -> list[DeRhamClass]:
     """The 2g de Rham classes: the a-family projecting onto the H^1 basis
     followed by the delta-family lifting the holomorphic differentials."""
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError(f"unknown sign convention {sign_convention!r}; use one of {SIGN_CONVENTIONS}")
-    return list(basis_context(curve, range_policy).derham(sign_convention))
+    return _build_derham_basis(curve, range_policy, sign_convention, omega_basis(curve, range_policy))
+
+
+class Bases(NamedTuple):
+    """The bases of one curve under one mu-range policy and sign convention.
+    ``columns`` is the H^1 basis in duality order: column j is the partner
+    of the j-th differential."""
+
+    omega: list[tuple[BasisIndex, FFDiff]]
+    h1: list[tuple[BasisIndex, FFElem]]
+    derham: list[DeRhamClass]
+    columns: list[tuple[BasisIndex, FFElem]]
+
+
+def build_bases(curve: Curve, range_policy: str = "extended", sign_convention: str = "negated-infty") -> Bases:
+    """Every basis built once; the de Rham delta-family reuses the differentials."""
+    omegas = omega_basis(curve, range_policy)
+    derham = _build_derham_basis(curve, range_policy, sign_convention, omegas)
+    hs = h1_basis(curve, range_policy)
+    by_index = dict(hs)
+    columns = [(_partner(curve, idx), by_index[_partner(curve, idx)]) for idx, _ in omegas]
+    return Bases(omegas, hs, derham, columns)
 
 
 # -- canonical maps of the exact sequence ----------------------------------------------
@@ -298,7 +307,7 @@ def map_p(triple: DeRhamTriple) -> FFElem:
     return triple.f0inf
 
 
-def _require_h1_class(curve: Curve, f: FFElem) -> None:
+def require_h1_class(curve: Curve, f: FFElem) -> None:
     """f must be regular away from the fibers over 0 and infinity."""
     require_valid(curve)
     if f.curve is not curve:
@@ -316,70 +325,6 @@ def h1_coordinates(
 
     Requires f to be regular away from the fibers over 0 and infinity.
     """
-    _require_h1_class(curve, f)
-    return tuple(pairing(f, w) for _, w in basis_context(curve, range_policy).omega)
+    require_h1_class(curve, f)
+    return tuple(pairing(f, w) for _, w in omega_basis(curve, range_policy))
 
-
-# -- per-curve context -------------------------------------------------------------------
-
-
-class BasisContext:
-    """The bases of one curve under one mu-range policy, each built on first
-    use and kept: the differential and H^1 bases, one de Rham basis per sign
-    convention (its delta-family reuses the differentials), and the pairing
-    matrix.  Everything is held in tuples, and the public readers hand out
-    fresh lists, so no caller can change what the next one reads."""
-
-    def __init__(self, curve: Curve, range_policy: str):
-        self.curve = curve
-        self.range_policy = range_policy
-        self._derham: dict[str, tuple[DeRhamClass, ...]] = {}
-
-    @cached_property
-    def omega(self) -> tuple[tuple[BasisIndex, FFDiff], ...]:
-        return tuple(_build_omega_basis(self.curve, self.range_policy))
-
-    @cached_property
-    def h1(self) -> tuple[tuple[BasisIndex, FFElem], ...]:
-        return tuple(_build_h1_basis(self.curve, self.range_policy))
-
-    def derham(self, sign_convention: str) -> tuple[DeRhamClass, ...]:
-        if sign_convention not in self._derham:
-            classes = _build_derham_basis(self.curve, self.range_policy, sign_convention, self.omega)
-            self._derham[sign_convention] = tuple(classes)
-        return self._derham[sign_convention]
-
-    @cached_property
-    def columns(self) -> tuple[tuple[BasisIndex, FFElem], ...]:
-        """The H^1 basis in duality order: column j is the partner of the
-        j-th differential."""
-        hs = dict(self.h1)
-        return tuple(
-            (_partner(self.curve, idx), hs[_partner(self.curve, idx)]) for idx, _ in self.omega
-        )
-
-    @cached_property
-    def pairing_matrix(self) -> tuple[tuple[FieldElement, ...], ...]:
-        """Entry (i, j) pairs column j against the i-th differential, so
-        column j holds the H^1 coordinates of its representative."""
-        return tuple(tuple(pairing(h, w) for _, h in self.columns) for _, w in self.omega)
-
-    def column_coordinates(self, f: FFElem) -> tuple[FieldElement, ...] | None:
-        """H^1 coordinates of f read from the pairing matrix when f equals
-        the representative behind a column (after the same regularity
-        precondition as ``h1_coordinates``); None for any other element."""
-        for j, (_, h) in enumerate(self.columns):
-            if f == h:
-                _require_h1_class(self.curve, f)
-                return tuple(row[j] for row in self.pairing_matrix)
-        return None
-
-
-def basis_context(curve: Curve, range_policy: str = "extended") -> BasisContext:
-    """The curve's context for the policy, created on first use and kept on
-    the curve, so it lives exactly as long as the curve does."""
-    context = curve.basis_contexts.get(range_policy)
-    if context is None:
-        mu_table(curve, range_policy)  # refuse unknown policies and invalid curves up front
-        context = curve.basis_contexts[range_policy] = BasisContext(curve, range_policy)
-    return context

@@ -30,7 +30,6 @@ from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn
 
 if TYPE_CHECKING:
-    from .cohomology import BasisContext
     from .funcfield import FamilyTable, PlaceClass
 
 
@@ -67,7 +66,6 @@ class CyclicCover:
         self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
         self.family_table: FamilyTable | None = None  # funcfield: relation, dy, trace index
         self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
-        self.basis_contexts: dict[str, BasisContext] = {}  # cohomology.basis_context, per policy
 
 
 class KummerCurve(CyclicCover):

@@ -15,13 +15,12 @@ omega_inf over the product of its terms' distinct denominators, with no
 gcd, and passes iff every numerator is zero.  Only a failing check
 reduces the sums, into the canonical residual its payload renders.
 
-The checks read their bases and the pairing matrix from the curve's
-``cohomology.BasisContext``, so a full report builds each basis once per
-policy and sign convention and pairs the matrix once: the duality check
-compares every entry of that matrix with the identity, and the exactness
-check takes the coordinates of an a-class whose image is an H^1 basis
-representative from that representative's column.  ``full_report`` hands
-its sign convention to every check that reads the de Rham basis.
+``full_report`` builds the bases once (``cohomology.build_bases``) and
+hands the one ``Bases`` value to every check that reads a basis, so a
+report builds each basis once and pairs the matrix once: the duality
+check compares every entry of that matrix with the identity, and the
+exactness check takes the coordinates of an a-class whose image is an H^1
+basis representative from that representative's column.
 
 The divisor check is a table: each divisor is one row holding its label,
 its element or differential, and its closed-form exponents at each branch
@@ -41,20 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .cohomology import (
-    DeRhamClass,
-    DeRhamTriple,
-    as_psi,
-    basis_context,
-    derham_basis,
-    h1_basis,
-    h1_coordinates,
-    map_i,
-    map_p,
-    omega_basis,
-)
+from .cohomology import Bases, DeRhamClass, DeRhamTriple, as_psi, build_bases, map_i, map_p, require_h1_class
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff, FFElem, place_classes, poles, valuation_bound
+from .funcfield import FFDiff, FFElem, pairing, place_classes, poles, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, fraction_sum
 
@@ -82,17 +70,17 @@ class Report:
     checks: list[CheckResult]
     all_pass: bool
     pairing_matrix: list[list[FieldElement]] | None = None
+    bases: Bases | None = None
 
 
-def duality_matrix(
-    curve: Curve, range_policy: str = "extended"
-) -> tuple[list[list[FieldElement]], CheckResult]:
+def duality_matrix(curve: Curve, bases: Bases) -> tuple[list[list[FieldElement]], CheckResult]:
     """Full pairing matrix of the differential basis against the H^1
     basis in duality-respecting column order; passes iff it is the
-    identity."""
+    identity.  Entry (i, j) pairs column j against the i-th differential,
+    so column j holds the H^1 coordinates of its representative."""
     one = curve.spec.one()
     zero = curve.spec.zero()
-    matrix = [list(row) for row in basis_context(curve, range_policy).pairing_matrix]
+    matrix = [[pairing(h, w) for _, h in bases.columns] for _, w in bases.omega]
     mismatches = []
     for i, row in enumerate(matrix):
         for j, value in enumerate(row):
@@ -347,14 +335,10 @@ def divisor_checks(curve: Curve) -> CheckResult:
     )
 
 
-def dimension_check(
-    curve: Curve, range_policy: str = "extended", sign: str = "negated-infty"
-) -> CheckResult:
+def dimension_check(curve: Curve, bases: Bases) -> CheckResult:
     """Basis sizes against the Riemann-Hurwitz genus: g, g, and 2g."""
     g = genus_rh(curve)
-    n_omega = len(omega_basis(curve, range_policy))
-    n_h1 = len(h1_basis(curve, range_policy))
-    n_dr = len(derham_basis(curve, range_policy, sign))
+    n_omega, n_h1, n_dr = len(bases.omega), len(bases.h1), len(bases.derham)
     counts = {"omega": n_omega, "h1": n_h1, "derham": n_dr, "genus": g}
     if n_omega == g and n_h1 == g and n_dr == 2 * g:
         return CheckResult(
@@ -368,33 +352,32 @@ def dimension_check(
     )
 
 
-def exactness_check(
-    curve: Curve, range_policy: str = "extended", sign: str = "negated-infty"
-) -> CheckResult:
+def exactness_check(curve: Curve, bases: Bases, matrix: list[list[FieldElement]]) -> CheckResult:
     """Exactness of 0 -> H^0(Omega) -> H^1_dR -> H^1(O) -> 0 on the
     constructed bases: i lands in the kernel of p, the a-family surjects
     onto the H^1 basis with unit coordinates, and the delta-family has
     zero third slot.  The kernel condition asks p(i(omega)) to be the
     zero element itself, so nothing is paired for it; an a-class whose
     image is an H^1 basis representative takes its coordinates from that
-    representative's column of the pairing matrix; every other image is
-    paired afresh."""
+    representative's column of ``matrix`` (``duality_matrix`` of the same
+    bases); every other image is paired afresh.  Every image must first
+    be an H^1 class, as for ``h1_coordinates``."""
     zero = curve.spec.zero()
     one = curve.spec.one()
-    context = basis_context(curve, range_policy)
     problems = []
-    omegas = omega_basis(curve, range_policy)
-    for idx, w in omegas:
+    for idx, w in bases.omega:
         if not map_p(map_i(w)).is_zero:
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) is not zero")
-    classes = derham_basis(curve, range_policy, sign)
-    a_classes = [c for c in classes if c.kind == "a"]
+    a_classes = [c for c in bases.derham if c.kind == "a"]
     seen_positions = []
     for cls in a_classes:
         image = map_p(cls.triple)
-        coords = context.column_coordinates(image)
-        if coords is None:
-            coords = h1_coordinates(curve, image, range_policy)
+        require_h1_class(curve, image)
+        column = next((j for j, (_, h) in enumerate(bases.columns) if h == image), None)
+        if column is not None:
+            coords = [row[column] for row in matrix]
+        else:
+            coords = [pairing(image, w) for _, w in bases.omega]
         hits = [k for k, c in enumerate(coords) if c != zero]
         if len(hits) != 1 or coords[hits[0]] != one:
             problems.append(f"p({cls.label}) is not a unit coordinate vector")
@@ -402,7 +385,7 @@ def exactness_check(
             seen_positions.append(hits[0])
     if sorted(seen_positions) != list(range(len(a_classes))):
         problems.append("a-family does not map onto the full H^1 basis")
-    for cls in classes:
+    for cls in bases.derham:
         if cls.kind == "delta" and not cls.triple.f0inf.is_zero:
             problems.append(f"{cls.label} has a nonzero third slot")
     if problems:
@@ -411,7 +394,7 @@ def exactness_check(
         "exactness",
         "pass",
         "kernel, surjectivity and zero-section conditions all hold",
-        {"a_count": len(a_classes), "omega_count": len(omegas)},
+        {"a_count": len(a_classes), "omega_count": len(bases.omega)},
     )
 
 
@@ -426,12 +409,13 @@ def full_report(curve: Curve, options: VerifyOptions | None = None) -> Report:
         return Report(checks, all_pass=False, pairing_matrix=None)
     checks.append(CheckResult("validation", "pass", "all curve hypotheses hold"))
     checks.append(divisor_checks(curve))
-    checks.append(dimension_check(curve, options.mu_range, options.sign))
-    matrix, duality = duality_matrix(curve, options.mu_range)
+    bases = build_bases(curve, options.mu_range, options.sign)
+    checks.append(dimension_check(curve, bases))
+    matrix, duality = duality_matrix(curve, bases)
     checks.append(duality)
-    for cls in derham_basis(curve, options.mu_range, options.sign):
+    for cls in bases.derham:
         checks.append(cocycle_check(cls))
         checks.append(locus_check(cls))
-    checks.append(exactness_check(curve, options.mu_range, options.sign))
+    checks.append(exactness_check(curve, bases, matrix))
     all_pass = all(c.status == "pass" for c in checks)
-    return Report(checks, all_pass=all_pass, pairing_matrix=matrix)
+    return Report(checks, all_pass=all_pass, pairing_matrix=matrix, bases=bases)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -158,11 +159,11 @@ def test_cmd_basis_derham_rendering(capsys):
 
 
 def test_bases_section_renders_each_differential_once(monkeypatch):
-    from cycliccover.cohomology import derham_basis, omega_basis
+    from cycliccover.cohomology import build_bases
     from cycliccover.funcfield import FFDiff
 
-    curve = parse_curve_spec(json.loads(AS_SPEC.read_text()))
-    omegas, classes = omega_basis(curve), derham_basis(curve)
+    bases = build_bases(parse_curve_spec(json.loads(AS_SPEC.read_text())), "extended", "negated-infty")
+    omegas, classes = bases.omega, bases.derham
     distinct = {id(w) for _, w in omegas}
     distinct |= {id(slot) for c in classes for slot in (c.triple.omega0, c.triple.omega_inf)}
     expected = {
@@ -172,7 +173,7 @@ def test_bases_section_renders_each_differential_once(monkeypatch):
     calls = []
     original = FFDiff.render
     monkeypatch.setattr(FFDiff, "render", lambda self: calls.append(id(self)) or original(self))
-    section = bases_section(curve, "extended", "negated-infty")
+    section = bases_section(bases)
     assert sorted(calls) == sorted(distinct) and len(distinct) < len(omegas) + 2 * len(classes)
     assert section["omega"] == expected["omega"]
     assert [(d["omega0"], d["omega_inf"]) for d in section["derham"]] == expected["derham"]
@@ -245,6 +246,24 @@ AS_BRANCH = [{"rho": 1, "l": 1}, {"rho": 2, "l": 1}]
 def test_over_budget_specs_raise_positional_errors(doc, position):
     with pytest.raises(SpecFileError, match=rf"^{position}: .* exceeds? the budget"):
         parse_curve_spec(doc)
+
+
+AS_P3 = {"type": "artin-schreier", "p": 3, "branch": AS_BRANCH, "f": [1, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "doc,position",
+    [
+        ({**AS_P3, "branch": [{"rho": [True], "l": 1}, AS_BRANCH[1]]}, r"branch\[0\]\.rho"),
+        ({**AS_P3, "f": [[True], 0, 1]}, r"f\[0\]"),
+        ({**AS_P3, "ext_modulus": [1, False, True]}, "ext_modulus"),
+    ],
+)
+def test_booleans_inside_lists_are_rejected(doc, position, tmp_path, capsys):
+    with pytest.raises(SpecFileError, match=rf"^{position}: expected "):
+        parse_curve_spec(doc)
+    assert main(["verify", _write(tmp_path, "bool.json", doc)]) == 2
+    assert re.match(rf"error: {position}: expected ", capsys.readouterr().err)
 
 
 HOSTILE_SWEEPS = {

@@ -1,16 +1,20 @@
-"""The per-curve basis context: every basis and the pairing matrix are
-built once per curve and policy, and reading coordinates from the matrix
-gives the same exactness verdict as pairing every element afresh."""
+"""One ``Bases`` value per report: every basis is built once per report
+and document, the pairing matrix is paired once, reading coordinates from
+the matrix gives the same exactness verdict as pairing every element
+afresh, and a finished report holds no cycle through its curve."""
 
+import dataclasses
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
-from cycliccover import cohomology
+from cycliccover import cohomology, verify
 from cycliccover.cli import build_report_document, enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import (
-    basis_context,
+    build_bases,
     derham_basis,
     h1_basis,
     h1_coordinates,
@@ -18,13 +22,13 @@ from cycliccover.cohomology import (
     map_p,
     omega_basis,
 )
-from cycliccover.verify import CheckResult, VerifyOptions, exactness_check, full_report
+from cycliccover.verify import CheckResult, VerifyOptions, duality_matrix, exactness_check, full_report
 
 REPO = Path(__file__).resolve().parents[1]
 SPECS = [json.loads((REPO / "specs" / name).read_text()) for name in ("kummer_quartic.json", "as_p3.json")]
 POLICIES = ("extended", "paper")
 SIGNS = ("negated-infty", "paper")
-BUILDERS = ("_build_omega_basis", "_build_h1_basis", "_build_derham_basis")
+BUILDERS = ("omega_basis", "h1_basis", "_build_derham_basis")
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -42,27 +46,30 @@ def _counting(monkeypatch, module, name, counts):
 @pytest.mark.parametrize("sign", SIGNS)
 def test_report_and_document_build_each_basis_once(doc, policy, sign, monkeypatch):
     counts: dict[str, int] = {}
-    for name in BUILDERS + ("pairing",):
+    for name in BUILDERS:
         _counting(monkeypatch, cohomology, name, counts)
+    for module in (cohomology, verify):
+        _counting(monkeypatch, module, "pairing", counts)
     curve = parse_curve_spec(doc)
     report = full_report(curve, VerifyOptions(mu_range=policy, sign=sign))
     build_report_document(curve, policy, sign, include_bases=True, report=report)
     assert {name: counts.get(name, 0) for name in BUILDERS} == dict.fromkeys(BUILDERS, 1)
     # the pairing matrix once; exactness pairs nothing more
-    assert counts["pairing"] == len(omega_basis(curve, policy)) ** 2
+    assert counts["pairing"] == len(report.bases.omega) ** 2
 
 
-def test_contexts_are_kept_per_policy_and_sign(monkeypatch):
-    counts: dict[str, int] = {}
-    for name in BUILDERS:
-        _counting(monkeypatch, cohomology, name, counts)
-    curve = parse_curve_spec(SPECS[1])
-    for _ in range(2):
-        for policy in POLICIES:
-            for sign in SIGNS:
-                derham_basis(curve, policy, sign)
-    assert counts == {"_build_omega_basis": 2, "_build_derham_basis": 4}
-    assert set(curve.basis_contexts) == set(POLICIES)
+@pytest.mark.parametrize("doc", SPECS, ids=["kummer_quartic", "as_p3"])
+def test_a_report_frees_its_curve_by_reference_count(doc):
+    gc.disable()
+    try:
+        curve = parse_curve_spec(doc)
+        report = full_report(curve)
+        document = build_report_document(curve, "extended", "negated-infty", include_bases=True, report=report)
+        ref = weakref.ref(curve)
+        del curve, report, document
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_readers_hand_out_fresh_lists():
@@ -74,24 +81,57 @@ def test_readers_hand_out_fresh_lists():
         assert reader(curve) == expected and reader(curve) is not reader(curve)
 
 
-def test_unknown_policy_and_sign_leave_no_context():
+def test_unknown_policy_and_sign_are_refused():
     curve = parse_curve_spec(SPECS[0])
     with pytest.raises(ValueError, match="policy"):
         omega_basis(curve, "literal")
     with pytest.raises(ValueError, match="sign convention"):
         derham_basis(curve, "extended", "flipped")
-    assert curve.basis_contexts == {}
+    with pytest.raises(ValueError, match="sign convention"):
+        build_bases(curve, "extended", "flipped")
 
 
-def test_column_coordinates_only_for_column_representatives():
+def test_matrix_columns_are_the_coordinates_of_their_representatives():
     curve = parse_curve_spec(SPECS[1])
-    context = basis_context(curve)
-    for j, (_, h) in enumerate(context.columns):
-        assert context.column_coordinates(h) == h1_coordinates(curve, h)
-        assert context.column_coordinates(h) == tuple(row[j] for row in context.pairing_matrix)
-    _, h = context.columns[0]
-    assert context.column_coordinates(h + h) is None
-    assert context.column_coordinates(h - h) is None
+    bases = build_bases(curve)
+    matrix, _ = duality_matrix(curve, bases)
+    for j, (_, h) in enumerate(bases.columns):
+        assert h1_coordinates(curve, h) == tuple(row[j] for row in matrix)
+
+
+def _planted(bases, kind, f0inf):
+    """``bases`` with the third slot of its first class of ``kind`` replaced,
+    and that class's label."""
+    k = next(k for k, cls in enumerate(bases.derham) if cls.kind == kind)
+    cls = bases.derham[k]
+    planted = dataclasses.replace(cls, triple=dataclasses.replace(cls.triple, f0inf=f0inf))
+    return bases._replace(derham=bases.derham[:k] + [planted] + bases.derham[k + 1:]), cls.label
+
+
+def test_exactness_pairs_an_image_off_the_columns_afresh_and_fails(monkeypatch):
+    curve = parse_curve_spec(SPECS[1])  # over F_3, where 2 h has coordinates 2 e_j, not a unit vector
+    bases = build_bases(curve)
+    matrix, _ = duality_matrix(curve, bases)
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, verify, "pairing", counts)
+    assert exactness_check(curve, bases, matrix).status == "pass" and counts == {}
+
+    h = map_p(next(cls for cls in bases.derham if cls.kind == "a").triple)
+    representatives = [rep for _, rep in bases.columns]
+    assert h in representatives and h + h not in representatives
+    planted, label = _planted(bases, "a", h + h)
+    result = exactness_check(curve, planted, matrix)
+    assert counts == {"pairing": len(bases.omega)}  # one fresh row of pairings, for 2 h only
+    assert result.status == "fail"
+    assert result.payload["problems"] == [
+        f"p({label}) is not a unit coordinate vector",
+        "a-family does not map onto the full H^1 basis",
+    ]
+
+    planted, label = _planted(bases, "delta", h)
+    result = exactness_check(curve, planted, matrix)
+    assert result.status == "fail"
+    assert result.payload["problems"] == [f"{label} has a nonzero third slot"]
 
 
 def _exactness_by_pairing(curve, range_policy, sign) -> CheckResult:
@@ -142,11 +182,12 @@ DIFFERENTIAL_DOCS = (
 @pytest.mark.parametrize("sign", SIGNS)
 def test_exactness_reading_the_matrix_matches_pairing_afresh(index, policy, sign):
     doc = DIFFERENTIAL_DOCS[index]
-    got = exactness_check(parse_curve_spec(doc), policy, sign)
+    curve = parse_curve_spec(doc)
+    bases = build_bases(curve, policy, sign)
+    got = exactness_check(curve, bases, duality_matrix(curve, bases)[0])
     want = _exactness_by_pairing(parse_curve_spec(doc), policy, sign)
     assert (got.status, got.details, got.payload) == (want.status, want.details, want.payload)
-    curve = parse_curve_spec(doc)
-    context = basis_context(curve, policy)
-    for cls in derham_basis(curve, policy, sign):
+    representatives = [h for _, h in bases.columns]
+    for cls in bases.derham:
         if cls.kind == "a":
-            assert context.column_coordinates(map_p(cls.triple)) is not None
+            assert map_p(cls.triple) in representatives

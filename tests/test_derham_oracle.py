@@ -23,7 +23,7 @@ from test_pairing_oracle import CORPORA, POLICIES
 
 from cycliccover import cohomology, polyrat
 from cycliccover.cli import parse_curve_spec
-from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, basis_context, h1_indices
+from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, derham_basis, h1_indices, omega_basis
 from cycliccover.curve import mu_table
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.polyrat import Poly, RatFn, split_at_degree
@@ -75,7 +75,7 @@ def test_builder_matches_the_scaled_route(corpus, policy, sign):
     compared = 0
     for doc in CORPORA[corpus]():
         curve = parse_curve_spec(doc)
-        classes = basis_context(curve, policy).derham(sign)
+        classes = derham_basis(curve, policy, sign)
         a_family = [c for c in classes if c.kind == "a"]
         expected = scaled_route(curve, policy, sign)
         assert len(a_family) == len(expected), doc
@@ -111,8 +111,7 @@ def test_builder_takes_at_most_one_gcd_per_slot_coefficient(corpus, policy, monk
     gcds = slots = 0
     for doc in CORPORA[corpus]():
         curve = parse_curve_spec(doc)
-        context = basis_context(curve, policy)
-        omegas = context.omega  # built before counting: the builder reuses them
+        omegas = omega_basis(curve, policy)  # built before counting: the builder reuses them
         for sign in SIGN_CONVENTIONS:
             calls.clear()
             classes = cohomology._build_derham_basis(curve, policy, sign, omegas)

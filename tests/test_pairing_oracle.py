@@ -25,7 +25,7 @@ from reference import galois, pairing_scale, trace, trace_by_orbit
 from test_funcfield_properties import CURVES, IDS, elements
 
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
-from cycliccover.cohomology import basis_context
+from cycliccover.cohomology import build_bases
 from cycliccover.funcfield import FFDiff, pairing
 from cycliccover.polyrat import residue_at_infinity
 
@@ -59,9 +59,9 @@ def test_pairing_matches_the_full_product_route(corpus, policy):
     pairs = 0
     for doc in CORPORA[corpus]():
         curve = parse_curve_spec(doc)
-        context = basis_context(curve, policy)
-        for i, (_, w) in enumerate(context.omega):
-            for j, (_, h) in enumerate(context.columns):
+        bases = build_bases(curve, policy)
+        for i, (_, w) in enumerate(bases.omega):
+            for j, (_, h) in enumerate(bases.columns):
                 expected = full_product_pairing(h, w)
                 assert pairing(h, w) == expected, (doc, policy, i, j)
                 assert full_product_pairing(h, w, orbit=True) == expected, (doc, policy, i, j)

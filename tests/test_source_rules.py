@@ -9,10 +9,11 @@ encodings: it neither builds a ``FieldElement`` nor reads one out of a
 "pass" or "fail", the only two verdicts.  The pairing and the cocycle
 zero test compute only what their verdicts read: they and the helpers
 they call build no reduced ``RatFn``, take no gcd and form no product of function field elements.  The divisor
-identities in ``verify`` never name the de Rham builder's Kummer psi, so
-they stay an independent check of it.  ``verify`` and ``cohomology`` never
-name a root multiplicity or a per-coefficient valuation, so every
-valuation they read comes from ``funcfield.valuations``, the one walk.
+identities in ``verify`` never name the de Rham builder's Kummer psi or
+its cofactor-sum helper, so they stay an independent check of it.
+``verify`` and ``cohomology`` never name a root multiplicity or a
+per-coefficient valuation, so every valuation they read comes from
+``funcfield.valuations``, the one walk.
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check."""
@@ -44,7 +45,7 @@ UNREDUCED = {
 REDUCING_CALLS = ("RatFn", "poly_gcd", "exterior_d")
 # attributes holding a function field element or differential
 ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
-BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at")  # names verify.py must not use
+BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at", "_cofactor_parts")  # names verify.py must not use
 # valuation primitives that verify.py and cohomology.py must not use
 VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
 # reference routes and retired family-table fields that no src/ definition may be named
@@ -332,12 +333,15 @@ def test_the_builder_psi_rule_catches_violations():
         "from . import cohomology as kummer_psi\n"
         "def f(curve):\n"
         "    return cohomology._psi_at(_kummer_psi_parts(curve, 1, t), 2), as_psi(curve)\n"
+        "def g(spec, weights):\n"
+        "    return cohomology._cofactor_parts(spec, weights)[0]\n"
     )
     assert sorted(_uses(tree, BUILDER_PSI)) == [
         "line 1: uses _kummer_psi_parts",
         "line 2: uses kummer_psi",
         "line 4: uses _kummer_psi_parts",
         "line 4: uses _psi_at",
+        "line 6: uses _cofactor_parts",
     ]
 
 
