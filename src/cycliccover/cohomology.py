@@ -42,7 +42,8 @@ written as an unreduced num/den product and reduced once by ``RatFn``:
     Artin-Schreier, y^{mu-2}:  (mu-1) g_{p-mu} lo|hi(psi) / (x^nu prod (x-rho_i)^{l_i+1})
 
 (the last absent at mu = 1).  psi_AS and prod (x-rho_i)^{l_i+1} are built
-once per build, the Kummer psi parts once per mu.
+once per build, the Kummer psi parts and the Artin-Schreier phi parts
+once per mu.
 
 ``build_bases`` builds every basis of one curve, policy and sign once,
 into a ``Bases`` value that the checks and the report document share; the
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
-from .funcfield import FFDiff, FFElem, pairing, poles
+from .funcfield import FFDiff, FFElem, PlaceClass, pairing, poles
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, split_at_degree
 
@@ -152,13 +153,29 @@ def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIn
 
 def _cofactor_parts(spec: FieldSpec, terms: list[tuple[FieldElement, FieldElement]]) -> tuple[Poly, Poly]:
     """(sum_i w_i prod_{j != i} (x - rho_j), prod_i (x - rho_i)) over the (rho, w) pairs,
-    from one walk over the roots: (S, P) |-> (S (x - rho) + w P, P (x - rho))."""
-    add, mul = spec.add, spec.mul
+    from one walk over the roots: (S, P) |-> (S (x - rho) + w P, P (x - rho)),
+    each step a shift of S and P by x plus the multiples -rho S, w P and -rho P."""
+    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
     total, support = [0], [1]  # ascending encodings, total padded to the length of support
     for rho, weight in terms:
-        r, w = spec.neg(rho.encoding), weight.encoding
-        total = [add(add(a, mul(r, b)), mul(w, c)) for a, b, c in zip([0] + total, total + [0], support + [0])]
-        support = [add(a, mul(r, b)) for a, b in zip([0] + support, support + [0])]
+        r = (log[rho.encoding] + log[spec.p - 1]) % order if rho.encoding else None  # the log of -rho
+        w = log[weight.encoding] if weight.encoding else None
+        new_total, new_support = [0] + total, [0] + support
+        for out, src, l in ((new_total, total, r), (new_total, support, w), (new_support, support, r)):
+            if l is None:
+                continue
+            for k, c in enumerate(src):
+                if c:
+                    t = log[c] + l
+                    if t >= order:
+                        t -= order
+                    s = out[k]
+                    if s:
+                        z = zech[log[s] - t]
+                        out[k] = 0 if z is None else exp[t + z]
+                    else:
+                        out[k] = exp[t]
+        total, support = new_total, new_support
     return Poly(spec, map(spec.from_encoding, total)), Poly(spec, map(spec.from_encoding, support))
 
 
@@ -174,9 +191,10 @@ def _kummer_psi_parts(curve: KummerCurve, mu: int, table: MuTable) -> tuple[Poly
 
 
 def _psi_at(parts: tuple[Poly, Poly], nu: int) -> Poly:
-    """psi_{mu,nu} from the parts of ``_kummer_psi_parts`` at mu."""
-    x_a, n_s = parts
-    return x_a - n_s * n_s.spec.element(nu)
+    """A - nu B from the parts (A, B) at mu: psi_{mu,nu} from ``_kummer_psi_parts``,
+    phi_{mu,nu} from ``_as_phi_parts``."""
+    a, b = parts
+    return a - b * b.spec.element(nu)
 
 
 def as_psi(curve: ASCurve) -> Poly:
@@ -193,10 +211,12 @@ def _as_pole_den(curve: ASCurve) -> Poly:
     return Poly.from_roots(curve.spec, [(rho, l + 1) for rho, l in curve.branch])
 
 
-def _as_phi(curve: ASCurve, table: MuTable, mu: int, nu: int) -> Poly:
-    """The splitting polynomial phi_{mu,nu} = x g_{p-mu}' g_{mu-1} - nu g_{p-mu} g_{mu-1}."""
+def _as_phi_parts(curve: ASCurve, table: MuTable, mu: int) -> tuple[Poly, Poly]:
+    """(x g_{p-mu}' g_{mu-1}, g_{p-mu} g_{mu-1}): the splitting polynomial
+    phi_{mu,nu} is the first minus nu times the second, and neither part
+    depends on nu."""
     g_pm, g_prev = table[curve.p - mu].g_mu, table[mu - 1].g_mu
-    return (g_pm.derivative() * g_prev).shift(1) - g_pm * g_prev * curve.spec.element(nu)
+    return (g_pm.derivative() * g_prev).shift(1), g_pm * g_prev
 
 
 # -- de Rham basis ------------------------------------------------------------------
@@ -228,24 +248,24 @@ def _build_derham_basis(
     kummer = curve.kind == "kummer"
     if kummer:
         n_f = curve.f * spec.element(curve.n)
-        parts_mu, psi_parts = None, None  # the indices come mu ascending: rebuild when mu changes
     else:
         psi, pole_den = as_psi(curve), _as_pole_den(curve)
+    parts_mu, parts = None, None  # the indices come mu ascending: rebuild when mu changes
     out: list[DeRhamClass] = []
     for idx in h1_indices(curve, range_policy):
         mu, nu = idx
+        if mu != parts_mu:
+            parts_mu, parts = mu, _kummer_psi_parts(curve, mu, table) if kummer else _as_phi_parts(curve, table, mu)
         if kummer:
-            if mu != parts_mu:
-                parts_mu, psi_parts = mu, _kummer_psi_parts(curve, mu, table)
             row = table[curve.n - mu]
             split_deg = nu + 1 if row.t >= 2 else nu
-            lo, hi = split_at_degree(_psi_at(psi_parts, nu), split_deg, inclusive=True)
+            lo, hi = split_at_degree(_psi_at(parts, nu), split_deg, inclusive=True)
             den = n_f.shift(nu + 1)
             terms0, terms_inf = [(mu, row.g_mu * lo, den)], [(mu, row.g_mu * hi, den)]
             f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), table[mu].g_mu.shift(nu)))
         else:
             g_pm = table[curve.p - mu].g_mu
-            lo_phi, hi_phi = split_at_degree(_as_phi(curve, table, mu, nu), nu + 1, inclusive=False)
+            lo_phi, hi_phi = split_at_degree(_psi_at(parts, nu), nu + 1, inclusive=False)
             phi_den = table[mu - 1].g_mu.shift(nu + 1)
             terms0, terms_inf = [(mu - 1, lo_phi, phi_den)], [(mu - 1, hi_phi, phi_den)]
             if mu > 1:  # the omega_mu term, zero at mu = 1
@@ -307,12 +327,18 @@ def map_p(triple: DeRhamTriple) -> FFElem:
     return triple.f0inf
 
 
+def off_fiber_poles(f: FFElem) -> list[tuple[PlaceClass, int]]:
+    """The poles of f away from the fibers over 0 and infinity, where an
+    O(U_0 cap U_inf) class has none."""
+    return poles(f, lambda place: place.kind != "branch" or place.covers_zero)
+
+
 def require_h1_class(curve: Curve, f: FFElem) -> None:
     """f must be regular away from the fibers over 0 and infinity."""
     require_valid(curve)
     if f.curve is not curve:
         raise ValueError("element does not live on the given curve")
-    found = poles(f, lambda place: place.kind != "branch" or place.covers_zero)
+    found = off_fiber_poles(f)
     if found:
         raise ValueError(f"element has a pole at {found[0][0].label()}: not an O(U_0 cap U_inf) class")
 

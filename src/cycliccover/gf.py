@@ -16,9 +16,13 @@ takes the primitive element g of smallest encoding and tabulates
 two logarithms needs no reduction), ``log[a]`` with g^log[a] = a for
 a != 0, and the Zech logarithm ``zech[i]`` = log(1 + g^i) (None where
 1 + g^i = 0).  Then g^i * g^j = g^(i + j) and g^i + g^j = g^(i + zech[j - i]);
-a negative index j - i wraps modulo q - 1 by Python's own indexing.  For
-d >= 2 the search for g skips the constants, whose order divides
-p - 1 < q - 1.  The powers of g come from ``_power_walk``: the digits of
+a negative index j - i wraps modulo q - 1 by Python's own indexing.  The
+``FieldSpec`` methods read the tables for one scalar operation, which is
+what ``FieldElement`` and single scalars use; the polynomial coefficient
+loops (``polyrat``, and the root walks in ``cohomology`` and ``verify``)
+read ``exp``, ``log`` and ``zech`` inline, by the rules stated in
+``polyrat``.  For d >= 2 the search for g skips the constants, whose
+order divides p - 1 < q - 1.  The powers of g come from ``_power_walk``: the digits of
 the current power sit in one int, multiplication by g is two lookups in
 tables of p^ceil(d/2) entries, one per half of the digits, and one
 integer compare reduces every digit mod p at once.  The tables take O(q)

@@ -3,12 +3,28 @@
 A ``Poly`` holds ``ints``, the ascending tuple of its coefficients' field
 encodings (see ``gf``) with no trailing zero, so representations are
 unique; the zero polynomial is the empty tuple and its degree is the
--infinity sentinel (never -1, so degree arithmetic stays honest).  All
-arithmetic runs on these ints through ``FieldSpec.add``/``neg``/``mul``/
-``inv``; a ``FieldElement`` is made or read only at the boundary: the
-constructors, a scalar factor, ``coeffs``, ``coefficient``, ``leading``,
-``evaluate``, rendering and residues.  A ``RatFn`` is a pair num/den kept
-fully reduced with monic denominator; zero is 0/1.
+-infinity sentinel (never -1, so degree arithmetic stays honest).  A
+``FieldElement`` is made or read only at the boundary: the constructors, a
+scalar factor, ``coeffs``, ``leading``, ``evaluate``, rendering and
+residues.  A ``RatFn`` is a pair num/den kept fully reduced with monic
+denominator; zero is 0/1.
+
+Every coefficient loop reads the field's tables (``FieldSpec.exp``,
+``log`` and ``zech``, see ``gf``) in locals, with no call per
+coefficient.  With g the primitive element and N = q - 1, a nonzero
+coefficient a is g^log[a], and for nonzero a, b:
+
+* a * b = exp[log[a] + log[b]]: the log sum is below 2N, which the
+  doubled ``exp`` covers.  A log sum that is added on, not read back at
+  once, is brought below N by one compare and subtract;
+* g^t + g^s = exp[t + zech[s - t]] for t, s < N, and 0 where the Zech
+  entry is None (g^t = -g^s); s - t < 0 wraps as Python indexes;
+* a zero operand short-circuits: 0 * b = 0 and 0 + b = b.
+
+The ``FieldSpec`` methods ``add``/``mul``/``neg``/``inv`` remain for the
+``FieldElement`` operators and for single scalars (a monic scale, a
+residue); the coefficient loops here, ``cohomology._cofactor_parts`` and
+``verify._cofactor_sum`` do not call them.
 
 A product is a schoolbook loop over the nonzero terms while the product
 of the operands' nonzero term counts is below ``KRONECKER_TERMS`` * d^2,
@@ -43,7 +59,7 @@ from .gf import FieldElement, FieldSpec
 NEG_INFINITY = float("-inf")
 # a product takes the Kronecker route once the product of its operands'
 # nonzero term counts reaches KRONECKER_TERMS * d^2 (measured crossover)
-KRONECKER_TERMS = 20
+KRONECKER_TERMS = 32
 # the packing slots: (bytes, array typecode), narrowest first
 _SLOTS = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
@@ -102,12 +118,29 @@ class Poly:
         """prod (x - rho)^m over the given (rho, m) pairs.  Each factor is
         multiplied in by one pass: (x + r) sum c_k x^k has the coefficients
         r c_0, c_0 + r c_1, ..., c_(d-1) + r c_d, c_d."""
-        add, mul = spec.add, spec.mul
+        exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
         out = [1]
         for rho, m in roots:
-            r = spec.neg(rho.encoding)
+            if not rho.encoding:  # x^m
+                out = [0] * m + out
+                continue
+            lr = log[rho.encoding] + log[spec.p - 1]  # the log of r = -rho
+            if lr >= order:
+                lr -= order
             for _ in range(m):
-                out = [mul(r, out[0])] + [add(c, mul(r, d)) for c, d in zip(out, out[1:])] + [1]
+                shifted = [0] + out
+                for k, c in enumerate(out):
+                    if c:
+                        t = log[c] + lr
+                        if t >= order:
+                            t -= order
+                        s = shifted[k]
+                        if s:
+                            z = zech[log[s] - t]
+                            shifted[k] = 0 if z is None else exp[t + z]
+                        else:
+                            shifted[k] = exp[t]
+                out = shifted
         return _poly(spec, out)
 
     # -- structure -----------------------------------------------------------
@@ -131,8 +164,11 @@ class Poly:
         return FieldElement(self.spec, self.ints[-1])
 
     def _scale(self, c: int) -> Poly:
-        mul = self.spec.mul
-        return _poly(self.spec, [mul(a, c) for a in self.ints])
+        if not c:
+            return _poly(self.spec, [])
+        exp, log = self.spec.exp, self.spec.log
+        lc = log[c]
+        return _poly(self.spec, [exp[log[a] + lc] if a else 0 for a in self.ints])
 
     def monic(self) -> Poly:
         if not self.ints:
@@ -146,18 +182,25 @@ class Poly:
         a, b = self.ints, other.ints
         if len(a) < len(b):
             a, b = b, a
-        add = _common_spec(self, other).add
+        spec = _common_spec(self, other)
+        exp, log, zech = spec.exp, spec.log, spec.zech
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return _poly(self.spec, out)
+            if c:
+                s = out[i]
+                if s:
+                    t = log[c]
+                    z = zech[log[s] - t]
+                    out[i] = 0 if z is None else exp[t + z]
+                else:
+                    out[i] = c
+        return _poly(spec, out)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + -other
 
     def __neg__(self) -> Poly:
-        neg = self.spec.neg
-        return _poly(self.spec, [neg(c) for c in self.ints])
+        return self._scale(self.spec.p - 1)  # -1 is the constant p - 1
 
     def __mul__(self, other: Poly | FieldElement) -> Poly:
         if isinstance(other, FieldElement):
@@ -168,13 +211,22 @@ class Poly:
             return _poly(spec, [])
         if (len(a) - a.count(0)) * (len(b) - b.count(0)) >= KRONECKER_TERMS * spec.d**2:
             return _poly(spec, _kronecker_product(spec, a, b))
-        add, mul = spec.add, spec.mul
-        terms = [(j, y) for j, y in enumerate(b) if y]
+        exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
+        terms = [(j, log[y]) for j, y in enumerate(b) if y]
         prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in terms:
-                    prod[i + j] = add(prod[i + j], mul(x, y))
+                lx = log[x]
+                for j, ly in terms:
+                    t = lx + ly
+                    if t >= order:
+                        t -= order
+                    s = prod[i + j]
+                    if s:
+                        z = zech[log[s] - t]
+                        prod[i + j] = 0 if z is None else exp[t + z]
+                    else:
+                        prod[i + j] = exp[t]
         return _poly(spec, prod)
 
     __rmul__ = __mul__
@@ -183,24 +235,8 @@ class Poly:
         if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
         spec = _common_spec(self, other)
-        add, neg, mul = spec.add, spec.neg, spec.mul
-        db = len(other.ints) - 1
-        inv_lead = spec.inv(other.ints[-1])
-        # the nonzero lower divisor terms, negated so that the elimination adds
-        terms = [(i, neg(b)) for i, b in enumerate(other.ints[:-1]) if b]
-        if not terms:  # c x^db: the terms of degree >= db, shifted down and scaled, and the rest
-            top = self.ints[db:]
-            quo = list(top) if inv_lead == 1 else [mul(c, inv_lead) for c in top]
-            return _poly(spec, quo), _poly(spec, list(self.ints[:db]))
-        rem = list(self.ints)
-        quo = [0] * max(len(rem) - db, 0)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + db]
-            if c:
-                c = quo[k] = mul(c, inv_lead)
-                for i, b in terms:
-                    rem[i + k] = add(rem[i + k], mul(c, b))
-        del rem[db:]  # every term of degree >= db has been eliminated
+        quo = [0] * max(len(self.ints) - len(other.ints) + 1, 0)
+        rem = _reduce(spec, list(self.ints), other.ints, quo)
         return _poly(spec, quo), _poly(spec, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:
@@ -213,15 +249,14 @@ class Poly:
 
     def derivative(self) -> Poly:
         """Formal derivative; characteristic-p collapses included."""
-        mul, p = self.spec.mul, self.spec.p
-        return _poly(self.spec, [mul(c, k % p) for k, c in enumerate(self.ints) if k])
+        exp, log, p = self.spec.exp, self.spec.log, self.spec.p
+        return _poly(self.spec, [exp[log[c] + log[k % p]] if c and k % p else 0 for k, c in enumerate(self.ints) if k])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        add, mul, r = self.spec.add, self.spec.mul, x.encoding
-        acc = 0
-        for c in reversed(self.ints):
-            acc = add(mul(acc, r), c)
-        return FieldElement(self.spec, acc)
+        r = x.encoding
+        if not self.ints:
+            return FieldElement(self.spec, 0)
+        return FieldElement(self.spec, _horner(self.spec, self.ints[::-1], r)[-1] if r else self.ints[0])
 
     def multiplicity_at(self, rho: FieldElement) -> int:
         """Order of vanishing at x = rho (0 if rho is not a root): the x-adic
@@ -230,21 +265,17 @@ class Poly:
         if not self.ints:
             raise ValueError("multiplicity of the zero polynomial is undefined")
         r = rho.encoding
+        if len(self.ints) == 1:  # a nonzero constant
+            return 0
         if not r:
             return _x_order(self.ints)
-        add, mul = self.spec.add, self.spec.mul
-        cur = self.ints[::-1]  # descending; the leading term is nonzero throughout
+        sums = _horner(self.spec, self.ints[::-1], r)  # the leading term is nonzero throughout
         m = 0
-        while True:
-            acc, quo = 0, []
-            for c in cur:
-                acc = add(mul(acc, r), c)
-                quo.append(acc)
-            if acc:
-                return m
-            quo.pop()
-            cur = quo
+        while not sums[-1]:
+            sums.pop()
+            sums = _horner(self.spec, sums, r)
             m += 1
+        return m
 
     def shift(self, k: int) -> Poly:
         """Multiply by x^k."""
@@ -337,23 +368,79 @@ def _digit_planes(ints: Sequence[int], p: int, d: int, code: str) -> list[int]:
     return [int.from_bytes(array(code, plane).tobytes(), sys.byteorder) for plane in planes]
 
 
+def _horner(spec: FieldSpec, desc: Sequence[int], r: int) -> list[int]:
+    """The Horner partial sums of the descending encodings ``desc`` at the
+    nonzero x = r: the quotient by x - r, highest first, then the value."""
+    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
+    lr, acc, sums = log[r], 0, []
+    for c in desc:  # acc r + c
+        if acc:
+            t = log[acc] + lr
+            if t >= order:
+                t -= order
+            if c:
+                z = zech[log[c] - t]
+                acc = 0 if z is None else exp[t + z]
+            else:
+                acc = exp[t]
+        else:
+            acc = c
+        sums.append(acc)
+    return sums
+
+
 def _x_order(ints: tuple[int, ...]) -> int:
     """The x-adic order of a nonzero polynomial: its count of leading zero encodings."""
     return next(k for k, c in enumerate(ints) if c)
 
 
+def _reduce(spec: FieldSpec, rem: list[int], divisor: Sequence[int], quo: list[int] | None = None) -> list[int]:
+    """rem modulo the nonzero divisor, both ascending encodings: rem is
+    reduced in place and returned trimmed.  A given ``quo``, zeros at the
+    degrees of the quotient, receives the quotient."""
+    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
+    db = len(divisor) - 1
+    lead = log[divisor[-1]]
+    # the logs of -b / lead for the nonzero lower divisor terms b, so that the elimination adds
+    shift = log[spec.p - 1] - lead
+    terms = [(i, (log[b] + shift) % order) for i, b in enumerate(divisor[:-1]) if b]
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db]
+        if c:
+            lc = log[c]
+            if quo is not None:
+                quo[k] = exp[lc - lead]
+            for i, lb in terms:
+                t = lc + lb
+                if t >= order:
+                    t -= order
+                s = rem[i + k]
+                if s:
+                    z = zech[log[s] - t]
+                    rem[i + k] = 0 if z is None else exp[t + z]
+                else:
+                    rem[i + k] = exp[t]
+    del rem[db:]  # every term of degree >= db has been eliminated
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor (gcd(0, 0) = 0).  When either operand
     is a monomial c x^k, its monic divisors are the x^j with j <= k, so the
-    gcd is x^min(ord_x a, ord_x b), with the order of 0 taken as infinite."""
+    gcd is x^min(ord_x a, ord_x b), with the order of 0 taken as infinite.
+    Otherwise Euclid's remainders are formed in place on encoding lists."""
     spec = _common_spec(a, b)
     for m, other in ((a.ints, b.ints), (b.ints, a.ints)):
         if m and not any(m[:-1]):  # m is c x^k
             k = min(len(m) - 1, _x_order(other)) if other else len(m) - 1
             return _poly(spec, [0] * k + [1])
-    while b.ints:
-        a, b = b, a % b
-    return a.monic() if a.ints else a
+    r0, r1 = list(a.ints), list(b.ints)
+    while r1:
+        r0, r1 = r1, _reduce(spec, r0, r1)
+    g = _poly(spec, r0)
+    return g.monic() if r0 else g
 
 
 def split_at_degree(h: Poly, m: int, inclusive: bool = True) -> tuple[Poly, Poly]:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .cohomology import Bases, DeRhamClass, DeRhamTriple, as_psi, build_bases, map_i, map_p, require_h1_class
+from .cohomology import Bases, DeRhamClass, DeRhamTriple, as_psi, build_bases, map_i, map_p, off_fiber_poles
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
 from .funcfield import FFDiff, FFElem, pairing, place_classes, poles, valuation_bound
 from .gf import FieldElement
@@ -211,14 +211,35 @@ def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElemen
     whose Horner partial sums are the quotient's coefficients, highest
     first, and each is added into the sum as it is formed."""
     spec = support.spec
-    add, mul = spec.add, spec.mul
+    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
     top = support.ints[:0:-1]  # descending, without the constant term: the last partial sum is the remainder
     acc = [0] * len(top)
     for rho, weight in terms:
-        r, w, quo = rho.encoding, weight.encoding, 0
+        if not weight.encoding:
+            continue
+        r, w, quo = log[rho.encoding], log[weight.encoding], 0  # r is None at rho = 0
         for k, c in enumerate(top):
-            quo = add(mul(quo, r), c)
-            acc[k] = add(acc[k], mul(w, quo))
+            if quo and r is not None:  # quo = quo rho + c
+                t = log[quo] + r
+                if t >= order:
+                    t -= order
+                if c:
+                    z = zech[log[c] - t]
+                    quo = 0 if z is None else exp[t + z]
+                else:
+                    quo = exp[t]
+            else:
+                quo = c
+            if quo:  # acc[k] += w quo
+                t = log[quo] + w
+                if t >= order:
+                    t -= order
+                s = acc[k]
+                if s:
+                    z = zech[log[s] - t]
+                    acc[k] = 0 if z is None else exp[t + z]
+                else:
+                    acc[k] = exp[t]
     return Poly(spec, map(spec.from_encoding, reversed(acc)))
 
 
@@ -360,8 +381,9 @@ def exactness_check(curve: Curve, bases: Bases, matrix: list[list[FieldElement]]
     zero element itself, so nothing is paired for it; an a-class whose
     image is an H^1 basis representative takes its coordinates from that
     representative's column of ``matrix`` (``duality_matrix`` of the same
-    bases); every other image is paired afresh.  Every image must first
-    be an H^1 class, as for ``h1_coordinates``."""
+    bases); every other image is paired afresh.  An image with a pole off
+    the fibers over 0 and infinity is no H^1 class: it is reported, by
+    class and place, and not paired."""
     zero = curve.spec.zero()
     one = curve.spec.one()
     problems = []
@@ -372,7 +394,11 @@ def exactness_check(curve: Curve, bases: Bases, matrix: list[list[FieldElement]]
     seen_positions = []
     for cls in a_classes:
         image = map_p(cls.triple)
-        require_h1_class(curve, image)
+        found = off_fiber_poles(image)
+        if found:
+            places = ", ".join(place.label() for place, _ in found)
+            problems.append(f"p({cls.label}) has a pole at {places}: not an O(U_0 cap U_inf) class")
+            continue
         column = next((j for j, (_, h) in enumerate(bases.columns) if h == image), None)
         if column is not None:
             coords = [row[column] for row in matrix]

@@ -141,7 +141,16 @@ def test_divisor_identities_do_not_read_the_psi_builder(monkeypatch):
 
 def test_as_phi_psi_and_omega_mu_examples():
     table = mu_table(AS_P3)
-    assert cohomology._as_phi(AS_P3, table, 2, 1) == Poly.from_ints(F3, [2, 0, 0, 0, 1])  # x^4 + 2
+    # phi_{mu,nu} = x g_{p-mu}' g_{mu-1} - nu g_{p-mu} g_{mu-1}, from parts built once per mu
+    phi = {
+        (mu, nu): cohomology._psi_at(cohomology._as_phi_parts(AS_P3, table, mu), nu).ints
+        for mu in (1, 2) for nu in (1, 2, 3)
+    }
+    assert phi[2, 1] == Poly.from_ints(F3, [2, 0, 0, 0, 1]).ints  # x^4 + 2
+    assert phi == {
+        (1, 1): (1, 0, 2), (1, 2): (2, 0, 1), (1, 3): (),
+        (2, 1): (2, 0, 0, 0, 1), (2, 2): (1, 0, 2), (2, 3): (0, 0, 1, 0, 2),
+    }
     assert as_psi(AS_P3) == Poly.from_ints(F3, [0, 1])  # x
     assert as_omega_mu(AS_P3, 2, table).render() == "(1/(2 + x^2)) * dx"
     # dy cross-check: coefficient of d(y) equals psi over prod (x-rho)^{l+1}

@@ -22,6 +22,8 @@ from cycliccover.cohomology import (
     map_p,
     omega_basis,
 )
+from cycliccover.funcfield import FFElem
+from cycliccover.polyrat import Poly, RatFn
 from cycliccover.verify import CheckResult, VerifyOptions, duality_matrix, exactness_check, full_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -132,6 +134,31 @@ def test_exactness_pairs_an_image_off_the_columns_afresh_and_fails(monkeypatch):
     result = exactness_check(curve, planted, matrix)
     assert result.status == "fail"
     assert result.payload["problems"] == [f"{label} has a nonzero third slot"]
+
+
+def test_exactness_reports_an_image_with_a_pole_off_the_fibers(monkeypatch):
+    """An a-class image with a pole at a branch point off the fiber over 0 is
+    no H^1 class: the check names the class and the place and fails, and a
+    report on that build carries the failure instead of raising."""
+    curve = parse_curve_spec(SPECS[1])  # rho_1 = 1: branch[1] does not cover x = 0
+    bases = build_bases(curve)
+    matrix, _ = duality_matrix(curve, bases)
+    spec = curve.spec
+    rho_1 = curve.branch[0][0]
+    pole = FFElem.monomial(curve, 0, RatFn(Poly.one(spec), Poly.from_roots(spec, [(rho_1, 1)])))
+    planted, label = _planted(bases, "a", pole)
+    result = exactness_check(curve, planted, matrix)
+    assert result.status == "fail"
+    assert result.payload["problems"] == [
+        f"p({label}) has a pole at branch[1]@1: not an O(U_0 cap U_inf) class",
+        "a-family does not map onto the full H^1 basis",
+    ]
+    monkeypatch.setattr(verify, "build_bases", lambda *args: planted)
+    report = full_report(curve)
+    by_name = {check.name: check for check in report.checks}
+    assert not report.all_pass
+    assert by_name["exactness"].payload == result.payload
+    assert by_name["duality"].status == "pass"
 
 
 def _exactness_by_pairing(curve, range_policy, sign) -> CheckResult:

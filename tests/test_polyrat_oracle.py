@@ -16,8 +16,8 @@ code with ``polyrat``.
 * Gcds with a monomial operand c x^k and the order at x = 0, which
   ``polyrat`` computes in closed form, against galoistools, a search over
   every monic polynomial of low degree, and repeated division by x.
-* Division by a monomial c x^k, which ``polyrat`` does by shifting and
-  scaling, against galoistools over prime fields and, over F_4 and F_9,
+* Division by a monomial c x^k, where the elimination has no lower
+  divisor term to subtract, against galoistools over prime fields and, over F_4 and F_9,
   against the defining identity a = q * c x^k + r with deg r < k in table
   arithmetic (division with remainder is unique).
 * ``hypothesis``: the field axioms of ``RatFn`` and its canonical form

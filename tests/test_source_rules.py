@@ -16,7 +16,9 @@ per-coefficient valuation, so every valuation they read comes from
 ``funcfield.valuations``, the one walk.
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
-references stay out of the path they check."""
+references stay out of the path they check.  The coefficient loops that
+read the field tables inline neither call ``FieldSpec.add``/``mul``/``neg``
+nor bind one to a local, so no per-coefficient call comes back."""
 
 import ast
 from pathlib import Path
@@ -48,6 +50,17 @@ ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
 BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at", "_cofactor_parts")  # names verify.py must not use
 # valuation primitives that verify.py and cohomology.py must not use
 VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
+# the coefficient loops that read the field tables inline, by module and class ("" for module level)
+TABLE_KERNELS = {
+    "polyrat.py": {
+        "Poly": ("__add__", "__neg__", "_scale", "__mul__", "__divmod__", "multiplicity_at", "from_roots",
+                 "evaluate", "derivative"),
+        "": ("_horner", "_reduce", "poly_gcd"),
+    },
+    "cohomology.py": {"": ("_cofactor_parts",)},
+    "verify.py": {"": ("_cofactor_sum",)},
+}
+FIELD_CALLS = ("add", "mul", "neg")  # the FieldSpec methods those loops must not call or bind
 # reference routes and retired family-table fields that no src/ definition may be named
 REFERENCE_NAMES = (
     "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
@@ -405,4 +418,60 @@ def test_the_reference_name_rule_catches_violations():
         "line 6: names gen_a",
         "line 8: names kummer_aux",
         "line 11: names KummerAux",
+    ]
+
+
+def _field_calls(tree: ast.Module, wanted: dict[str, tuple[str, ...]]) -> tuple[set[str], list[str]]:
+    """The wanted definitions found, and each place one of them reaches a
+    method from ``FIELD_CALLS``: an attribute of that name, whether called
+    (``spec.add(a, b)``) or bound (``add = spec.add``), or a ``getattr``
+    of it."""
+    found, out = set(), []
+    scopes = [("", tree)] + [(n.name, n) for n in tree.body if isinstance(n, ast.ClassDef)]
+    for owner, scope in scopes:
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in wanted.get(owner, ()):
+                continue
+            name = f"{owner}.{fn.name}" if owner else fn.name
+            found.add(name)
+            for sub in ast.walk(fn):
+                if isinstance(sub, ast.Attribute) and sub.attr in FIELD_CALLS:
+                    out.append(f"line {sub.lineno}: {name} uses .{sub.attr}")
+                elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "getattr"
+                      and any(isinstance(a, ast.Constant) and a.value in FIELD_CALLS for a in sub.args)):
+                    out.append(f"line {sub.lineno}: {name} uses getattr")
+    return found, sorted(out, key=lambda line: int(line.split()[1].rstrip(":")))
+
+
+def test_the_table_kernels_make_no_field_calls():
+    for module, wanted in TABLE_KERNELS.items():
+        found, bad = _field_calls(ast.parse((SRC / module).read_text(encoding="utf-8")), wanted)
+        assert found == {f"{c}.{f}" if c else f for c, fs in wanted.items() for f in fs}, module
+        assert bad == [], module
+
+
+def test_the_field_call_rule_catches_violations():
+    tree = ast.parse(
+        "class Poly:\n"
+        "    def __mul__(self, other):\n"
+        "        add, mul = self.spec.add, self.spec.mul\n"
+        "        return [add(x, mul(x, y)) for x, y in zip(self.ints, other.ints)]\n"
+        "    def _scale(self, c):\n"
+        "        return [self.spec.mul(a, c) for a in self.ints]\n"
+        "    def render(self):\n"
+        "        return self.spec.neg(1)\n"
+        "def poly_gcd(a, b):\n"
+        "    return getattr(a.spec, 'neg')(1), a.spec.inv(1)\n"
+        "def _cofactor_parts(spec, terms):\n"
+        "    return [spec.neg(r) for r, _ in terms]\n"
+    )
+    wanted = {"Poly": ("__mul__", "_scale", "evaluate"), "": ("poly_gcd", "_cofactor_parts")}
+    found, bad = _field_calls(tree, wanted)
+    assert found == {"Poly.__mul__", "Poly._scale", "poly_gcd", "_cofactor_parts"}
+    assert bad == [
+        "line 3: Poly.__mul__ uses .add",
+        "line 3: Poly.__mul__ uses .mul",
+        "line 6: Poly._scale uses .mul",
+        "line 10: poly_gcd uses getattr",
+        "line 12: _cofactor_parts uses .neg",
     ]
