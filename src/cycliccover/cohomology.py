@@ -228,10 +228,7 @@ SIGN_CONVENTIONS = ("paper", "negated-infty")
 def _slot(curve: Curve, terms: list[tuple[int, Poly, Poly]]) -> FFDiff:
     """One slot: the differential sum of (num/den) y^j dx over the (j, num, den) terms,
     at distinct j, each coefficient reduced once."""
-    coeffs = [RatFn.zero(curve.spec)] * curve.degree
-    for j, num, den in terms:
-        coeffs[j] = RatFn(num, den)
-    return FFDiff(FFElem(curve, coeffs))
+    return FFDiff(FFElem.from_terms(curve, [(j, RatFn(num, den)) for j, num, den in terms]))
 
 
 def _build_derham_basis(

@@ -179,9 +179,11 @@ def validate(curve: Curve) -> list[Violation]:
 
 
 def require_valid(curve: Curve) -> None:
-    violations = validate(curve)
-    if violations:
-        raise CurveInvalidError(violations)
+    """Raise unless the curve is valid; once judged, the kept verdict is read, not copied."""
+    if curve.violations is None:
+        validate(curve)
+    if curve.violations:
+        raise CurveInvalidError(curve.violations)
 
 
 @dataclass(frozen=True)

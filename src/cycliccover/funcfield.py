@@ -12,14 +12,19 @@ Both families are cyclic covers of P^1.  ``FFElem``, ``FFDiff`` and
     pairing terms  a_i b_j, i + j = 0;      a_i b_j, i + j = p - 1
                    f a_i b_j, i + j = n     or i + j = 2p - 2
 
-Elements are y-coefficient vectors (a_0, ..., a_{deg-1}) of rational
-functions, reduced by the relation after every product.  Differentials
-are (element) * dx, since x is a separating variable in both families;
-no local uniformizer machinery exists anywhere.
+An element holds its ``terms``: the pairs (j, a_j) with a_j a nonzero
+rational function, j ascending, reduced by the relation after every
+product.  The basis elements are single y-monomials and a de Rham slot
+has at most two terms, so every walk, sum and negation visits only the
+nonzero coefficients; the dense vector (a_0, ..., a_{deg-1}) is built
+only on request, as the ``coeffs`` view.  Differentials are (element) *
+dx, since x is a separating variable in both families; no local
+uniformizer machinery exists anywhere.
 
 ``pairing`` forms only the y coefficient of f * coeff(omega) that the
-trace reads, from the terms a_i b_j y^(i+j) in the last table row, and
-sums their residues on unreduced fractions, so it takes no gcd.
+trace reads, from the terms a_i b_j y^(i+j) in the last table row, each
+b_j looked up by index, and sums their residues on unreduced fractions,
+so it takes no gcd.
 ``differential_terms`` lists the terms of d(a_j y^j) unreduced;
 ``exterior_d`` reduces them, and the cocycle check tests their sum for
 zero without reducing.
@@ -80,25 +85,42 @@ def _family_table(curve: Curve) -> FamilyTable:
 
 
 class FFElem:
-    """Element sum a_j y^j of the function field, y-degree < cover degree."""
+    """Element sum a_j y^j of the function field, y-degree < cover degree,
+    held as ``terms``: the (j, a_j) pairs with a_j != 0, j ascending."""
 
-    __slots__ = ("curve", "coeffs", "_valuations")
+    __slots__ = ("curve", "terms", "_valuations")
 
     def __init__(self, curve: Curve, coeffs):
+        """The element of the dense vector (a_0, ..., a_{deg-1})."""
         deg = curve.degree
         cs = list(coeffs)
         if len(cs) != deg:
             raise ValueError(f"coefficient vector must have length {deg}")
         self.curve = curve
-        self.coeffs = tuple(cs)
+        self.terms = tuple((j, a) for j, a in enumerate(cs) if a.num.ints)
         self._valuations: tuple[int, ...] | None = None  # valuations, on first use
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _of(cls, curve: Curve, terms: tuple[tuple[int, RatFn], ...]) -> FFElem:
+        """The element of terms already nonzero, in range and ascending."""
+        elem = cls.__new__(cls)
+        elem.curve, elem.terms, elem._valuations = curve, terms, None
+        return elem
+
+    @classmethod
+    def from_terms(cls, curve: Curve, pairs) -> FFElem:
+        """The element sum a y^j over (j, a) pairs, 0 <= j < deg."""
+        deg = curve.degree
+        pairs = list(pairs)
+        if any(not 0 <= j < deg for j, _ in pairs):
+            raise ValueError(f"y-exponent out of range for degree {deg}")
+        return cls._of(curve, _summed(pairs))
+
+    @classmethod
     def zero(cls, curve: Curve) -> FFElem:
-        z = RatFn.zero(curve.spec)
-        return cls(curve, (z,) * curve.degree)
+        return cls._of(curve, ())
 
     @classmethod
     def one(cls, curve: Curve) -> FFElem:
@@ -117,16 +139,21 @@ class FFElem:
         deg = curve.degree
         if not 0 <= j < deg:
             raise ValueError(f"y-exponent {j} out of range for degree {deg}")
-        z = RatFn.zero(curve.spec)
-        coeffs = [z] * deg
-        coeffs[j] = a
-        return cls(curve, coeffs)
+        return cls._of(curve, ((j, a),) if a.num.ints else ())
 
     # -- basic structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[RatFn, ...]:
+        """The dense vector (a_0, ..., a_{deg-1}), built on each read."""
+        out = [RatFn.zero(self.curve.spec)] * self.curve.degree
+        for j, a in self.terms:
+            out[j] = a
+        return tuple(out)
+
+    @property
     def is_zero(self) -> bool:
-        return not any(a.num.ints for a in self.coeffs)
+        return not self.terms
 
     def _check(self, other: FFElem) -> None:
         if self.curve is not other.curve:
@@ -135,23 +162,22 @@ class FFElem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FFElem):
             return NotImplemented
-        return self.curve is other.curve and self.coeffs == other.coeffs
+        return self.curve is other.curve and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((id(self.curve), self.coeffs))
+        return hash((id(self.curve), self.terms))
 
     # -- ring operations -----------------------------------------------------------
 
     def __add__(self, other: FFElem) -> FFElem:
         self._check(other)
-        return FFElem(self.curve, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return FFElem._of(self.curve, _summed(self.terms + other.terms))
 
     def __sub__(self, other: FFElem) -> FFElem:
-        self._check(other)
-        return FFElem(self.curve, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self) -> FFElem:
-        return FFElem(self.curve, [-a for a in self.coeffs])
+        return FFElem._of(self.curve, tuple((j, -a) for j, a in self.terms))
 
     def __mul__(self, other: FFElem) -> FFElem:
         """The reduced product.  No report computes it, since ``pairing``
@@ -160,22 +186,18 @@ class FFElem:
         self._check(other)
         curve = self.curve
         deg = curve.degree
-        raw = [RatFn.zero(curve.spec)] * (2 * deg - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                if not bj.is_zero:
-                    raw[i + j] = raw[i + j] + ai * bj
+        raw = _summed((i + j, a * b) for i, a in self.terms for j, b in other.terms)
         # y^deg = relation (+ y), applied once: exponents up to 2 deg - 2 land below deg
         table = _family_table(curve)
-        out = raw[:deg]
-        for k in range(deg, len(raw)):
-            if not raw[k].is_zero:
-                if table.relation_has_y:
-                    out[k - deg + 1] = out[k - deg + 1] + raw[k]
-                out[k - deg] = out[k - deg] + raw[k] * table.relation
-        return FFElem(curve, out)
+        out = []
+        for k, c in raw:
+            if k < deg:
+                out.append((k, c))
+                continue
+            out.append((k - deg, c * table.relation))
+            if table.relation_has_y:
+                out.append((k - deg + 1, c))
+        return FFElem._of(curve, _summed(out))
 
     # -- differential --------------------------------------------------------------------
 
@@ -188,9 +210,7 @@ class FFElem:
         table = _family_table(curve)
         c = table.dy_coeff
         out = []
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
+        for j, a in self.terms:
             u, v = a.num, a.den
             out.append((j, u.derivative() * v - u * v.derivative(), v * v))
             if j:
@@ -200,29 +220,33 @@ class FFElem:
     def exterior_d(self) -> FFDiff:
         """Exterior derivative as a global (element) * dx differential: the
         sum of the reduced ``differential_terms``."""
-        out = [RatFn.zero(self.curve.spec)] * self.curve.degree
-        for k, num, den in self.differential_terms():
-            out[k] = out[k] + RatFn(num, den)
-        return FFDiff(FFElem(self.curve, out))
+        terms = _summed((k, RatFn(num, den)) for k, num, den in self.differential_terms())
+        return FFDiff(FFElem._of(self.curve, terms))
 
     # -- rendering -------------------------------------------------------------------------
 
     def render(self) -> str:
         """Canonical form ``(a0) + (a1)*y + ... + (ak)*y^k`` (zero terms skipped)."""
-        terms = []
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
+        parts = []
+        for k, a in self.terms:
             part = f"({a.render()})"
             if k == 1:
                 part += "*y"
             elif k > 1:
                 part += f"*y^{k}"
-            terms.append(part)
-        return " + ".join(terms) if terms else "0"
+            parts.append(part)
+        return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"FFElem({self.render()})"
+
+
+def _summed(pairs) -> tuple[tuple[int, RatFn], ...]:
+    """The terms of sum a y^j over (j, a) pairs: the nonzero sums per j, j ascending."""
+    out: dict[int, RatFn] = {}
+    for j, a in pairs:
+        out[j] = out[j] + a if j in out else a
+    return tuple((j, out[j]) for j in sorted(out) if out[j].num.ints)
 
 
 class FFDiff:
@@ -266,8 +290,7 @@ class FFDiff:
         if self.is_zero:
             return "0"
         inner = self.coeff.render()
-        terms = sum(1 for a in self.coeff.coeffs if not a.is_zero)
-        if terms > 1:
+        if len(self.coeff.terms) > 1:
             inner = f"({inner})"
         return f"{inner} * dx"
 
@@ -331,10 +354,8 @@ def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:
     if obj._valuations is None:
         places = place_classes(obj.curve)
         best = None
-        for j, a in enumerate(obj.coeffs):
+        for j, a in obj.terms:
             num, den = a.num, a.den
-            if not num.ints:
-                continue
             scores = []
             for place in places:
                 if place.rho is None:  # over infinity: deg den - deg num
@@ -418,15 +439,13 @@ def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     reach = [(k, None), (k + deg, table.relation)]
     if table.relation_has_y and k:
         reach.append((k + deg - 1, None))
+    by_index = dict(w.terms)  # each a_i meets omega's term at s - i, if it has one
     total = 0
-    for i, a in enumerate(f.coeffs):
-        if a.is_zero:
-            continue
+    for i, a in f.terms:
         for s, factor in reach:
-            j = s - i
-            if not 0 <= j < deg or w.coeffs[j].is_zero:
+            b = by_index.get(s - i)
+            if b is None:
                 continue
-            b = w.coeffs[j]
             num, den = a.num * b.num, a.den * b.den
             if factor is not None:
                 num, den = num * factor.num, den * factor.den

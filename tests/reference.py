@@ -3,14 +3,18 @@ action, the traces, powers and scaling, the Kummer psi and the
 Artin-Schreier omega_mu.  Each is written from the curve data (n, zeta_n,
 the branch points, the mu-tables) on ``FFElem`` ``+``/``*``, ``RatFn``
 and ``Poly``; none reads the curve's family table, so an oracle built on
-them shares no code with the path it checks."""
+them shares no code with the path it checks.
+
+The dense walks (``dense_*``) work on plain y-coefficient vectors
+(a_0, ..., a_{deg-1}) of ``RatFn``, visiting every index, zero or not:
+they are the routes the sparse ``FFElem`` terms are checked against."""
 
 import math
 
 from cycliccover.curve import ram_data
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.gf import nth_root_of_unity
-from cycliccover.polyrat import Poly, RatFn
+from cycliccover.polyrat import Poly, RatFn, residue_at_infinity
 
 
 def galois(h: FFElem, j: int) -> FFElem:
@@ -45,10 +49,14 @@ def trace_by_orbit(h: FFElem) -> RatFn:
 
 def trace(h: FFElem) -> RatFn:
     """The trace table: Tr(y^k) = 0 but for Tr(1) = n (Kummer) and Tr(y^(p-1)) = -1 (Artin-Schreier)."""
-    curve = h.curve
+    return dense_trace(h.curve, h.coeffs)
+
+
+def dense_trace(curve, coeffs) -> RatFn:
+    """The trace table on a dense vector."""
     if curve.kind == "kummer":
-        return h.coeffs[0] * curve.spec.element(curve.n)
-    return -h.coeffs[curve.p - 1]
+        return coeffs[0] * curve.spec.element(curve.n)
+    return -coeffs[curve.p - 1]
 
 
 def pairing_scale(curve):
@@ -102,3 +110,68 @@ def as_omega_mu(curve, mu: int, table) -> FFDiff:
     num = table[curve.p - mu].g_mu * spec.element(mu - 1)
     den = _linear_product(spec, [(rho, l + 1) for rho, l in curve.branch])
     return FFDiff(FFElem.monomial(curve, mu - 2, RatFn(num, den)))
+
+
+def dense_add(a, b) -> list[RatFn]:
+    return [x + y for x, y in zip(a, b)]
+
+
+def dense_sub(a, b) -> list[RatFn]:
+    return [x - y for x, y in zip(a, b)]
+
+
+def dense_neg(a) -> list[RatFn]:
+    return [-x for x in a]
+
+
+def dense_mul(curve, a, b) -> list[RatFn]:
+    """The product of two dense vectors, every index pair multiplied, with
+    y^deg replaced once by the curve's equation: y^n = f (Kummer), resp.
+    y^p = y + r (Artin-Schreier)."""
+    spec, deg = curve.spec, curve.degree
+    raw = [RatFn.zero(spec)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] = raw[i + j] + x * y
+    kummer = curve.kind == "kummer"
+    relation = RatFn.from_poly(curve.f) if kummer else curve.r_fn
+    out = raw[:deg]
+    for k in range(deg, 2 * deg - 1):
+        out[k - deg] = out[k - deg] + raw[k] * relation
+        if not kummer:
+            out[k - deg + 1] = out[k - deg + 1] + raw[k]
+    return out
+
+
+def _order(poly: Poly, rho) -> int:
+    """The multiplicity of rho as a root of a nonzero poly, by repeated division by x - rho."""
+    linear = Poly(poly.spec, [-rho, poly.spec.one()])
+    m = 0
+    while True:
+        quo, rem = divmod(poly, linear)
+        if not rem.is_zero:
+            return m
+        poly, m = quo, m + 1
+
+
+def dense_valuations(coeffs, places) -> tuple[int, ...]:
+    """Per place class, min over every index j with a_j != 0 of e (ord num -
+    ord den) + j v(y), with deg den - deg num over infinity."""
+    best = []
+    for place in places:
+        scores = []
+        for j, a in enumerate(coeffs):
+            if a.is_zero:
+                continue
+            if place.rho is None:
+                v = a.den.degree - a.num.degree
+            else:
+                v = place.e * (_order(a.num, place.rho) - _order(a.den, place.rho))
+            scores.append(v + j * place.v_y)
+        best.append(min(scores))
+    return tuple(best)
+
+
+def dense_pairing(curve, f, w):
+    """c * Res_inf(Tr(f w)) from the whole dense product."""
+    return pairing_scale(curve) * residue_at_infinity(dense_trace(curve, dense_mul(curve, f, w)))

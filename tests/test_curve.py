@@ -1,13 +1,16 @@
 import pytest
 
+from cycliccover import curve as curve_module
 from cycliccover.curve import (
     ASCurve,
     CurveInvalidError,
     KummerCurve,
+    Violation,
     genus_from_basis,
     genus_rh,
     mu_table,
     ram_data,
+    require_valid,
     validate,
 )
 from cycliccover.gf import FieldSpec
@@ -61,6 +64,25 @@ def test_tables_refuse_invalid_curves():
         ram_data(bad)
     with pytest.raises(CurveInvalidError):
         mu_table(bad)
+
+
+def test_the_kept_verdict_survives_edits_to_a_returned_list(monkeypatch):
+    # validate hands out a fresh list each call; require_valid reads the kept verdict
+    good, bad = quartic(), KummerCurve(F5, 3, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
+    codes = [v.code for v in validate(bad)]
+    validate(good)
+    with monkeypatch.context() as mp:
+        mp.setattr(curve_module, "validate", lambda c: pytest.fail("require_valid judged a judged curve again"))
+        require_valid(good)
+    for _ in range(2):
+        validate(good).append(Violation("planted", "not a real violation"))
+        validate(bad).clear()
+        assert validate(good) == []
+        require_valid(good)
+        assert [v.code for v in validate(bad)] == codes
+        with pytest.raises(CurveInvalidError) as caught:
+            require_valid(bad)
+        assert [v.code for v in caught.value.violations] == codes
 
 
 def test_ram_data_examples():

@@ -15,18 +15,38 @@ the traces and the powers are the ``reference`` routes.
 End to end, every random valid small spec document of either family
 (p <= 7, total branch multiplicity <= 8) verifies: ``full_report`` passes
 every check, and no check reports a status other than pass or fail.
+
+The sparse representation: on both spec files and an Artin-Schreier cover
+of degree 19, an element built from a dense vector with random zero
+positions holds only its nonzero terms, ascending, gives the vector back
+as ``coeffs``, compares and hashes as the dense vector does, and its sum,
+difference, negation, product, valuations and pairing equal the dense
+walks of ``reference``, which visit every index.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import galois, power, trace, trace_by_orbit
+from reference import (
+    dense_add,
+    dense_mul,
+    dense_neg,
+    dense_pairing,
+    dense_sub,
+    dense_valuations,
+    galois,
+    power,
+    trace,
+    trace_by_orbit,
+)
 
 from cycliccover.cli import parse_curve_spec
 from cycliccover.curve import ASCurve, KummerCurve, validate
-from cycliccover.funcfield import FFDiff, FFElem
+from cycliccover.funcfield import FFDiff, FFElem, pairing, place_classes, valuations
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 from cycliccover.verify import full_report
@@ -183,3 +203,82 @@ def test_small_valid_specs_pass_every_check(doc):
     report = full_report(parse_curve_spec(doc))
     assert {c.status for c in report.checks} <= {"pass", "fail"}
     assert report.all_pass, [c.name for c in report.checks if c.status != "pass"]
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+SPARSE_CURVES = {
+    name: parse_curve_spec(json.loads((SPECS / f"{name}.json").read_text())) for name in ("kummer_quartic", "as_p3")
+}
+# y^19 - y = (x^2 + 1) / (x - 1)^2, genus 9: 19 y indices, most of them zero
+SPARSE_CURVES["as_p19"] = parse_curve_spec(
+    {"type": "artin-schreier", "p": 19, "branch": [{"rho": 1, "l": 2}], "f": [1, 0, 1]}
+)
+SPARSE_IDS = sorted(SPARSE_CURVES)
+
+
+def dense_vectors(curve):
+    """Dense vectors with a random set of nonzero positions (at most 4)."""
+    deg, zero = curve.degree, RatFn.zero(curve.spec)
+    positions = st.lists(st.integers(0, deg - 1), unique=True, max_size=min(deg, 4))
+    return positions.flatmap(
+        lambda js: st.lists(ratfns(curve.spec), min_size=len(js), max_size=len(js)).map(
+            lambda values: [dict(zip(js, values)).get(j, zero) for j in range(deg)]
+        )
+    )
+
+
+@pytest.mark.parametrize("name", SPARSE_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_terms_are_the_nonzero_coefficients_ascending(name, data):
+    curve = SPARSE_CURVES[name]
+    a = data.draw(dense_vectors(curve))
+    elem = FFElem(curve, a)
+    assert [j for j, _ in elem.terms] == [j for j, c in enumerate(a) if not c.is_zero]
+    assert all(not c.is_zero for _, c in elem.terms)
+    assert list(elem.coeffs) == a
+    assert elem.is_zero == all(c.is_zero for c in a)
+    assert FFElem.from_terms(curve, reversed(elem.terms)) == elem
+
+
+@pytest.mark.parametrize("name", SPARSE_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_equality_and_hash_follow_the_dense_vector(name, data):
+    curve = SPARSE_CURVES[name]
+    a = data.draw(dense_vectors(curve))
+    b = data.draw(st.one_of(st.just(list(a)), dense_vectors(curve)))
+    x, y = FFElem(curve, a), FFElem(curve, b)
+    assert (x == y) == (a == b)
+    if a == b:
+        assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("name", SPARSE_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ring_operations_match_the_dense_walks(name, data):
+    curve = SPARSE_CURVES[name]
+    a, b = data.draw(dense_vectors(curve)), data.draw(dense_vectors(curve))
+    x, y = FFElem(curve, a), FFElem(curve, b)
+    for got, want in ((x + y, dense_add(a, b)), (x - y, dense_sub(a, b)), (-x, dense_neg(a)),
+                      (x * y, dense_mul(curve, a, b)), (x - x, dense_sub(a, a))):
+        assert list(got.coeffs) == want
+        assert [j for j, _ in got.terms] == [j for j, c in enumerate(want) if not c.is_zero]
+    assert (x - x).terms == (x + -x).terms == ()
+    assert FFElem.from_terms(curve, x.terms + y.terms) == x + y
+
+
+@pytest.mark.parametrize("name", SPARSE_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_valuations_and_pairing_match_the_dense_walks(name, data):
+    curve = SPARSE_CURVES[name]
+    a, w = data.draw(dense_vectors(curve)), data.draw(dense_vectors(curve))
+    x = FFElem(curve, a)
+    if x.is_zero:
+        with pytest.raises(ValueError):
+            valuations(x)
+    else:
+        assert valuations(x) == dense_valuations(a, place_classes(curve))
+    assert pairing(x, FFDiff(FFElem(curve, w))) == dense_pairing(curve, a, w)

@@ -5,8 +5,15 @@ both sample specs under the default policy and under each paper-deviation
 knob, and the ``sweep --json`` summaries of both README corpora.  Any
 change to a report byte shows up here; re-record a file only when the
 change is intended.
+
+Two larger curves, whose elements leave most y indices zero, are pinned
+by the sha256 of their ``verify --json`` documents under both mu-range
+policies and both sign conventions: an Artin-Schreier cover with p = 19
+and genus 9, and a Kummer cover of degree 8 over F_9 of genus 7.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +55,35 @@ def test_sweep_json_matches_golden(name, flags, capsys):
     code, out = _run(["sweep", *flags, "--seed", "7", "--json"], capsys)
     assert code == 0
     assert out == (GOLDEN / f"sweep_{name}.json").read_text(encoding="utf-8")
+
+
+SHA_SPECS = {
+    # y^19 - y = (x^2 + 1) / (x - 1)^2
+    "as_p19": {"type": "artin-schreier", "p": 19, "branch": [{"rho": 1, "l": 2}], "f": [1, 0, 1]},
+    # y^8 = (x - 1) (x - 2) (x - z) (x - 1 - z)^5 over F_9 = F_3[z]/(z^2 + 1)
+    "kummer_q9_n8": {
+        "type": "kummer", "p": 3, "ext_modulus": [1, 0, 1], "n": 8,
+        "branch": [{"rho": 1, "l": 1}, {"rho": 2, "l": 1}, {"rho": [0, 1], "l": 1}, {"rho": [1, 1], "l": 5}],
+    },
+}
+SHA_CASES = [
+    ("as_p19", [], 0, "ae0f53427c3ab369edd4e5865db626fdeeeb10eac9787815ab8de6c4ebc0f439"),
+    ("as_p19", ["--mu-range", "paper"], 1, "3d1e592690ff02b6f9665784c06ae5c3e1771c27cf7109416965f25dd1c150b3"),
+    ("as_p19", ["--sign", "paper"], 1, "e50f02c60612131e4458050289c823dae6b9a4cf2c10c2b2c20b9d7d46a521ab"),
+    ("as_p19", ["--mu-range", "paper", "--sign", "paper"], 1,
+     "3e3d5ec34bebca70a00eb6098a258740228262f25290ffd992b4d7bd7919a4e4"),
+    ("kummer_q9_n8", [], 0, "762ed1642c2e64c5234cffbb9636dd9d2f7e6c42867944a5d4f0b93fa5095bf6"),
+    ("kummer_q9_n8", ["--mu-range", "paper"], 0, "96ca6543234217ddaa4ee2de1ab0dc4ecd6f202a227962d6bb6742a4f35aa090"),
+    ("kummer_q9_n8", ["--sign", "paper"], 1, "1d00c3f29f60140d2daf2444587b7d40c49b31ab5bfd7176a33f41cfb255d070"),
+    ("kummer_q9_n8", ["--mu-range", "paper", "--sign", "paper"], 1,
+     "7bc62b7e88b889bef2d5089c08df65c3514a9acbf1f57bccab5ae69c43c174ff"),
+]
+
+
+@pytest.mark.parametrize("name,flags,code,digest", SHA_CASES, ids=[f"{c[0]}{''.join(c[1])}" for c in SHA_CASES])
+def test_verify_json_of_the_larger_curves_matches_its_sha256(name, flags, code, digest, tmp_path, capsys):
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(SHA_SPECS[name]), encoding="utf-8")
+    got_code, out = _run(["verify", str(spec), "--json", *flags], capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

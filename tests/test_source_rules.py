@@ -18,7 +18,11 @@ No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check.  The coefficient loops that
 read the field tables inline neither call ``FieldSpec.add``/``mul``/``neg``
-nor bind one to a local, so no per-coefficient call comes back."""
+nor bind one to a local, so no per-coefficient call comes back.  The
+function field arithmetic, the bases and the checks walk an element's
+nonzero ``terms``: no code in ``funcfield``, ``cohomology`` or ``verify``
+reads the dense ``.coeffs`` view but the ``FFElem.coeffs`` property
+itself."""
 
 import ast
 from pathlib import Path
@@ -41,7 +45,7 @@ STATUSES = ("pass", "fail")
 # the pairing, the cocycle zero test and the helpers they call, by module and class ("" for module level)
 UNREDUCED = {
     "funcfield.py": {"": ("pairing",), "FFElem": ("differential_terms",)},
-    "verify.py": {"": ("_cocycle_sums",)},
+    "verify.py": {"": ("_cocycle_sums", "_dx_sums", "_dy_matches")},
     "polyrat.py": {"": ("fraction_residue", "fraction_sum")},
 }
 REDUCING_CALLS = ("RatFn", "poly_gcd", "exterior_d")
@@ -61,6 +65,7 @@ TABLE_KERNELS = {
     "verify.py": {"": ("_cofactor_sum",)},
 }
 FIELD_CALLS = ("add", "mul", "neg")  # the FieldSpec methods those loops must not call or bind
+SPARSE_MODULES = ("funcfield.py", "cohomology.py", "verify.py")  # modules that walk terms, never .coeffs
 # reference routes and retired family-table fields that no src/ definition may be named
 REFERENCE_NAMES = (
     "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
@@ -474,4 +479,49 @@ def test_the_field_call_rule_catches_violations():
         "line 6: Poly._scale uses .mul",
         "line 10: poly_gcd uses getattr",
         "line 12: _cofactor_parts uses .neg",
+    ]
+
+
+def _dense_reads(tree: ast.Module) -> list[str]:
+    """Each read of ``.coeffs``, as an attribute or by ``getattr``,
+    outside the ``FFElem.coeffs`` property."""
+    view = [fn for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FFElem"
+            for fn in node.body if isinstance(fn, ast.FunctionDef) and fn.name == "coeffs"]
+    inside = {id(sub) for fn in view for sub in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+            out.append((node.lineno, "reads .coeffs"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+              and any(isinstance(a, ast.Constant) and a.value == "coeffs" for a in node.args)):
+            out.append((node.lineno, "reads coeffs by getattr"))
+    return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+def test_the_sparse_modules_read_no_dense_vector():
+    for module in SPARSE_MODULES:
+        assert _dense_reads(ast.parse((SRC / module).read_text(encoding="utf-8"))) == [], module
+
+
+def test_the_dense_read_rule_catches_violations():
+    tree = ast.parse(
+        "class FFElem:\n"
+        "    @property\n"
+        "    def coeffs(self):\n"
+        "        return self.dense.coeffs\n"
+        "    def render(self):\n"
+        "        return [a for a in self.coeffs if a]\n"
+        "class FFDiff:\n"
+        "    def coeffs(self):\n"
+        "        return self.coeff.coeffs\n"
+        "def pairing(f, omega):\n"
+        "    return f.coeffs[0], getattr(omega, 'coeffs')\n"
+    )
+    assert _dense_reads(tree) == [
+        "line 6: reads .coeffs",
+        "line 9: reads .coeffs",
+        "line 11: reads .coeffs",
+        "line 11: reads coeffs by getattr",
     ]

@@ -238,3 +238,29 @@ def test_the_kummer_identities_build_two_products_of_roots_per_mu(monkeypatch):
         assert divisor_checks(parse_curve_spec(doc)).status == "pass"
     assert len(counts) == 1 + 64
     assert all(made <= 2 * mus for made, mus in counts), counts
+
+
+@pytest.mark.parametrize(
+    "plant,expected",
+    [
+        (lambda psi: psi + Poly.one(F3), "(1/(1 + 2*x + 2*x^2 + x^3)) * dx"),
+        (lambda psi: psi * F3.element(2), "((2*x)/(1 + x^2 + x^4)) * dx"),
+    ],
+)
+def test_a_wrong_psi_fails_the_dy_item_with_both_differentials_rendered(monkeypatch, plant, expected):
+    # the zero test on the unreduced sums decides; a failing item still
+    # renders the reduced closed form and the reduced dy
+    real = verify.as_psi
+    monkeypatch.setattr(verify, "as_psi", lambda curve: plant(real(curve)))
+    result = divisor_checks(AS_P3)
+    assert (result.status, result.details) == ("fail", "1 of 52 divisor identities failed")
+    assert result.payload == {
+        "items": [
+            {
+                "item": "dy == psi / prod (x-rho)^{l+1} dx",
+                "ok": False,
+                "expected": expected,
+                "got": "(x/(1 + x^2 + x^4)) * dx",
+            }
+        ]
+    }
