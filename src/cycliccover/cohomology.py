@@ -35,7 +35,7 @@ membership conditions verbatim:
   that adjustment every emitted triple passes the membership checks.
 
 Each nonzero y coefficient of an a-class slot is one closed-form fraction,
-written as an unreduced num/den product and reduced once by ``RatFn``:
+written as an unreduced num/den product and reduced once:
 
     Kummer, y^mu:              g_{n-mu} lo|hi(psi) / (n x^{nu+1} f)
     Artin-Schreier, y^{mu-1}:  lo|hi(phi) / (x^{nu+1} g_{mu-1})
@@ -44,6 +44,14 @@ written as an unreduced num/den product and reduced once by ``RatFn``:
 (the last absent at mu = 1).  psi_AS and prod (x-rho_i)^{l_i+1} are built
 once per build, the Kummer psi parts and the Artin-Schreier phi parts
 once per mu.
+
+Every denominator here and in the omega and H^1 bases is x^e times a
+product of branch factors (x - rho_i)^m whose exponents come from the
+curve (l_i, l_i + 1) or from the mu-table's m rows (g_mu).  So each
+coefficient is reduced by ``polyrat.reduce_over_roots`` over those known
+roots, with no gcd: the root lists are built once per build, a branch
+point at rho = 0 is folded into e, and the Kummer constant n moves into
+the numerator as 1/n.
 
 ``build_bases`` builds every basis of one curve, policy and sign once,
 into a ``Bases`` value that the checks and the report document share; the
@@ -58,7 +66,7 @@ from typing import NamedTuple
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
 from .funcfield import FFDiff, FFElem, PlaceClass, pairing, poles
 from .gf import FieldElement, FieldSpec
-from .polyrat import Poly, RatFn, split_at_degree
+from .polyrat import Poly, RatFn, reduce_over_roots, split_at_degree
 
 
 class BasisIndex(NamedTuple):
@@ -114,20 +122,51 @@ def h1_indices(curve: Curve, range_policy: str = "extended") -> list[BasisIndex]
 # -- bases -------------------------------------------------------------------
 
 
+class _Den(NamedTuple):
+    """A monic denominator x^e den with den = prod (x - rho)^m over ``roots``,
+    the (encoding of rho, m) pairs with rho != 0 and m > 0."""
+
+    e: int
+    den: Poly
+    roots: tuple[tuple[int, int], ...]
+
+
+def _factored(curve: Curve, poly: Poly, ms) -> _Den:
+    """The monic poly = prod (x - rho_i)^(m_i) over the branch points, its
+    x-power split off: a branch point at rho = 0 goes into e."""
+    rhos = [rho.encoding for rho, _ in curve.branch]
+    e = sum(m for rho, m in zip(rhos, ms) if not rho)
+    return _Den(e, Poly.from_encodings(curve.spec, poly.ints[e:]), tuple((r, m) for r, m in zip(rhos, ms) if r and m))
+
+
+def _g_dens(curve: Curve, table: MuTable, mus) -> dict[int, _Den]:
+    """The g_mu of the given mus, factored."""
+    return {mu: _factored(curve, table[mu].g_mu, table[mu].m) for mu in mus}
+
+
+def _over(num: Poly, shift: int, den: _Den) -> RatFn:
+    """num / (x^shift den), reduced over the roots den is built from."""
+    return reduce_over_roots(num, shift + den.e, den.den, den.roots)
+
+
 def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFDiff]]:
     """Basis of holomorphic differentials for the active policy range."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
+    kummer = curve.kind == "kummer"
+    indices = omega_indices(curve, range_policy)
+    if not indices:
+        return []
+    if kummer:
+        dens = _factored(curve, curve.f, [l for _, l in curve.branch])
+    else:
+        dens = _g_dens(curve, table, {mu for mu, _ in indices})
     out = []
-    for idx in omega_indices(curve, range_policy):
-        g_mu = table[idx.mu].g_mu
-        x_pow = Poly.monomial(spec, idx.nu - 1)
-        if curve.kind == "kummer":
-            coeff = RatFn(x_pow * g_mu, curve.f)
-            elem = FFElem.monomial(curve, curve.n - idx.mu, coeff)
+    for idx in indices:
+        if kummer:  # x^(nu-1) g_mu / f
+            elem = FFElem.monomial(curve, curve.n - idx.mu, _over(table[idx.mu].g_mu.shift(idx.nu - 1), 0, dens))
         else:
-            coeff = RatFn(x_pow, g_mu)
-            elem = FFElem.monomial(curve, idx.mu, coeff)
+            elem = FFElem.monomial(curve, idx.mu, _over(Poly.monomial(spec, idx.nu - 1), 0, dens[idx.mu]))
         out.append((idx, FFDiff(elem)))
     return out
 
@@ -136,14 +175,17 @@ def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIn
     """Basis representatives of H^1(O), poles confined over 0 and infinity."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
+    kummer = curve.kind == "kummer"
+    indices = h1_indices(curve, range_policy)
+    if not indices:
+        return []
+    dens = _g_dens(curve, table, {mu for mu, _ in indices}) if kummer else _Den(0, Poly.one(spec), ())
     out = []
-    for idx in h1_indices(curve, range_policy):
-        if curve.kind == "kummer":
-            den = Poly.monomial(spec, idx.nu) * table[idx.mu].g_mu
-            elem = FFElem.monomial(curve, idx.mu, RatFn(Poly.one(spec), den))
+    for idx in indices:
+        if kummer:
+            elem = FFElem.monomial(curve, idx.mu, _over(Poly.one(spec), idx.nu, dens[idx.mu]))
         else:
-            g_pm = table[curve.p - idx.mu].g_mu
-            elem = FFElem.monomial(curve, idx.mu - 1, RatFn(g_pm, Poly.monomial(spec, idx.nu)))
+            elem = FFElem.monomial(curve, idx.mu - 1, _over(table[curve.p - idx.mu].g_mu, idx.nu, dens))
         out.append((idx, elem))
     return out
 
@@ -176,7 +218,7 @@ def _cofactor_parts(spec: FieldSpec, terms: list[tuple[FieldElement, FieldElemen
                     else:
                         out[k] = exp[t]
         total, support = new_total, new_support
-    return Poly(spec, map(spec.from_encoding, total)), Poly(spec, map(spec.from_encoding, support))
+    return Poly.from_encodings(spec, total), Poly.from_encodings(spec, support)
 
 
 def _kummer_psi_parts(curve: KummerCurve, mu: int, table: MuTable) -> tuple[Poly, Poly]:
@@ -225,10 +267,10 @@ def _as_phi_parts(curve: ASCurve, table: MuTable, mu: int) -> tuple[Poly, Poly]:
 SIGN_CONVENTIONS = ("paper", "negated-infty")
 
 
-def _slot(curve: Curve, terms: list[tuple[int, Poly, Poly]]) -> FFDiff:
-    """One slot: the differential sum of (num/den) y^j dx over the (j, num, den) terms,
-    at distinct j, each coefficient reduced once."""
-    return FFDiff(FFElem.from_terms(curve, [(j, RatFn(num, den)) for j, num, den in terms]))
+def _slot(curve: Curve, terms: list[tuple[int, Poly, int, _Den]]) -> FFDiff:
+    """One slot: the differential sum of num / (x^shift den) y^j dx over the
+    (j, num, shift, den) terms, at distinct j, each coefficient reduced once."""
+    return FFDiff(FFElem.from_terms(curve, [(j, _over(num, shift, den)) for j, num, shift, den in terms]))
 
 
 def _build_derham_basis(
@@ -243,13 +285,17 @@ def _build_derham_basis(
     table = mu_table(curve, range_policy)
     spec = curve.spec
     kummer = curve.kind == "kummer"
-    if kummer:
-        n_f = curve.f * spec.element(curve.n)
-    else:
-        psi, pole_den = as_psi(curve), _as_pole_den(curve)
+    indices = h1_indices(curve, range_policy)
+    if indices:  # the a-family's denominators, factored once per build
+        g_dens = _g_dens(curve, table, {mu if kummer else mu - 1 for mu, _ in indices})  # f_0inf, resp. y^(mu-1)
+        if kummer:
+            inv_n, f_den = spec.element(curve.n).inverse(), _factored(curve, curve.f, [l for _, l in curve.branch])
+        else:
+            psi, unit = as_psi(curve), _Den(0, Poly.one(spec), ())
+            pole_den = _factored(curve, _as_pole_den(curve), [l + 1 for _, l in curve.branch])
     parts_mu, parts = None, None  # the indices come mu ascending: rebuild when mu changes
     out: list[DeRhamClass] = []
-    for idx in h1_indices(curve, range_policy):
+    for idx in indices:
         mu, nu = idx
         if mu != parts_mu:
             parts_mu, parts = mu, _kummer_psi_parts(curve, mu, table) if kummer else _as_phi_parts(curve, table, mu)
@@ -257,20 +303,19 @@ def _build_derham_basis(
             row = table[curve.n - mu]
             split_deg = nu + 1 if row.t >= 2 else nu
             lo, hi = split_at_degree(_psi_at(parts, nu), split_deg, inclusive=True)
-            den = n_f.shift(nu + 1)
-            terms0, terms_inf = [(mu, row.g_mu * lo, den)], [(mu, row.g_mu * hi, den)]
-            f0inf = FFElem.monomial(curve, mu, RatFn(Poly.one(spec), table[mu].g_mu.shift(nu)))
+            c = row.g_mu * inv_n  # the n of the denominator n x^(nu+1) f
+            terms0, terms_inf = [(mu, c * lo, nu + 1, f_den)], [(mu, c * hi, nu + 1, f_den)]
+            f0inf = FFElem.monomial(curve, mu, _over(Poly.one(spec), nu, g_dens[mu]))
         else:
             g_pm = table[curve.p - mu].g_mu
             lo_phi, hi_phi = split_at_degree(_psi_at(parts, nu), nu + 1, inclusive=False)
-            phi_den = table[mu - 1].g_mu.shift(nu + 1)
-            terms0, terms_inf = [(mu - 1, lo_phi, phi_den)], [(mu - 1, hi_phi, phi_den)]
+            terms0, terms_inf = [(mu - 1, lo_phi, nu + 1, g_dens[mu - 1])], [(mu - 1, hi_phi, nu + 1, g_dens[mu - 1])]
             if mu > 1:  # the omega_mu term, zero at mu = 1
                 lo_psi, hi_psi = split_at_degree(psi, nu, inclusive=False)
-                c, psi_den = g_pm * spec.element(mu - 1), pole_den.shift(nu)
-                terms0.append((mu - 2, c * lo_psi, psi_den))
-                terms_inf.append((mu - 2, c * hi_psi, psi_den))
-            f0inf = FFElem.monomial(curve, mu - 1, RatFn(g_pm, Poly.monomial(spec, nu)))
+                c = g_pm * spec.element(mu - 1)
+                terms0.append((mu - 2, c * lo_psi, nu, pole_den))
+                terms_inf.append((mu - 2, c * hi_psi, nu, pole_den))
+            f0inf = FFElem.monomial(curve, mu - 1, _over(g_pm, nu, unit))
         omega0, omega_inf = _slot(curve, terms0), _slot(curve, terms_inf)
         if sign_convention == "negated-infty":
             omega_inf = -omega_inf
@@ -337,7 +382,7 @@ def require_h1_class(curve: Curve, f: FFElem) -> None:
         raise ValueError("element does not live on the given curve")
     found = off_fiber_poles(f)
     if found:
-        raise ValueError(f"element has a pole at {found[0][0].label()}: not an O(U_0 cap U_inf) class")
+        raise ValueError(f"element has a pole at {found[0][0].label}: not an O(U_0 cap U_inf) class")
 
 
 def h1_coordinates(

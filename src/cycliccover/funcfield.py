@@ -24,7 +24,10 @@ uniformizer machinery exists anywhere.
 ``pairing`` forms only the y coefficient of f * coeff(omega) that the
 trace reads, from the terms a_i b_j y^(i+j) in the last table row, each
 b_j looked up by index, and sums their residues on unreduced fractions,
-so it takes no gcd.
+so it takes no gcd.  ``pairing_matrix`` pairs lists of elements and
+differentials by the same reach rows (``_reach``) and computes each
+residue once per key: the x-free parts of a_i and b_j, the reach row and
+their summed x-order, which is all the residue depends on.
 ``differential_terms`` lists the terms of d(a_j y^j) unreduced;
 ``exterior_d`` reduces them, and the cocycle check tests their sum for
 zero without reducing.
@@ -47,11 +50,12 @@ off an allowed locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .curve import Curve, ram_data, require_valid
 from .gf import FieldElement
-from .polyrat import Poly, RatFn, fraction_residue
+from .polyrat import Poly, RatFn, _x_order, fraction_residue
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,9 @@ class PlaceClass:
     npoints: int
     position: int  # the class's index in place_classes
 
+    @cached_property
     def label(self) -> str:
+        """The class's name in reports, rendered once per class."""
         if self.kind == "branch":
             return f"branch[{self.index}]@{self.rho.render()}"
         return self.kind
@@ -417,6 +423,18 @@ def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[t
     ]
 
 
+def _reach(curve: Curve) -> list[tuple[int, RatFn | None]]:
+    """The (s, factor) rows of the pairing: a term a_i of f meets the term
+    of omega at s - i, times the factor when it is not None (see
+    ``pairing``)."""
+    table = _family_table(curve)
+    deg, k = curve.degree, table.trace_index
+    reach = [(k, None), (k + deg, table.relation)]
+    if table.relation_has_y and k:
+        reach.append((k + deg - 1, None))
+    return reach
+
+
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     """Serre duality pairing of an H^1 representative against a
     differential: c * Res_inf(Tr(f * coeff(omega))), c = -1/n for Kummer
@@ -432,17 +450,11 @@ def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     So the pairing is the negated residue sum."""
     w = omega.coeff
     f._check(w)
-    curve = f.curve
-    spec = curve.spec
-    table = _family_table(curve)
-    deg, k = curve.degree, table.trace_index
-    reach = [(k, None), (k + deg, table.relation)]
-    if table.relation_has_y and k:
-        reach.append((k + deg - 1, None))
+    spec = f.curve.spec
     by_index = dict(w.terms)  # each a_i meets omega's term at s - i, if it has one
     total = 0
     for i, a in f.terms:
-        for s, factor in reach:
+        for s, factor in _reach(f.curve):
             b = by_index.get(s - i)
             if b is None:
                 continue
@@ -451,3 +463,59 @@ def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
                 num, den = num * factor.num, den * factor.den
             total = spec.add(total, fraction_residue(num, den))
     return FieldElement(spec, spec.neg(total))
+
+
+def pairing_matrix(curve: Curve, omegas: list[FFDiff], columns: list[FFElem]) -> list[list[int]]:
+    """The encodings of ``pairing(h, w)`` for w in ``omegas`` (rows) and h
+    in ``columns``, each residue computed once.
+
+    The columns' terms are indexed by y index, so a term b_j of w and a
+    reach row (s, factor) visit only the columns with a term at s - j.
+    Writing each coefficient as x^m u / v with u, v prime to x, the residue
+    of a term pair depends only on the two x-free parts, the reach row and
+    the sum of the two m: the residue of each such key is computed once.  A
+    pair whose product has degree below -1 has residue 0 and is skipped.
+    Every entry is the negated sum of its residues, as in ``pairing``."""
+    if not (omegas and columns):  # nothing to pair: the family table is not needed
+        return [[] for _ in omegas]
+    spec = curve.spec
+    if any(h.curve is not curve for h in columns) or any(w.curve is not curve for w in omegas):
+        raise ValueError("function field elements on mismatched curves")
+    parts: dict[tuple, int] = {}  # x-free parts (u, v) by encodings -> a small id
+
+    def split(a: RatFn) -> tuple[int, int, int, Poly, Poly]:
+        """(m, deg a, id, u, v) with a = x^m u / v, u and v prime to x, and
+        deg a = m + deg u - deg v."""
+        num, den = a.num.ints, a.den.ints
+        e, f = _x_order(num), _x_order(den)
+        u, v = Poly.from_encodings(spec, num[e:]), Poly.from_encodings(spec, den[f:])
+        return e - f, len(num) - len(den), parts.setdefault((u.ints, v.ints), len(parts)), u, v
+
+    by_index: dict[int, list[tuple[int, tuple[int, int, int, Poly, Poly]]]] = {}
+    for col, h in enumerate(columns):
+        for i, a in h.terms:
+            by_index.setdefault(i, []).append((col, split(a)))
+    reach = [(s, factor, 0 if factor is None else len(factor.num.ints) - len(factor.den.ints))
+             for s, factor in _reach(curve)]
+    residues: dict[tuple[int, int, int, int], int] = {}
+    out = []
+    for w in omegas:
+        totals = [0] * len(columns)
+        for j, b in w.coeff.terms:
+            m_b, deg_b, id_b, u_b, v_b = split(b)
+            for row, (s, factor, deg_f) in enumerate(reach):
+                for col, (m_a, deg_a, id_a, u_a, v_a) in by_index.get(s - j, ()):
+                    if deg_a + deg_b + deg_f < -1:
+                        continue
+                    m = m_a + m_b
+                    key = (id_a, id_b, row, m)
+                    res = residues.get(key)
+                    if res is None:
+                        num, den = u_a * u_b, v_a * v_b
+                        if factor is not None:
+                            num, den = num * factor.num, den * factor.den
+                        num, den = (num.shift(m), den) if m >= 0 else (num, den.shift(-m))
+                        res = residues[key] = fraction_residue(num, den)
+                    totals[col] = spec.add(totals[col], res)
+        out.append([spec.neg(t) for t in totals])
+    return out

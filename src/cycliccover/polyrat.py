@@ -24,7 +24,15 @@ coefficient a is g^log[a], and for nonzero a, b:
 The ``FieldSpec`` methods ``add``/``mul``/``neg``/``inv`` remain for the
 ``FieldElement`` operators and for single scalars (a monic scale, a
 residue); the coefficient loops here, ``cohomology._cofactor_parts`` and
-``verify._cofactor_sum`` do not call them.
+``verify._cofactor_sum`` do not call them, and the latter two hand their
+encodings to ``Poly.from_encodings``.
+
+``RatFn(num, den)`` reduces by Euclid (``poly_gcd``) and two long
+divisions.  When den is x^e times a product of powers of x - rho with the
+roots rho known, ``reduce_over_roots`` reduces num / den without either:
+the x-part cancels by the x-order of num, and each x - rho by synthetic
+division (``_horner``) for as long as it divides.  The basis builders
+reduce every coefficient this way; the checks keep the Euclid route.
 
 A product is a schoolbook loop over the nonzero terms while the product
 of the operands' nonzero term counts is below ``KRONECKER_TERMS`` * d^2,
@@ -94,6 +102,11 @@ class Poly:
         return cls(spec, [spec.element(v) for v in ints])
 
     @classmethod
+    def from_encodings(cls, spec: FieldSpec, ints: Iterable[int]) -> Poly:
+        """The polynomial with the given ascending field encodings."""
+        return _poly(spec, list(ints))
+
+    @classmethod
     def zero(cls, spec: FieldSpec) -> Poly:
         return _poly(spec, [])
 
@@ -115,33 +128,8 @@ class Poly:
 
     @classmethod
     def from_roots(cls, spec: FieldSpec, roots: Sequence[tuple[FieldElement, int]]) -> Poly:
-        """prod (x - rho)^m over the given (rho, m) pairs.  Each factor is
-        multiplied in by one pass: (x + r) sum c_k x^k has the coefficients
-        r c_0, c_0 + r c_1, ..., c_(d-1) + r c_d, c_d."""
-        exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
-        out = [1]
-        for rho, m in roots:
-            if not rho.encoding:  # x^m
-                out = [0] * m + out
-                continue
-            lr = log[rho.encoding] + log[spec.p - 1]  # the log of r = -rho
-            if lr >= order:
-                lr -= order
-            for _ in range(m):
-                shifted = [0] + out
-                for k, c in enumerate(out):
-                    if c:
-                        t = log[c] + lr
-                        if t >= order:
-                            t -= order
-                        s = shifted[k]
-                        if s:
-                            z = zech[log[s] - t]
-                            shifted[k] = 0 if z is None else exp[t + z]
-                        else:
-                            shifted[k] = exp[t]
-                out = shifted
-        return _poly(spec, out)
+        """prod (x - rho)^m over the given (rho, m) pairs."""
+        return _poly(spec, _root_product(spec, [(rho.encoding, m) for rho, m in roots]))
 
     # -- structure -----------------------------------------------------------
 
@@ -291,19 +279,16 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.spec, self.ints))
 
-    @property
-    def term_count(self) -> int:
-        return sum(1 for c in self.ints if c)
-
     def render(self) -> str:
-        """Ascending rendering: ``c0 + c1*x + c2*x^2 + ...``."""
+        """Ascending rendering: ``c0 + c1*x + c2*x^2 + ...``.  A prime-field
+        coefficient renders as its encoding, as ``FieldElement.render`` does."""
         if not self.ints:
             return "0"
-        terms = []
+        spec, terms = self.spec, []
         for k, c in enumerate(self.ints):
             if not c:
                 continue
-            cs = FieldElement(self.spec, c).render()
+            cs = str(c) if spec.d == 1 else FieldElement(spec, c).render()
             if k == 0:
                 terms.append(cs)
             else:
@@ -387,6 +372,36 @@ def _horner(spec: FieldSpec, desc: Sequence[int], r: int) -> list[int]:
             acc = c
         sums.append(acc)
     return sums
+
+
+def _root_product(spec: FieldSpec, roots: Iterable[tuple[int, int]]) -> list[int]:
+    """The ascending encodings of prod (x - rho)^m over the (encoding of rho,
+    m) pairs.  Each factor is multiplied in by one pass: (x + r) sum c_k x^k
+    has the coefficients r c_0, c_0 + r c_1, ..., c_(d-1) + r c_d, c_d."""
+    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
+    out = [1]
+    for rho, m in roots:
+        if not rho:  # x^m
+            out = [0] * m + out
+            continue
+        lr = log[rho] + log[spec.p - 1]  # the log of r = -rho
+        if lr >= order:
+            lr -= order
+        for _ in range(m):
+            shifted = [0] + out
+            for k, c in enumerate(out):
+                if c:
+                    t = log[c] + lr
+                    if t >= order:
+                        t -= order
+                    s = shifted[k]
+                    if s:
+                        z = zech[log[s] - t]
+                        shifted[k] = 0 if z is None else exp[t + z]
+                    else:
+                        shifted[k] = exp[t]
+            out = shifted
+    return out
 
 
 def _x_order(ints: tuple[int, ...]) -> int:
@@ -581,12 +596,43 @@ class RatFn:
         return f"RatFn({self.render()})"
 
 
+def reduce_over_roots(num: Poly, e: int, den: Poly, roots: Sequence[tuple[int, int]]) -> RatFn:
+    """num / (x^e den) reduced, for a monic den = prod (x - rho)^m over the
+    given (encoding of rho, m) pairs, the rho nonzero and distinct.
+
+    Every common factor is a power of x or of some x - rho.  The x-part
+    cancels by the x-order of num.  Each x - rho cancels by synthetic
+    division (``_horner``) for as long as the value at rho is zero, at most
+    m times, so a root that does not divide num costs one pass.  den is
+    kept when no root cancels and rebuilt from the exponents left
+    otherwise: no gcd and no long division is taken."""
+    spec = num.spec
+    if not num.ints:
+        return RatFn(num)
+    k = min(e, _x_order(num.ints))
+    desc = num.ints[::-1][:len(num.ints) - k]  # num / x^k, descending
+    left, cancelled = [], False
+    for r, m in roots:
+        c = 0
+        while c < m:
+            sums = _horner(spec, desc, r)
+            if sums[-1]:
+                break
+            sums.pop()
+            desc, c = sums, c + 1
+        cancelled = cancelled or c > 0
+        if c < m:
+            left.append((r, m - c))
+    if cancelled:
+        den = _poly(spec, _root_product(spec, left))
+    return RatFn(_poly(spec, list(desc[::-1])), den.shift(e - k) if e > k else den, _reduced=True)
+
+
 def _wrap(p: Poly) -> str:
-    """Parenthesize a polynomial rendering unless it is a single bare atom."""
+    """Parenthesize a polynomial rendering unless it is a single bare atom:
+    terms are joined by " + ", so a rendering without "+" has one term."""
     s = p.render()
-    if p.term_count <= 1 and "*" not in s and "+" not in s:
-        return s
-    return f"({s})"
+    return s if "*" not in s and "+" not in s else f"({s})"
 
 
 def fraction_residue(num: Poly, den: Poly) -> int:

@@ -6,9 +6,10 @@ one walk ``funcfield.valuations``), so a negative one is a pole at some
 point of the class, never a limitation of the bound.
 
 Serre duality itself is not re-proved: the duality check computes the
-full pairing matrix and demands the identity.  The exactness check reads
-H^1 coordinates through that pairing, so ``full_report`` orders duality
-before exactness.
+full pairing matrix (``funcfield.pairing_matrix``, each residue once per
+key) and demands the identity, compared on encodings.  The exactness
+check reads H^1 coordinates through that pairing, so ``full_report``
+orders duality before exactness.
 
 The cocycle check sums each y coefficient of d f_0inf - omega_0 +
 omega_inf over the product of its terms' distinct denominators, with no
@@ -45,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 from .cohomology import Bases, DeRhamClass, DeRhamTriple, as_psi, build_bases, map_i, map_p, off_fiber_poles
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff, FFElem, pairing, place_classes, poles, valuation_bound
+from .funcfield import FFDiff, FFElem, pairing, pairing_matrix, place_classes, poles, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, fraction_sum
 
@@ -78,18 +79,19 @@ class Report:
 
 def duality_matrix(curve: Curve, bases: Bases) -> tuple[list[list[FieldElement]], CheckResult]:
     """Full pairing matrix of the differential basis against the H^1
-    basis in duality-respecting column order; passes iff it is the
-    identity.  Entry (i, j) pairs column j against the i-th differential,
-    so column j holds the H^1 coordinates of its representative."""
-    one = curve.spec.one()
-    zero = curve.spec.zero()
-    matrix = [[pairing(h, w) for _, h in bases.columns] for _, w in bases.omega]
-    mismatches = []
-    for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            expected = one if i == j else zero
-            if value != expected:
-                mismatches.append((i, j, value.render()))
+    basis in duality-respecting column order (``pairing_matrix``); passes
+    iff it is the identity, compared on encodings.  Entry (i, j) pairs
+    column j against the i-th differential, so column j holds the H^1
+    coordinates of its representative."""
+    spec = curve.spec
+    codes = pairing_matrix(curve, [w for _, w in bases.omega], [h for _, h in bases.columns])
+    mismatches = [
+        (i, j, FieldElement(spec, c).render())
+        for i, row in enumerate(codes)
+        for j, c in enumerate(row)
+        if c != (1 if i == j else 0)
+    ]
+    matrix = [[FieldElement(spec, c) for c in row] for row in codes]
     if mismatches:
         result = CheckResult(
             "duality",
@@ -169,7 +171,7 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
         ("f_0inf", triple.f0inf, lambda pl: pl.kind != "branch" or pl.covers_zero),
     )
     violations = [
-        f"{slot} at {place.label()}: bound {value}"
+        f"{slot} at {place.label}: bound {value}"
         for slot, obj, allowed in slots
         for place, value in poles(obj, allowed)
     ]
@@ -251,7 +253,7 @@ def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElemen
                     acc[k] = 0 if z is None else exp[t + z]
                 else:
                     acc[k] = exp[t]
-    return Poly(spec, map(spec.from_encoding, reversed(acc)))
+    return Poly.from_encodings(spec, reversed(acc))
 
 
 def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list[dict]:
@@ -346,7 +348,7 @@ def divisor_checks(curve: Curve) -> CheckResult:
             else:
                 expected = row.at_zero if place.kind == "over_zero" else row.at_infinity
             bound = valuation_bound(row.elem, place)
-            items.append(_item(f"({row.label}) at {place.label()}", bound == expected, expected, bound))
+            items.append(_item(f"({row.label}) at {place.label}", bound == expected, expected, bound))
             total += bound * place.npoints
         label = row.degree_label or row.label
         items.append(_item(f"deg({label})", total == row.degree, row.degree, total))
@@ -410,15 +412,18 @@ def exactness_check(curve: Curve, bases: Bases, matrix: list[list[FieldElement]]
         if not map_p(map_i(w)).is_zero:
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) is not zero")
     a_classes = [c for c in bases.derham if c.kind == "a"]
+    columns: dict[FFElem, int] = {}  # each representative's first column
+    for j, (_, h) in enumerate(bases.columns):
+        columns.setdefault(h, j)
     seen_positions = []
     for cls in a_classes:
         image = map_p(cls.triple)
         found = off_fiber_poles(image)
         if found:
-            places = ", ".join(place.label() for place, _ in found)
+            places = ", ".join(place.label for place, _ in found)
             problems.append(f"p({cls.label}) has a pole at {places}: not an O(U_0 cap U_inf) class")
             continue
-        column = next((j for j, (_, h) in enumerate(bases.columns) if h == image), None)
+        column = columns.get(image)
         if column is not None:
             coords = [row[column] for row in matrix]
         else:

@@ -1,7 +1,8 @@
 """One ``Bases`` value per report: every basis is built once per report
-and document, the pairing matrix is paired once, reading coordinates from
-the matrix gives the same exactness verdict as pairing every element
-afresh, and a finished report holds no cycle through its curve."""
+and document, the pairing matrix computes one residue per key, reading
+coordinates from the matrix gives the same exactness verdict as pairing
+every element afresh, and a finished report holds no cycle through its
+curve."""
 
 import dataclasses
 import gc
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cycliccover import cohomology, verify
+from cycliccover import cohomology, funcfield, verify
 from cycliccover.cli import build_report_document, enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import (
     build_bases,
@@ -43,6 +44,33 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _residue_keys(curve, bases) -> set:
+    """The keys of the duality matrix, written from the pairing formula: per
+    term pair of a differential and a column that a reach row joins, with a
+    product of degree >= -1 (a lower degree has residue 0), the x-free parts
+    of both coefficients, the reach row and their summed x-order."""
+    zero = curve.spec.zero()
+
+    def x_order(a):
+        return a.num.multiplicity_at(zero) - a.den.multiplicity_at(zero)
+
+    def x_free(a):
+        return tuple(p.ints[p.multiplicity_at(zero):] for p in (a.num, a.den))
+
+    def degree(a):
+        return a.num.degree - a.den.degree
+
+    keys = set()
+    for _, w in bases.omega:
+        for j, b in w.coeff.terms:
+            for row, (s, factor) in enumerate(funcfield._reach(curve)):
+                for _, h in bases.columns:
+                    for i, a in h.terms:
+                        if i + j == s and degree(a) + degree(b) + (degree(factor) if factor else 0) >= -1:
+                            keys.add((x_free(a), x_free(b), row, x_order(a) + x_order(b)))
+    return keys
+
+
 @pytest.mark.parametrize("doc", SPECS, ids=["kummer_quartic", "as_p3"])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("sign", SIGNS)
@@ -52,12 +80,14 @@ def test_report_and_document_build_each_basis_once(doc, policy, sign, monkeypatc
         _counting(monkeypatch, cohomology, name, counts)
     for module in (cohomology, verify):
         _counting(monkeypatch, module, "pairing", counts)
+    _counting(monkeypatch, funcfield, "fraction_residue", counts)
     curve = parse_curve_spec(doc)
     report = full_report(curve, VerifyOptions(mu_range=policy, sign=sign))
     build_report_document(curve, policy, sign, include_bases=True, report=report)
     assert {name: counts.get(name, 0) for name in BUILDERS} == dict.fromkeys(BUILDERS, 1)
-    # the pairing matrix once; exactness pairs nothing more
-    assert counts["pairing"] == len(report.bases.omega) ** 2
+    # the pairing matrix computes one residue per key; exactness pairs nothing more
+    assert "pairing" not in counts
+    assert counts["fraction_residue"] == len(_residue_keys(curve, report.bases)) > 0
 
 
 @pytest.mark.parametrize("doc", SPECS, ids=["kummer_quartic", "as_p3"])

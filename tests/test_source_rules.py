@@ -22,7 +22,9 @@ nor bind one to a local, so no per-coefficient call comes back.  The
 function field arithmetic, the bases and the checks walk an element's
 nonzero ``terms``: no code in ``funcfield``, ``cohomology`` or ``verify``
 reads the dense ``.coeffs`` view but the ``FFElem.coeffs`` property
-itself."""
+itself.  The basis builders reduce every coefficient over the roots its
+denominator is built from: ``cohomology`` calls neither ``poly_gcd`` nor
+the reducing two-argument ``RatFn(num, den)``."""
 
 import ast
 from pathlib import Path
@@ -37,14 +39,15 @@ FAMILY_BLIND = ("FFElem", "FFDiff", "pairing")  # funcfield definitions that mus
 INT_CODED = {
     "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic", "from_roots"),
     "RatFn": ("__init__",),
-    "": ("poly_gcd", "fraction_residue", "fraction_sum", "_kronecker_product", "_digit_planes"),
+    "": ("poly_gcd", "fraction_residue", "fraction_sum", "_kronecker_product", "_digit_planes",
+         "reduce_over_roots", "_root_product"),
 }
 # attributes that hand out a FieldElement: Poly's readers and FieldSpec's constructors
 ELEMENT_ATTRS = ("coeffs", "coefficient", "leading", "evaluate", "element", "from_encoding")
 STATUSES = ("pass", "fail")
 # the pairing, the cocycle zero test and the helpers they call, by module and class ("" for module level)
 UNREDUCED = {
-    "funcfield.py": {"": ("pairing",), "FFElem": ("differential_terms",)},
+    "funcfield.py": {"": ("pairing", "pairing_matrix", "_reach"), "FFElem": ("differential_terms",)},
     "verify.py": {"": ("_cocycle_sums", "_dx_sums", "_dy_matches")},
     "polyrat.py": {"": ("fraction_residue", "fraction_sum")},
 }
@@ -59,7 +62,7 @@ TABLE_KERNELS = {
     "polyrat.py": {
         "Poly": ("__add__", "__neg__", "_scale", "__mul__", "__divmod__", "multiplicity_at", "from_roots",
                  "evaluate", "derivative"),
-        "": ("_horner", "_reduce", "poly_gcd"),
+        "": ("_horner", "_reduce", "poly_gcd", "reduce_over_roots", "_root_product"),
     },
     "cohomology.py": {"": ("_cofactor_parts",)},
     "verify.py": {"": ("_cofactor_sum",)},
@@ -524,4 +527,40 @@ def test_the_dense_read_rule_catches_violations():
         "line 9: reads .coeffs",
         "line 11: reads .coeffs",
         "line 11: reads coeffs by getattr",
+    ]
+
+
+def _euclid_calls(tree: ast.AST) -> list[str]:
+    """Each call of ``poly_gcd``, and each ``RatFn`` call with a second
+    argument, positional or by keyword."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == "poly_gcd" or (called == "RatFn" and len(node.args) + len(node.keywords) >= 2):
+            out.append((node.lineno, called))
+    return [f"line {line}: calls {name}" for line, name in sorted(out)]
+
+
+def test_the_builders_take_no_euclid_route():
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    assert _uses(tree, ("reduce_over_roots",))  # the rule sees the builders' route
+    assert _euclid_calls(tree) == []
+
+
+def test_the_euclid_rule_catches_violations():
+    tree = ast.parse(
+        "def omega_basis(curve):\n"
+        "    a = RatFn(x_pow * g_mu, curve.f)\n"
+        "    b = polyrat.RatFn(num, den=curve.f)\n"
+        "    c = RatFn(Poly.one(spec)) + RatFn.from_poly(g)\n"
+        "    return poly_gcd(a.num, b.den), polyrat.poly_gcd(c.num, c.den)\n"
+    )
+    assert _euclid_calls(tree) == [
+        "line 2: calls RatFn",
+        "line 3: calls RatFn",
+        "line 5: calls poly_gcd",
+        "line 5: calls poly_gcd",
     ]

@@ -177,7 +177,7 @@ def test_valuation_bound_is_the_newton_polygon_valuation():
         for place, walked, walked_dx in walk:
             e, _, v_dx = _local_data(h.curve, place)
             expected, attained = newton_valuation(cs, e, place)
-            assert walked == valuation_bound(h, place) == expected, (h.render(), place.label())
+            assert walked == valuation_bound(h, place) == expected, (h.render(), place.label)
             assert walked_dx == valuation_bound(FFDiff(h), place) == expected + v_dx
             if _tied(h, place):
                 any_tie = True
