@@ -66,7 +66,7 @@ from typing import NamedTuple
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
 from .funcfield import FFDiff, FFElem, PlaceClass, pairing, poles
 from .gf import FieldElement, FieldSpec
-from .polyrat import Poly, RatFn, reduce_over_roots, split_at_degree
+from .polyrat import Poly, RatFn, _axpy, reduce_over_roots, split_at_degree
 
 
 class BasisIndex(NamedTuple):
@@ -196,27 +196,15 @@ def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIn
 def _cofactor_parts(spec: FieldSpec, terms: list[tuple[FieldElement, FieldElement]]) -> tuple[Poly, Poly]:
     """(sum_i w_i prod_{j != i} (x - rho_j), prod_i (x - rho_i)) over the (rho, w) pairs,
     from one walk over the roots: (S, P) |-> (S (x - rho) + w P, P (x - rho)),
-    each step a shift of S and P by x plus the multiples -rho S, w P and -rho P."""
-    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
+    each step a shift of S and P by x plus the rows -rho S, w P and -rho P
+    (``polyrat._axpy``)."""
     total, support = [0], [1]  # ascending encodings, total padded to the length of support
     for rho, weight in terms:
-        r = (log[rho.encoding] + log[spec.p - 1]) % order if rho.encoding else None  # the log of -rho
-        w = log[weight.encoding] if weight.encoding else None
+        r, w = (-rho).encoding, weight.encoding
         new_total, new_support = [0] + total, [0] + support
-        for out, src, l in ((new_total, total, r), (new_total, support, w), (new_support, support, r)):
-            if l is None:
-                continue
-            for k, c in enumerate(src):
-                if c:
-                    t = log[c] + l
-                    if t >= order:
-                        t -= order
-                    s = out[k]
-                    if s:
-                        z = zech[log[s] - t]
-                        out[k] = 0 if z is None else exp[t + z]
-                    else:
-                        out[k] = exp[t]
+        for out, src, c in ((new_total, total, r), (new_total, support, w), (new_support, support, r)):
+            if c:
+                _axpy(spec, out, 0, src, c)
         total, support = new_total, new_support
     return Poly.from_encodings(spec, total), Poly.from_encodings(spec, support)
 

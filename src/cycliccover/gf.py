@@ -19,15 +19,15 @@ a != 0, and the Zech logarithm ``zech[i]`` = log(1 + g^i) (None where
 a negative index j - i wraps modulo q - 1 by Python's own indexing.  The
 ``FieldSpec`` methods read the tables for one scalar operation, which is
 what ``FieldElement`` and single scalars use; the polynomial coefficient
-loops (``polyrat``, and the root walks in ``cohomology`` and ``verify``)
-read ``exp``, ``log`` and ``zech`` inline, by the rules stated in
-``polyrat``.  For d >= 2 the search for g skips the constants, whose
-order divides p - 1 < q - 1.  The powers of g come from ``_power_walk``: the digits of
-the current power sit in one int, multiplication by g is two lookups in
-tables of p^ceil(d/2) entries, one per half of the digits, and one
-integer compare reduces every digit mod p at once.  The tables take O(q)
-time and about 90 bytes per element: at the input budget q = 2^16
-(``MAX_Q``) about 6 MB, built in under 0.1 s.
+loops in ``polyrat`` read ``exp``, ``log`` and ``zech`` inline, by the
+rules stated there, and no other module reads them.  For d >= 2 the
+search for g skips the constants, whose order divides p - 1 < q - 1.
+The powers of g come from ``_power_walk``: the digits of the current
+power sit in one int, multiplication by g is two lookups in tables of
+p^ceil(d/2) entries, one per half of the digits, and one integer compare
+reduces every digit mod p at once.  The tables take O(q) time and about
+90 bytes per element: at the input budget q = 2^16 (``MAX_Q``) about
+6 MB, built in under 0.1 s.
 
 ``FieldSpec.shared(p, modulus)`` hands out one spec per (p, modulus), so a
 sweep builds each field's tables once.  It keeps the most recently used

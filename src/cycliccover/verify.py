@@ -48,7 +48,7 @@ from .cohomology import Bases, DeRhamClass, DeRhamTriple, as_psi, build_bases, m
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
 from .funcfield import FFDiff, FFElem, pairing, pairing_matrix, place_classes, poles, valuation_bound
 from .gf import FieldElement
-from .polyrat import Poly, RatFn, fraction_sum
+from .polyrat import Poly, RatFn, _axpy, _horner, fraction_sum
 
 
 @dataclass
@@ -220,40 +220,16 @@ def _kummer_rows(curve: KummerCurve, table: MuTable, ram: RamData, dx: FFDiff, g
 
 def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
     """sum w * support / (x - rho) over the (rho, w) pairs, for roots rho of
-    the support: each quotient is one synthetic division of the support,
-    whose Horner partial sums are the quotient's coefficients, highest
-    first, and each is added into the sum as it is formed."""
-    spec = support.spec
-    exp, log, zech, order = spec.exp, spec.log, spec.zech, spec.q - 1
-    top = support.ints[:0:-1]  # descending, without the constant term: the last partial sum is the remainder
-    acc = [0] * len(top)
+    the support: the Horner partial sums of the support at rho
+    (``polyrat._horner``; at rho = 0 its coefficients) are the quotient,
+    highest first, then the remainder 0, and each is added into the sum as
+    one row (``polyrat._axpy``)."""
+    spec, desc = support.spec, support.ints[::-1]
+    acc = [0] * len(desc)  # descending; the last slot takes the remainders
     for rho, weight in terms:
-        if not weight.encoding:
-            continue
-        r, w, quo = log[rho.encoding], log[weight.encoding], 0  # r is None at rho = 0
-        for k, c in enumerate(top):
-            if quo and r is not None:  # quo = quo rho + c
-                t = log[quo] + r
-                if t >= order:
-                    t -= order
-                if c:
-                    z = zech[log[c] - t]
-                    quo = 0 if z is None else exp[t + z]
-                else:
-                    quo = exp[t]
-            else:
-                quo = c
-            if quo:  # acc[k] += w quo
-                t = log[quo] + w
-                if t >= order:
-                    t -= order
-                s = acc[k]
-                if s:
-                    z = zech[log[s] - t]
-                    acc[k] = 0 if z is None else exp[t + z]
-                else:
-                    acc[k] = exp[t]
-    return Poly.from_encodings(spec, reversed(acc))
+        if weight.encoding:
+            _axpy(spec, acc, 0, _horner(spec, desc, rho.encoding) if rho.encoding else desc, weight.encoding)
+    return Poly.from_encodings(spec, acc[-2::-1])
 
 
 def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list[dict]:

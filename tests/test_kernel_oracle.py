@@ -12,6 +12,9 @@ module tabulates q^2 sums and products, too many at q = 961 and 65521.)
 
 Each field is checked where the table rules have edges:
 
+* the row kernel ``polyrat._axpy`` on its own: at an offset, into
+  entries that cancel to 0, with the log sum 2(q - 2), over a row with
+  interior zeros and over an empty row;
 * F_2, where q - 1 = 1 and 1 + 1 is the None Zech entry;
 * sums that cancel to 0, in a sum, a product and a division;
 * log sums that reach 2(q - 2), with every coefficient g^(q-2);
@@ -23,7 +26,8 @@ Each field is checked where the table rules have edges:
   ``verify._cofactor_sum``, with a zero weight and the root 0.
 
 Products are checked with the schoolbook route forced, and by the default
-route.
+route; a sparse operand (a monomial, a binomial) times a dense one is
+checked in both orders, which must give the same encodings.
 """
 
 import random
@@ -279,3 +283,45 @@ def test_the_root_walkers_match_the_oracle(q):
         got_total, got_support = cohomology._cofactor_parts(spec, pairs)
         assert (_ints(got_total), _ints(got_support)) == (total, support), (rhos, weights)
         assert _ints(verify._cofactor_sum(_poly(spec, support), pairs)) == total, (rhos, weights)
+
+
+@pytest.mark.parametrize("q", sorted(EDGE_FIELDS))
+def test_the_row_kernel_matches_the_oracle(q):
+    spec, field = _setup(q)
+    rng = random.Random(1800 + q)
+    top = spec.exp[q - 2]  # g^(q-2): w = top on a row of tops gives the log sum 2(q - 2)
+    weights = [1, spec.p - 1, top] + [rng.randrange(1, q) for _ in range(3)]
+    rows = [[], [top] * 4, [top, 0, 0, top], [0, 1, 0, spec.p - 1, 0]]
+    rows += [[rng.choice([0, 0, 1, top, rng.randrange(q)]) for _ in range(rng.randrange(1, 7))] for _ in range(6)]
+    for w in weights:
+        for src in rows:
+            for offset in (0, 1, 3):
+                for out in ([0] * (offset + len(src) + 2), [rng.randrange(q) for _ in range(offset + len(src) + 2)]):
+                    want = [field.add(c, field.mul(w, src[k - offset])) if 0 <= k - offset < len(src) else c
+                            for k, c in enumerate(out)]
+                    got = list(out)
+                    polyrat._axpy(spec, got, offset, src, w)
+                    assert got == want, (w, src, offset, out)
+            # entries that cancel: out[1 + k] = -w src[k], so every touched entry becomes 0
+            out = [7 % q] + [field.neg(field.mul(w, c)) for c in src]
+            polyrat._axpy(spec, out, 1, src, w)
+            assert out == [7 % q] + [0] * len(src), (w, src)
+    if q == 2:  # 1 + 1 reads the None Zech entry
+        out = [1, 1]
+        polyrat._axpy(spec, out, 0, [1, 1], 1)
+        assert spec.zech == [None] and out == [0, 0]
+
+
+@pytest.mark.parametrize("q", sorted(EDGE_FIELDS))
+def test_sparse_by_dense_products_match_the_oracle_in_both_orders(q, monkeypatch):
+    spec, field = _setup(q)
+    monkeypatch.setattr(polyrat, "KRONECKER_TERMS", 10**9)  # every product by the schoolbook loop
+    rng = random.Random(1900 + q)
+    top = spec.exp[q - 2]
+    dense = [[rng.randrange(1, q) for _ in range(n)] for n in (1, 3, 6)] + [[top] * 5]
+    sparse = [[top], [0, 0, 0, top], [0, 1], [1, 0, 0, top], [spec.p - 1, 0, 0, 0, 0, 1], [0, top, 0, 1]]
+    for a in sparse:
+        for b in dense + sparse:
+            A, B = _poly(spec, a), _poly(spec, b)
+            assert (A * B).ints == (B * A).ints, (a, b)
+            assert _ints(A * B) == field.pmul(a, b), (a, b)

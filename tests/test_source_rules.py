@@ -17,8 +17,12 @@ per-coefficient valuation, so every valuation they read comes from
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check.  The coefficient loops that
-read the field tables inline neither call ``FieldSpec.add``/``mul``/``neg``
-nor bind one to a local, so no per-coefficient call comes back.  The
+read the field tables inline, and the root walks that call the row kernel
+``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
+one to a local, so no per-coefficient call comes back.  Only ``gf`` and
+``polyrat`` read the field tables ``exp``, ``log`` and ``zech``, and in
+``polyrat`` only ``_axpy``, ``_horner`` and ``Poly.__add__`` read ``zech``,
+so a Zech sum is written in those three places only.  The
 function field arithmetic, the bases and the checks walk an element's
 nonzero ``terms``: no code in ``funcfield``, ``cohomology`` or ``verify``
 reads the dense ``.coeffs`` view but the ``FFElem.coeffs`` property
@@ -40,7 +44,7 @@ INT_CODED = {
     "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic", "from_roots"),
     "RatFn": ("__init__",),
     "": ("poly_gcd", "fraction_residue", "fraction_sum", "_kronecker_product", "_digit_planes",
-         "reduce_over_roots", "_root_product"),
+         "reduce_over_roots", "_root_product", "_axpy"),
 }
 # attributes that hand out a FieldElement: Poly's readers and FieldSpec's constructors
 ELEMENT_ATTRS = ("coeffs", "coefficient", "leading", "evaluate", "element", "from_encoding")
@@ -57,17 +61,21 @@ ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
 BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at", "_cofactor_parts")  # names verify.py must not use
 # valuation primitives that verify.py and cohomology.py must not use
 VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
-# the coefficient loops that read the field tables inline, by module and class ("" for module level)
+# the coefficient loops that read the field tables inline, and the root walks that call
+# their row kernel, by module and class ("" for module level)
 TABLE_KERNELS = {
     "polyrat.py": {
         "Poly": ("__add__", "__neg__", "_scale", "__mul__", "__divmod__", "multiplicity_at", "from_roots",
                  "evaluate", "derivative"),
-        "": ("_horner", "_reduce", "poly_gcd", "reduce_over_roots", "_root_product"),
+        "": ("_axpy", "_horner", "_reduce", "poly_gcd", "reduce_over_roots", "_root_product"),
     },
     "cohomology.py": {"": ("_cofactor_parts",)},
     "verify.py": {"": ("_cofactor_sum",)},
 }
 FIELD_CALLS = ("add", "mul", "neg")  # the FieldSpec methods those loops must not call or bind
+FIELD_TABLES = ("exp", "log", "zech")  # read only in TABLE_MODULES
+TABLE_MODULES = ("gf.py", "polyrat.py")
+ZECH_READERS = ("_axpy", "_horner", "Poly.__add__")  # the polyrat definitions that read zech
 SPARSE_MODULES = ("funcfield.py", "cohomology.py", "verify.py")  # modules that walk terms, never .coeffs
 # reference routes and retired family-table fields that no src/ definition may be named
 REFERENCE_NAMES = (
@@ -563,4 +571,67 @@ def test_the_euclid_rule_catches_violations():
         "line 3: calls RatFn",
         "line 5: calls poly_gcd",
         "line 5: calls poly_gcd",
+    ]
+
+
+def _table_reads(tree: ast.Module, tables: tuple[str, ...], allowed: tuple[str, ...] = ()) -> list[str]:
+    """Each read of a table from ``tables``, as an attribute or by
+    ``getattr``, outside the definitions named in ``allowed`` ("function"
+    or "Class.method"), with the innermost enclosing definition it is in
+    ("module" at module level)."""
+    out = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            elif owner not in allowed:
+                if isinstance(child, ast.Attribute) and child.attr in tables:
+                    out.append((child.lineno, f"{owner or 'module'} reads .{child.attr}"))
+                elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "getattr"
+                      and any(isinstance(a, ast.Constant) and a.value in tables for a in child.args)):
+                    out.append((child.lineno, f"{owner or 'module'} reads a table by getattr"))
+            visit(child, name)
+
+    visit(tree, "")
+    return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_kernels_read_the_field_tables(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == "polyrat.py":
+        assert _table_reads(tree, FIELD_TABLES)  # the rule sees the table reads
+        assert _table_reads(tree, ("zech",), ZECH_READERS) == []
+    elif path.name not in TABLE_MODULES:
+        assert _table_reads(tree, FIELD_TABLES) == []
+
+
+def test_the_table_read_rule_catches_violations():
+    tree = ast.parse(
+        "def _cofactor_parts(spec, terms):\n"
+        "    exp, log = spec.exp, spec.log\n"
+        "    def step(a, b):\n"
+        "        return spec.zech[log[a] - log[b]]\n"
+        "    return [exp[log[r]] for r, _ in terms]\n"
+        "class Poly:\n"
+        "    def __add__(self, other):\n"
+        "        return self.spec.zech\n"
+        "    def __mul__(self, other):\n"
+        "        return getattr(self.spec, 'exp'), self.spec.zech\n"
+        "TABLE = FieldSpec(2).log\n"
+    )
+    assert _table_reads(tree, FIELD_TABLES) == [
+        "line 2: _cofactor_parts reads .exp",
+        "line 2: _cofactor_parts reads .log",
+        "line 4: _cofactor_parts.step reads .zech",
+        "line 8: Poly.__add__ reads .zech",
+        "line 10: Poly.__mul__ reads .zech",
+        "line 10: Poly.__mul__ reads a table by getattr",
+        "line 11: module reads .log",
+    ]
+    assert _table_reads(tree, ("zech",), ZECH_READERS) == [
+        "line 4: _cofactor_parts.step reads .zech",
+        "line 10: Poly.__mul__ reads .zech",
     ]
