@@ -156,7 +156,7 @@ def load_curve_file(path: str) -> Curve:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed JSON, non-UTF-8 bytes, over-long integers, deep nesting
         raise SpecFileError(f"{path}: malformed JSON: {exc}") from exc
     return parse_curve_spec(doc)
 
@@ -392,19 +392,15 @@ def _multiplicity_patterns(total: int, max_parts: int, part_max: int) -> Iterabl
     yield from rec(total, max_parts, 1)
 
 
-def _point_tuples(q: int, r: int, rng: random.Random, count: int) -> list[tuple[int, ...]]:
-    """Deterministic first choice plus seeded distinct samples."""
+def _point_tuples(q: int, r: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The deterministic first choice plus one seeded distinct sample."""
     if r > q:
         return []
     out = [tuple(range(r))]
-    seen = {out[0]}
-    attempts = 0
-    while len(out) < count and attempts < 20:
+    for _ in range(20):
         cand = tuple(rng.sample(range(q), r))
-        attempts += 1
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
+        if cand != out[0]:
+            return out + [cand]
     return out
 
 
@@ -440,7 +436,7 @@ def enumerate_kummer_specs(
                     if d != 1:
                         continue
                     r = len(pattern)
-                    for points in _point_tuples(q, r, rng, 2):
+                    for points in _point_tuples(q, r, rng):
                         doc: dict[str, Any] = {"type": "kummer", "p": p}
                         if ext is not None:
                             doc["ext_modulus"] = list(ext)
@@ -466,10 +462,9 @@ def _round_robin(cells: list[list[dict]], cap: int) -> list[dict]:
     return out[:cap]
 
 
-def _admissible_numerators(spec: FieldSpec, branch: list, l: int, count: int) -> list[Poly]:
-    """First monic degree-l numerators, in encoding order, prime to the
-    branch denominator and to x."""
-    out = []
+def _admissible_numerator(spec: FieldSpec, branch: list, l: int) -> Poly | None:
+    """The first monic degree-l numerator, in encoding order, prime to the
+    branch denominator and to x, if any."""
     zero = spec.zero()
     limit = spec.q ** min(l, 3)  # vary only the low coefficients; ample choice
     for enc in range(limit):
@@ -482,10 +477,8 @@ def _admissible_numerators(spec: FieldSpec, branch: list, l: int, count: int) ->
             continue
         if any(f.evaluate(rho).is_zero for rho, _ in branch):
             continue
-        out.append(f)
-        if len(out) >= count:
-            break
-    return out
+        return f
+    return None
 
 
 def enumerate_as_specs(p_max: int, r_max: int, li_max: int, cap: int, seed: int) -> list[dict]:
@@ -507,18 +500,16 @@ def enumerate_as_specs(p_max: int, r_max: int, li_max: int, cap: int, seed: int)
                         continue
                     if any(math.gcd(part, p) != 1 for part in pattern):
                         continue
-                    for points in _point_tuples(p, r, rng, 2):
+                    for points in _point_tuples(p, r, rng):
                         branch = [(spec.from_encoding(enc), l) for enc, l in zip(points, pattern)]
-                        for f in _admissible_numerators(spec, branch, total, 1):
-                            doc = {
+                        f = _admissible_numerator(spec, branch, total)
+                        if f is not None:
+                            cell.append({
                                 "type": "artin-schreier",
                                 "p": p,
-                                "branch": [
-                                    {"rho": encode_field(rho), "l": l} for rho, l in branch
-                                ],
+                                "branch": [{"rho": encode_field(rho), "l": l} for rho, l in branch],
                                 "f": [encode_field(c) for c in f.coeffs],
-                            }
-                            cell.append(doc)
+                            })
         cells.append(cell)
     return _round_robin(cells, cap)
 

@@ -53,9 +53,14 @@ roots, with no gcd: the root lists are built once per build, a branch
 point at rho = 0 is folded into e, and the Kummer constant n moves into
 the numerator as 1/n.
 
+The a-class f_0inf is the H^1 representative h[mu, nu] itself, since
+p(a[mu, nu]) = h[mu, nu]: the builder takes the ``h1_basis`` objects, as
+the delta-family takes the ``omega_basis`` objects, and rebuilds neither.
+
 ``build_bases`` builds every basis of one curve, policy and sign once,
-into a ``Bases`` value that the checks and the report document share; the
-other constructors build what they need on each call.
+into a ``Bases`` value that the checks and the report document share;
+``derham_basis`` reads its de Rham list, and ``omega_basis`` and
+``h1_basis`` build their one basis on each call.
 """
 
 from __future__ import annotations
@@ -266,24 +271,24 @@ def _build_derham_basis(
     range_policy: str,
     sign_convention: str,
     omegas: list[tuple[BasisIndex, FFDiff]],
+    hs: list[tuple[BasisIndex, FFElem]],
 ) -> list[DeRhamClass]:
-    """The a-family, then the delta-family on the given differential objects."""
+    """The a-family on the given H^1 representatives as f_0inf, then the
+    delta-family on the given differential objects."""
     if sign_convention not in SIGN_CONVENTIONS:
         raise ValueError(f"unknown sign convention {sign_convention!r}; use one of {SIGN_CONVENTIONS}")
     table = mu_table(curve, range_policy)
     spec = curve.spec
     kummer = curve.kind == "kummer"
-    indices = h1_indices(curve, range_policy)
-    if indices:  # the a-family's denominators, factored once per build
-        g_dens = _g_dens(curve, table, {mu if kummer else mu - 1 for mu, _ in indices})  # f_0inf, resp. y^(mu-1)
+    if hs:  # the a-family's denominators, factored once per build
         if kummer:
             inv_n, f_den = spec.element(curve.n).inverse(), _factored(curve, curve.f, [l for _, l in curve.branch])
         else:
-            psi, unit = as_psi(curve), _Den(0, Poly.one(spec), ())
+            psi, g_dens = as_psi(curve), _g_dens(curve, table, {mu - 1 for (mu, _), _ in hs})
             pole_den = _factored(curve, _as_pole_den(curve), [l + 1 for _, l in curve.branch])
     parts_mu, parts = None, None  # the indices come mu ascending: rebuild when mu changes
     out: list[DeRhamClass] = []
-    for idx in indices:
+    for idx, f0inf in hs:
         mu, nu = idx
         if mu != parts_mu:
             parts_mu, parts = mu, _kummer_psi_parts(curve, mu, table) if kummer else _as_phi_parts(curve, table, mu)
@@ -293,17 +298,14 @@ def _build_derham_basis(
             lo, hi = split_at_degree(_psi_at(parts, nu), split_deg, inclusive=True)
             c = row.g_mu * inv_n  # the n of the denominator n x^(nu+1) f
             terms0, terms_inf = [(mu, c * lo, nu + 1, f_den)], [(mu, c * hi, nu + 1, f_den)]
-            f0inf = FFElem.monomial(curve, mu, _over(Poly.one(spec), nu, g_dens[mu]))
         else:
-            g_pm = table[curve.p - mu].g_mu
             lo_phi, hi_phi = split_at_degree(_psi_at(parts, nu), nu + 1, inclusive=False)
             terms0, terms_inf = [(mu - 1, lo_phi, nu + 1, g_dens[mu - 1])], [(mu - 1, hi_phi, nu + 1, g_dens[mu - 1])]
             if mu > 1:  # the omega_mu term, zero at mu = 1
                 lo_psi, hi_psi = split_at_degree(psi, nu, inclusive=False)
-                c = g_pm * spec.element(mu - 1)
+                c = table[curve.p - mu].g_mu * spec.element(mu - 1)
                 terms0.append((mu - 2, c * lo_psi, nu, pole_den))
                 terms_inf.append((mu - 2, c * hi_psi, nu, pole_den))
-            f0inf = FFElem.monomial(curve, mu - 1, _over(g_pm, nu, unit))
         omega0, omega_inf = _slot(curve, terms0), _slot(curve, terms_inf)
         if sign_convention == "negated-infty":
             omega_inf = -omega_inf
@@ -320,7 +322,7 @@ def derham_basis(
 ) -> list[DeRhamClass]:
     """The 2g de Rham classes: the a-family projecting onto the H^1 basis
     followed by the delta-family lifting the holomorphic differentials."""
-    return _build_derham_basis(curve, range_policy, sign_convention, omega_basis(curve, range_policy))
+    return build_bases(curve, range_policy, sign_convention).derham
 
 
 class Bases(NamedTuple):
@@ -335,10 +337,11 @@ class Bases(NamedTuple):
 
 
 def build_bases(curve: Curve, range_policy: str = "extended", sign_convention: str = "negated-infty") -> Bases:
-    """Every basis built once; the de Rham delta-family reuses the differentials."""
+    """Every basis built once; the de Rham a-family reuses the H^1
+    representatives as f_0inf, the delta-family the differentials."""
     omegas = omega_basis(curve, range_policy)
-    derham = _build_derham_basis(curve, range_policy, sign_convention, omegas)
     hs = h1_basis(curve, range_policy)
+    derham = _build_derham_basis(curve, range_policy, sign_convention, omegas, hs)
     by_index = dict(hs)
     columns = [(_partner(curve, idx), by_index[_partner(curve, idx)]) for idx, _ in omegas]
     return Bases(omegas, hs, derham, columns)

@@ -1,7 +1,7 @@
 """Arithmetic in the function field F = E[y]/(relation), E = F_q(x).
 
 Both families are cyclic covers of P^1.  ``FFElem``, ``FFDiff`` and
-``pairing`` have one code path each that reads the family facts from
+the pairing have one code path each that reads the family facts from
 ``curve.family_table``, built once per curve:
 
                    Kummer y^n = f          Artin-Schreier y^p - y = r
@@ -21,13 +21,11 @@ only on request, as the ``coeffs`` view.  Differentials are (element) *
 dx, since x is a separating variable in both families; no local
 uniformizer machinery exists anywhere.
 
-``pairing`` forms only the y coefficient of f * coeff(omega) that the
-trace reads, from the terms a_i b_j y^(i+j) in the last table row, each
-b_j looked up by index, and sums their residues on unreduced fractions,
-so it takes no gcd.  ``pairing_matrix`` pairs lists of elements and
-differentials by the same reach rows (``_reach``) and computes each
-residue once per key: the x-free parts of a_i and b_j, the reach row and
-their summed x-order, which is all the residue depends on.
+``pairing_matrix`` pairs lists of elements and differentials: it forms
+only the y coefficient of f * coeff(omega) that the trace reads (the
+reach rows, ``_reach``) and sums their residues on unreduced fractions,
+with no gcd, each once per key: the x-free parts of a_i and b_j, the
+reach row and their summed x-order.  ``pairing`` is its single entry.
 ``differential_terms`` lists the terms of d(a_j y^j) unreduced;
 ``exterior_d`` reduces them, and the cocycle check tests their sum for
 zero without reducing.
@@ -184,7 +182,7 @@ class FFElem:
         return FFElem._of(self.curve, tuple((j, -a) for j, a in self.terms))
 
     def __mul__(self, other: FFElem) -> FFElem:
-        """The reduced product.  No report computes it, since ``pairing``
+        """The reduced product.  No report computes it, since the pairing
         forms one y coefficient only; tests and the benchmark's call
         counter (``bench/tracing.py``) name it, so it stays."""
         self._check(other)
@@ -426,7 +424,7 @@ def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[t
 def _reach(curve: Curve) -> list[tuple[int, RatFn | None]]:
     """The (s, factor) rows of the pairing: a term a_i of f meets the term
     of omega at s - i, times the factor when it is not None (see
-    ``pairing``)."""
+    ``pairing_matrix``)."""
     table = _family_table(curve)
     deg, k = curve.degree, table.trace_index
     reach = [(k, None), (k + deg, table.relation)]
@@ -437,45 +435,32 @@ def _reach(curve: Curve) -> list[tuple[int, RatFn | None]]:
 
 def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
     """Serre duality pairing of an H^1 representative against a
-    differential: c * Res_inf(Tr(f * coeff(omega))), c = -1/n for Kummer
-    and 1 for Artin-Schreier; arguments on mismatched curves are refused.
-    Only the y^k coefficient the trace reads is formed, k the trace index:
-    the terms a_i b_j with i + j = k, with i + j = k + deg times the
-    relation, and, when the relation has a y term and k > 0, with
-    i + j = k + deg - 1.  The residue is linear, so it is summed over the
-    terms' unreduced num/den products, with no gcd, and scaled by
-    c Tr(y^k), which is -1 in both families:
-      - Kummer, k = 0: Tr(1) = n, so c Tr(1) = (-1/n) n = -1;
-      - Artin-Schreier, k = p - 1: Tr(y^(p-1)) = -1, so c Tr(y^(p-1)) = -1.
-    So the pairing is the negated residue sum."""
-    w = omega.coeff
-    f._check(w)
-    spec = f.curve.spec
-    by_index = dict(w.terms)  # each a_i meets omega's term at s - i, if it has one
-    total = 0
-    for i, a in f.terms:
-        for s, factor in _reach(f.curve):
-            b = by_index.get(s - i)
-            if b is None:
-                continue
-            num, den = a.num * b.num, a.den * b.den
-            if factor is not None:
-                num, den = num * factor.num, den * factor.den
-            total = spec.add(total, fraction_residue(num, den))
-    return FieldElement(spec, spec.neg(total))
+    differential: the one entry of ``pairing_matrix``; arguments on
+    mismatched curves are refused."""
+    return FieldElement(f.curve.spec, pairing_matrix(f.curve, [omega], [f])[0][0])
 
 
 def pairing_matrix(curve: Curve, omegas: list[FFDiff], columns: list[FFElem]) -> list[list[int]]:
-    """The encodings of ``pairing(h, w)`` for w in ``omegas`` (rows) and h
-    in ``columns``, each residue computed once.
+    """The Serre duality pairings c * Res_inf(Tr(h * coeff(w))), c = -1/n
+    for Kummer and 1 for Artin-Schreier, as encodings, for w in ``omegas``
+    (rows) and h in ``columns``; arguments on other curves are refused.
+
+    Only the y^k coefficient the trace reads is formed, k the trace index:
+    the terms a_i b_j with i + j = k, with i + j = k + deg times the
+    relation, and, when the relation has a y term and k > 0, with
+    i + j = k + deg - 1 (the rows of ``_reach``).  The residue is linear,
+    so it is summed over the terms' unreduced num/den products, with no
+    gcd, and scaled by c Tr(y^k), which is -1 in both families:
+      - Kummer, k = 0: Tr(1) = n, so c Tr(1) = (-1/n) n = -1;
+      - Artin-Schreier, k = p - 1: Tr(y^(p-1)) = -1, so c Tr(y^(p-1)) = -1.
+    So every entry is the negated residue sum.
 
     The columns' terms are indexed by y index, so a term b_j of w and a
     reach row (s, factor) visit only the columns with a term at s - j.
     Writing each coefficient as x^m u / v with u, v prime to x, the residue
     of a term pair depends only on the two x-free parts, the reach row and
     the sum of the two m: the residue of each such key is computed once.  A
-    pair whose product has degree below -1 has residue 0 and is skipped.
-    Every entry is the negated sum of its residues, as in ``pairing``."""
+    pair whose product has degree below -1 has residue 0 and is skipped."""
     if not (omegas and columns):  # nothing to pair: the family table is not needed
         return [[] for _ in omegas]
     spec = curve.spec

@@ -6,10 +6,10 @@ one walk ``funcfield.valuations``), so a negative one is a pole at some
 point of the class, never a limitation of the bound.
 
 Serre duality itself is not re-proved: the duality check computes the
-full pairing matrix (``funcfield.pairing_matrix``, each residue once per
-key) and demands the identity, compared on encodings.  The exactness
-check reads H^1 coordinates through that pairing, so ``full_report``
-orders duality before exactness.
+full pairing matrix (``funcfield.pairing_matrix``, the one pairing
+route, each residue once per key) and demands the identity, compared on
+encodings.  The exactness check reads H^1 coordinates from that matrix,
+so ``full_report`` orders duality before exactness.
 
 The cocycle check sums each y coefficient of d f_0inf - omega_0 +
 omega_inf over the product of its terms' distinct denominators, with no
@@ -22,7 +22,8 @@ hands the one ``Bases`` value to every check that reads a basis, so a
 report builds each basis once and pairs the matrix once: the duality
 check compares every entry of that matrix with the identity, and the
 exactness check takes the coordinates of an a-class whose image is an H^1
-basis representative from that representative's column.
+basis representative from that representative's column; the builder
+makes that image the representative itself.
 
 The divisor check is a table: each divisor is one row holding its label,
 its element or differential, and its closed-form exponents at each branch

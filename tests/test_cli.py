@@ -212,6 +212,22 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["verify", invalid]) == 2
 
 
+# spec files that json.load refuses with something other than JSONDecodeError
+UNPARSABLE_FILES = {
+    "deep_nesting": b"[" * 200000,  # RecursionError
+    "non_utf8": b'{"type": "kummer\xff"}',  # UnicodeDecodeError
+    "long_integer": b'{"type": "kummer", "p": ' + b"1" * 5000 + b"}",  # ValueError: over 4300 digits
+}
+
+
+@pytest.mark.parametrize("name", UNPARSABLE_FILES)
+def test_unparsable_spec_files_exit_2(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNPARSABLE_FILES[name])
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed JSON: ")
+
+
 HOSTILE_SPECS = {
     # trial-division primality of a 60-bit p
     "huge_p": {"type": "kummer", "p": 1000000000000000003, "n": 2, "branch": [{"rho": 1, "l": 2}]},

@@ -91,6 +91,21 @@ def test_report_and_document_build_each_basis_once(doc, policy, sign, monkeypatc
 
 
 @pytest.mark.parametrize("doc", SPECS, ids=["kummer_quartic", "as_p3"])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("sign", SIGNS)
+def test_each_a_class_holds_its_h1_representative(doc, policy, sign):
+    """p(a[mu, nu]) = h[mu, nu] by construction: the builder hands the H^1
+    basis objects to the a-family instead of building them again."""
+    curve = parse_curve_spec(doc)
+    bases = build_bases(curve, policy, sign)
+    a_classes = [cls for cls in bases.derham if cls.kind == "a"]
+    assert len(a_classes) == len(bases.h1) > 0
+    for cls, (idx, h) in zip(a_classes, bases.h1):
+        assert cls.index == idx and cls.triple.f0inf is h
+    assert derham_basis(curve, policy, sign) == build_bases(curve, policy, sign).derham
+
+
+@pytest.mark.parametrize("doc", SPECS, ids=["kummer_quartic", "as_p3"])
 def test_a_report_frees_its_curve_by_reference_count(doc):
     gc.disable()
     try:

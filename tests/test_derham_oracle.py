@@ -23,7 +23,7 @@ from test_pairing_oracle import CORPORA, POLICIES
 
 from cycliccover import cohomology, polyrat
 from cycliccover.cli import parse_curve_spec
-from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, derham_basis, h1_indices, omega_basis
+from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, derham_basis, h1_basis, h1_indices, omega_basis
 from cycliccover.curve import mu_table
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.polyrat import Poly, RatFn, split_at_degree
@@ -111,10 +111,10 @@ def test_builder_takes_no_gcd(corpus, policy, monkeypatch):
     gcds = slots = 0
     for doc in CORPORA[corpus]():
         curve = parse_curve_spec(doc)  # an Artin-Schreier curve reduces r = f / prod (x - rho)^l here
-        omegas = omega_basis(curve, policy)
+        omegas, hs = omega_basis(curve, policy), h1_basis(curve, policy)
         for sign in SIGN_CONVENTIONS:
             calls.clear()
-            classes = cohomology._build_derham_basis(curve, policy, sign, omegas)
+            classes = cohomology._build_derham_basis(curve, policy, sign, omegas, hs)
             gcds += len(calls)
             slots += _slot_coefficients(classes)
     assert gcds == 0 and slots > 0

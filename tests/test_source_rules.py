@@ -28,7 +28,9 @@ nonzero ``terms``: no code in ``funcfield``, ``cohomology`` or ``verify``
 reads the dense ``.coeffs`` view but the ``FFElem.coeffs`` property
 itself.  The basis builders reduce every coefficient over the roots its
 denominator is built from: ``cohomology`` calls neither ``poly_gcd`` nor
-the reducing two-argument ``RatFn(num, den)``."""
+the reducing two-argument ``RatFn(num, den)``.  The pairing has one
+route: only ``pairing_matrix`` sums pairing residues, so in ``src/`` only
+it and the ``residue_at_infinity`` wrapper call ``fraction_residue``."""
 
 import ast
 from pathlib import Path
@@ -77,6 +79,7 @@ FIELD_TABLES = ("exp", "log", "zech")  # read only in TABLE_MODULES
 TABLE_MODULES = ("gf.py", "polyrat.py")
 ZECH_READERS = ("_axpy", "_horner", "Poly.__add__")  # the polyrat definitions that read zech
 SPARSE_MODULES = ("funcfield.py", "cohomology.py", "verify.py")  # modules that walk terms, never .coeffs
+RESIDUE_CALLERS = ("pairing_matrix", "residue_at_infinity")  # the only callers of fraction_residue
 # reference routes and retired family-table fields that no src/ definition may be named
 REFERENCE_NAMES = (
     "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
@@ -574,10 +577,10 @@ def test_the_euclid_rule_catches_violations():
     ]
 
 
-def _table_reads(tree: ast.Module, tables: tuple[str, ...], allowed: tuple[str, ...] = ()) -> list[str]:
-    """Each read of a table from ``tables``, as an attribute or by
-    ``getattr``, outside the definitions named in ``allowed`` ("function"
-    or "Class.method"), with the innermost enclosing definition it is in
+def _outside(tree: ast.Module, allowed: tuple[str, ...], found) -> list[str]:
+    """Each node that ``found`` describes (it returns a description or None)
+    outside the definitions named in ``allowed`` ("function" or
+    "Class.method"), with the innermost enclosing definition it is in
     ("module" at module level)."""
     out = []
 
@@ -587,15 +590,28 @@ def _table_reads(tree: ast.Module, tables: tuple[str, ...], allowed: tuple[str, 
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{owner}.{child.name}" if owner else child.name
             elif owner not in allowed:
-                if isinstance(child, ast.Attribute) and child.attr in tables:
-                    out.append((child.lineno, f"{owner or 'module'} reads .{child.attr}"))
-                elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "getattr"
-                      and any(isinstance(a, ast.Constant) and a.value in tables for a in child.args)):
-                    out.append((child.lineno, f"{owner or 'module'} reads a table by getattr"))
+                what = found(child)
+                if what:
+                    out.append((child.lineno, f"{owner or 'module'} {what}"))
             visit(child, name)
 
     visit(tree, "")
     return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+def _table_reads(tree: ast.Module, tables: tuple[str, ...], allowed: tuple[str, ...] = ()) -> list[str]:
+    """Each read of a table from ``tables``, as an attribute or by
+    ``getattr``, outside the definitions named in ``allowed``."""
+
+    def found(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Attribute) and node.attr in tables:
+            return f"reads .{node.attr}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                and any(isinstance(a, ast.Constant) and a.value in tables for a in node.args)):
+            return "reads a table by getattr"
+        return None
+
+    return _outside(tree, allowed, found)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -634,4 +650,49 @@ def test_the_table_read_rule_catches_violations():
     assert _table_reads(tree, ("zech",), ZECH_READERS) == [
         "line 4: _cofactor_parts.step reads .zech",
         "line 10: Poly.__mul__ reads .zech",
+    ]
+
+
+def _residue_calls(tree: ast.Module, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Each call of ``fraction_residue``, by name or attribute, outside the
+    definitions named in ``allowed``."""
+
+    def found(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "fraction_residue":
+                return "calls fraction_residue"
+        return None
+
+    return _outside(tree, allowed, found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_pairing_matrix_sums_residues(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == "funcfield.py":  # the rule sees the matrix's one call
+        assert [line.split(": ")[1] for line in _residue_calls(tree)] == ["pairing_matrix calls fraction_residue"]
+    assert _residue_calls(tree, RESIDUE_CALLERS) == []
+
+
+def test_the_residue_rule_catches_violations():
+    tree = ast.parse(
+        "def pairing(f, omega):\n"
+        "    return fraction_residue(f.num * omega.num, f.den * omega.den)\n"
+        "def pairing_matrix(curve, omegas, columns):\n"
+        "    def entry(num, den):\n"
+        "        return polyrat.fraction_residue(num, den)\n"
+        "    return fraction_residue(num, den)\n"
+        "def residue_at_infinity(h):\n"
+        "    return fraction_residue(h.num, h.den)\n"
+        "class FFDiff:\n"
+        "    def residue(self):\n"
+        "        return fraction_residue(self.num, self.den)\n"
+        "TOTAL = fraction_residue(NUM, DEN)\n"
+    )
+    assert _residue_calls(tree, RESIDUE_CALLERS) == [
+        "line 2: pairing calls fraction_residue",
+        "line 5: pairing_matrix.entry calls fraction_residue",
+        "line 11: FFDiff.residue calls fraction_residue",
+        "line 12: module calls fraction_residue",
     ]
