@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from .cohomology import Bases, build_bases
 from .curve import ASCurve, Curve, KummerCurve, genus_from_basis, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff
+from .funcfield import FFDiff, FFElem
 from .gf import FieldElement, FieldSpec, digits, find_irreducible_poly, is_prime
 from .polyrat import Poly
 from .verify import Report, VerifyOptions, full_report
@@ -214,20 +214,22 @@ def curve_section(curve: Curve, policy: str) -> dict:
 
 
 def bases_section(bases: Bases) -> dict:
-    # a delta class's omega_0 and omega_inf are a differential of the basis, rendered once
+    # a delta class's omega_0 and omega_inf are a differential of the basis, and an
+    # a-class's f_0inf is an H^1 representative: each basis object is rendered once
     rendered = {id(w): w.render() for _, w in bases.omega}
+    rendered.update((id(h), h.render()) for _, h in bases.h1)
 
-    def render(w: FFDiff) -> str:
-        return rendered.get(id(w)) or w.render()
+    def render(obj: FFElem | FFDiff) -> str:
+        return rendered.get(id(obj)) or obj.render()
 
     omega_lines = [f"omega[{i.mu},{i.nu}] = {rendered[id(w)]}" for i, w in bases.omega]
-    h1_lines = [f"h[{i.mu},{i.nu}] = {h.render()}" for i, h in bases.h1]
+    h1_lines = [f"h[{i.mu},{i.nu}] = {rendered[id(h)]}" for i, h in bases.h1]
     derham_docs = [
         {
             "label": cls.label,
             "omega0": render(cls.triple.omega0),
             "omega_inf": render(cls.triple.omega_inf),
-            "f0inf": cls.triple.f0inf.render(),
+            "f0inf": render(cls.triple.f0inf),
         }
         for cls in bases.derham
     ]

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
-from .funcfield import FFDiff, FFElem, PlaceClass, pairing, poles
+from .funcfield import FFDiff, FFElem, PlaceClass, pairing_matrix, poles
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, _axpy, reduce_over_roots, split_at_degree
 
@@ -380,10 +380,12 @@ def h1_coordinates(
     curve: Curve, f: FFElem, range_policy: str = "extended"
 ) -> tuple[FieldElement, ...]:
     """Coordinates of a class [f] in the H^1 basis, read off by pairing
-    against the differential basis (valid once duality holds).
+    against the differential basis (valid once duality holds): the one
+    column of ``pairing_matrix`` with f as its column.
 
     Requires f to be regular away from the fibers over 0 and infinity.
     """
     require_h1_class(curve, f)
-    return tuple(pairing(f, w) for _, w in omega_basis(curve, range_policy))
+    rows = pairing_matrix(curve, [w for _, w in omega_basis(curve, range_policy)], [f])
+    return tuple(FieldElement(curve.spec, c) for c, in rows)
 

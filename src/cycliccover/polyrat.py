@@ -58,7 +58,10 @@ division: c equals the constant coefficient of quotient(num * x, den).
 The quotient does not change when num and den share a factor, so
 ``fraction_residue`` works on unreduced num/den pairs, and
 ``fraction_sum`` adds such pairs without a gcd for checks that only ask
-whether a sum is zero.
+whether a sum is zero.  It splits each denominator as x^e u with u prime
+to x, the split ``funcfield.pairing_matrix`` keys its residues by: the
+numerators over one x-free part add after a shift, and only distinct
+x-free parts are multiplied.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ class Poly:
 
     def shift(self, k: int) -> Poly:
         """Multiply by x^k."""
-        return _poly(self.spec, [0] * k + list(self.ints))
+        return _poly(self.spec, [0] * k + list(self.ints)) if k else self
 
     # -- comparisons and rendering ------------------------------------------------
 
@@ -644,21 +647,30 @@ def fraction_residue(num: Poly, den: Poly) -> int:
 
 
 def fraction_sum(spec: FieldSpec, terms: Iterable[tuple[Poly, Poly]]) -> tuple[Poly, Poly]:
-    """The sum of the fractions num/den as one unreduced fraction over the
-    product of their distinct denominators: the numerators over one
-    denominator are added first, and no gcd is taken.  The sum is zero iff
-    its numerator is, and a zero sum is 0/1."""
-    by_den: dict[tuple[int, ...], tuple[Poly, Poly]] = {}  # keyed by the denominator's encodings
+    """The sum of the fractions num/den as one unreduced fraction, with no
+    gcd.  Each den is split as x^e u with u prime to x, and the fractions
+    are grouped by u.  Over x^E u, E the largest e, the numerators of one
+    group add as num x^(E - e), with no product; products are taken only
+    across distinct x-free parts.  So the sum is over x^E times the
+    product of the x-free parts whose group sum is nonzero.  The sum is
+    zero iff its numerator is, and it is 0/1 when every group cancels."""
+    split = []
     for num, den in terms:
-        key = den.ints
-        by_den[key] = (by_den[key][0] + num, den) if key in by_den else (num, den)
-    fractions = [(num, den) for num, den in by_den.values() if num.ints]
-    if not fractions:
+        e = _x_order(den.ints)
+        split.append((den.ints[e:], num, e))
+    top = max((e for _, _, e in split), default=0)
+    groups: dict[tuple[int, ...], Poly] = {}  # x-free part's encodings -> its numerators over x^top u
+    for key, num, e in split:
+        num = num.shift(top - e)
+        groups[key] = groups[key] + num if key in groups else num
+    total = common = None
+    for key, num in groups.items():
+        if num.ints:
+            u = _poly(spec, list(key))
+            total, common = (num, u) if common is None else (total * u + num * common, common * u)
+    if common is None:
         return Poly.zero(spec), Poly.one(spec)
-    total, common = fractions[0]
-    for num, den in fractions[1:]:
-        total, common = total * den + num * common, common * den
-    return total, common
+    return total, common.shift(top)
 
 
 def residue_at_infinity(h: RatFn) -> FieldElement:

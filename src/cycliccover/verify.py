@@ -12,10 +12,12 @@ encodings.  The exactness check reads H^1 coordinates from that matrix,
 so ``full_report`` orders duality before exactness.
 
 The cocycle check sums each y coefficient of d f_0inf - omega_0 +
-omega_inf over the product of its terms' distinct denominators, with no
-gcd, and passes iff every numerator is zero; an index at which no slot
-has a term is not summed.  Only a failing check reduces the sums, into
-the canonical residual its payload renders.
+omega_inf as one unreduced fraction (``polyrat.fraction_sum``): its
+denominator is the largest x-power of the terms' denominators times the
+product of their distinct x-free parts, and no gcd is taken.  It passes
+iff every numerator is zero; an index at which no slot has a term is not
+summed.  Only a failing check reduces the sums, into the canonical
+residual its payload renders.
 
 ``full_report`` builds the bases once (``cohomology.build_bases``) and
 hands the one ``Bases`` value to every check that reads a basis, so a
@@ -31,13 +33,16 @@ place, over 0 and over infinity, written from the curve, ramification and
 mu-table data (never from the place classes whose valuations are being
 checked), plus the degree its place total must reach.  One loop turns
 every row into its valuation items and its ``deg(...)`` item; the (x) row
-is shared by both families.  The Kummer log-derivative identity takes
-each prod_(I-i) (x - rho) from the support prod_I (x - rho) by one
-synthetic division by x - rho_i, so each mu builds two polynomials from
-their roots.  The Artin-Schreier dy item is decided as the cocycle
-check is, by a zero test on the unreduced sums of dy - psi / prod (x -
-rho_i)^(l_i + 1) dx, and renders its two reduced differentials only when
-it fails.
+is shared by both families.  An item holds its verdict, its expected and
+computed values and a label template with its arguments; only a failing
+check formats labels, into the payload dicts of its failing items.  The
+Kummer log-derivative identity takes each prod_(I-i) (x - rho) from the
+support prod_I (x - rho) by one synthetic division by x - rho_i.  The gg
+identity of mu and that of n - mu test the same product, so the support
+and g_mu g_(n-mu) prod_I (x - rho) are built once per pair {mu, n - mu}.
+The Artin-Schreier dy item is decided as the cocycle check is, by a zero
+test on the unreduced sums of dy - psi / prod (x - rho_i)^(l_i + 1) dx,
+and renders its two reduced differentials only when it fails.
 """
 
 from __future__ import annotations
@@ -181,6 +186,11 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
     return CheckResult(name, "pass", "all slots regular away from their allowed fibers")
 
 
+# A divisor item is (ok, expected, got, template, args): its label is the
+# template formatted with the args, which only a failing payload does (``_failed``).
+_Item = tuple[bool, object, object, str, tuple]
+
+
 class _Row(NamedTuple):
     """One divisor: its closed-form exponent at each branch place (by
     branch index), over 0 and over infinity, and the degree its place
@@ -196,15 +206,20 @@ class _Row(NamedTuple):
     degree: int = 0
     shift: int = 0
     degree_label: str | None = None
-    before: Sequence[dict] = ()
+    before: Sequence[_Item] = ()
 
 
-def _item(item: str, ok: bool, expected, got) -> dict:
-    return {"item": item, "ok": ok, "expected": expected, "got": got}
+def _identity(ok: bool, expected: str, template: str, *args) -> _Item:
+    return ok, expected, "equal" if ok else "unequal", template, args
 
 
-def _identity(item: str, ok: bool, expected: str) -> dict:
-    return _item(item, ok, expected, "equal" if ok else "unequal")
+def _failed(items: Sequence[_Item]) -> list[dict]:
+    """The failing items as payload dicts, each label formatted."""
+    return [
+        {"item": template.format(*args), "ok": ok, "expected": expected, "got": got}
+        for ok, expected, got, template, args in items
+        if not ok
+    ]
 
 
 def _kummer_rows(curve: KummerCurve, table: MuTable, ram: RamData, dx: FFDiff, g: int) -> list[_Row]:
@@ -233,20 +248,29 @@ def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElemen
     return Poly.from_encodings(spec, acc[-2::-1])
 
 
-def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list[dict]:
+def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list[_Item]:
     """Per mu: the gg product and the log derivative of phi, whose
-    prod_(I-i) (x - rho) are quotients of the support prod_I (x - rho)."""
+    prod_(I-i) (x - rho) are quotients of the support prod_I (x - rho).
+    The gg items of mu and n - mu test one product: when the two rows
+    share I (here always, as n lambda_i = 0 mod e_i), the support and
+    g_mu g_(n-mu) prod_I (x - rho) are formed once for the pair."""
     spec = curve.spec
     items = []
+    pending: dict[int, tuple[Poly, bool]] = {}  # n - mu -> the support and gg verdict it shares with mu
     for mu in table.mus():
-        row = table[mu]
-        support = Poly.from_roots(spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
-        gg = row.g_mu * table[curve.n - mu].g_mu * support == curve.f
-        items.append(_identity(f"gg:mu={mu}", gg, "g_mu * g_{n-mu} * prod_I (x-rho) == f"))
+        row, partner = table[mu], table[curve.n - mu]
+        if mu in pending:
+            support, gg = pending.pop(mu)
+        else:
+            support = Poly.from_roots(spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
+            gg = row.g_mu * partner.g_mu * support == curve.f
+            if partner.I == row.I:
+                pending[curve.n - mu] = support, gg
+        items.append(_identity(gg, "g_mu * g_{n-mu} * prod_I (x-rho) == f", "gg:mu={}", mu))
         phi = Poly.from_roots(spec, [(e.rho, v * e.g) for e, v in zip(ram.branch, row.v)])
         weights = [(ram.branch[i - 1].rho, spec.element(row.v[i - 1] * ram.branch[i - 1].g)) for i in row.I]
         logder = phi.derivative() * support == phi * _cofactor_sum(support, weights)
-        items.append(_identity(f"logder:mu={mu}", logder, "phi' * prod_I == phi * sum_I v g prod_(I-i)"))
+        items.append(_identity(logder, "phi' * prod_I == phi * sum_I v g prod_(I-i)", "logder:mu={}", mu))
     return items
 
 
@@ -276,7 +300,7 @@ def _as_rows(curve: ASCurve, table: MuTable, dx: FFDiff, g: int) -> list[_Row]:
         label = f"g_{m}*y^{mu - 1}"
         exponents = [p * mi - (mu - 1) * l for mi, l in zip(row.m, ls)]
         before = [
-            _item(f"exponent:{label} at branch[{i}]", got == p - 1 - v and got >= 0, p - 1 - v, got)
+            (got == p - 1 - v and got >= 0, p - 1 - v, got, "exponent:{} at branch[{}]", (label, i))
             for i, (got, v) in enumerate(zip(exponents, row.v), start=1)
         ]
         elem = FFElem.monomial(curve, mu - 1, RatFn.from_poly(row.g_mu))
@@ -314,10 +338,11 @@ def divisor_checks(curve: Curve) -> CheckResult:
     else:
         rows = [x_row] + _as_rows(curve, table, dx, g)
 
-    items: list[dict] = []
+    places = place_classes(curve)
+    items: list[_Item] = []
     for row in rows:
         total = row.shift
-        for place in place_classes(curve):
+        for place in places:
             if place.kind == "branch":
                 if row.before:
                     items.append(row.before[place.index - 1])
@@ -325,10 +350,9 @@ def divisor_checks(curve: Curve) -> CheckResult:
             else:
                 expected = row.at_zero if place.kind == "over_zero" else row.at_infinity
             bound = valuation_bound(row.elem, place)
-            items.append(_item(f"({row.label}) at {place.label}", bound == expected, expected, bound))
+            items.append((bound == expected, expected, bound, "({0.label}) at {1.label}", (row, place)))
             total += bound * place.npoints
-        label = row.degree_label or row.label
-        items.append(_item(f"deg({label})", total == row.degree, row.degree, total))
+        items.append((total == row.degree, row.degree, total, "deg({})", (row.degree_label or row.label,)))
 
     if curve.kind == "kummer":
         items += _kummer_identities(curve, table, ram)
@@ -339,9 +363,9 @@ def divisor_checks(curve: Curve) -> CheckResult:
         if not ok:
             expected_dy = FFDiff(FFElem.from_ratfn(curve, RatFn(psi, pole_den)))
             shown = (expected_dy.render(), FFElem.y(curve).exterior_d().render())
-        items.append(_item("dy == psi / prod (x-rho)^{l+1} dx", ok, *shown))
+        items.append((ok, *shown, "{}", ("dy == psi / prod (x-rho)^{l+1} dx",)))
 
-    bad = [it for it in items if not it["ok"]]
+    bad = _failed(items)
     if bad:
         return CheckResult(
             "divisors",

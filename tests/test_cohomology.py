@@ -99,7 +99,7 @@ def test_kummer_psi_quartic():
     assert kummer_psi(QUARTIC, 1, 1, table) == expected
     # the divisor table checks g_mu g_{n-mu} prod_I (x - rho) = f and phi_mu = prod (x - rho)^(v g)
     items = verify._kummer_identities(QUARTIC, table, ram_data(QUARTIC))
-    assert {item["item"]: item["ok"] for item in items} == {"gg:mu=1": True, "logder:mu=1": True}
+    assert {template.format(*args): ok for ok, _, _, template, args in items} == {"gg:mu=1": True, "logder:mu=1": True}
 
 
 def test_kummer_psi_degenerate_empty_support():

@@ -78,15 +78,15 @@ def test_report_and_document_build_each_basis_once(doc, policy, sign, monkeypatc
     counts: dict[str, int] = {}
     for name in BUILDERS:
         _counting(monkeypatch, cohomology, name, counts)
-    for module in (cohomology, verify):
-        _counting(monkeypatch, module, "pairing", counts)
+    _counting(monkeypatch, verify, "pairing", counts)
+    _counting(monkeypatch, cohomology, "pairing_matrix", counts)
     _counting(monkeypatch, funcfield, "fraction_residue", counts)
     curve = parse_curve_spec(doc)
     report = full_report(curve, VerifyOptions(mu_range=policy, sign=sign))
     build_report_document(curve, policy, sign, include_bases=True, report=report)
     assert {name: counts.get(name, 0) for name in BUILDERS} == dict.fromkeys(BUILDERS, 1)
     # the pairing matrix computes one residue per key; exactness pairs nothing more
-    assert "pairing" not in counts
+    assert "pairing" not in counts and "pairing_matrix" not in counts
     assert counts["fraction_residue"] == len(_residue_keys(curve, report.bases)) > 0
 
 
@@ -138,12 +138,20 @@ def test_unknown_policy_and_sign_are_refused():
         build_bases(curve, "extended", "flipped")
 
 
-def test_matrix_columns_are_the_coordinates_of_their_representatives():
-    curve = parse_curve_spec(SPECS[1])
+COORDINATE_CASES = SPECS + enumerate_kummer_specs(7, 4, 6, 6, 3) + enumerate_as_specs(5, 2, 3, 6, 3)
+
+
+@pytest.mark.parametrize("doc", COORDINATE_CASES, ids=[f"case{i}" for i in range(len(COORDINATE_CASES))])
+def test_matrix_columns_are_the_coordinates_of_their_representatives(monkeypatch, doc):
+    # h1_coordinates pairs its element against the whole differential basis in one matrix call
+    curve = parse_curve_spec(doc)
     bases = build_bases(curve)
     matrix, _ = duality_matrix(curve, bases)
+    counts = {}
+    _counting(monkeypatch, cohomology, "pairing_matrix", counts)
     for j, (_, h) in enumerate(bases.columns):
         assert h1_coordinates(curve, h) == tuple(row[j] for row in matrix)
+    assert counts.get("pairing_matrix", 0) == len(bases.columns)
 
 
 def _planted(bases, kind, f0inf):

@@ -1,7 +1,9 @@
-"""``pairing`` against the full-product route it replaced.
+"""The Serre duality pairing against a full-product route.
 
-``pairing`` forms only the y^k coefficient of f * coeff(omega) that the
-trace reads, and sums residues of unreduced fractions.  The oracle forms
+``pairing`` returns the one entry of ``funcfield.pairing_matrix``, the
+only pairing route in ``src/``, so this module checks the matrix through
+it.  The matrix forms only the y^k coefficient of f * coeff(omega) that
+the trace reads, and sums residues of unreduced fractions.  The oracle forms
 the whole reduced product, takes its trace (the trace table, or the
 independent Galois orbit sum, both from ``reference``) and then the
 residue: c * Res_inf(Tr(f * coeff(omega))), with c = -1/n for Kummer and

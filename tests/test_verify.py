@@ -169,6 +169,63 @@ def test_divisor_checks_cover_the_identity_suite():
             assert p * row.m[i] - (mu - 1) * l >= 0
 
 
+class _WatchedPlace:
+    """A place class that records every read of its label."""
+
+    def __init__(self, place, reads):
+        self._place, self._reads = place, reads
+
+    def __getattr__(self, name):
+        if name == "label":
+            self._reads.append(self._place.label)
+        return getattr(self._place, name)
+
+
+@pytest.mark.parametrize("curve", [QUARTIC, AS_P3, GENUS6], ids=["quartic", "as_p3", "genus6"])
+def test_a_passing_divisor_check_formats_no_item_label(curve, monkeypatch):
+    # an item keeps its values and a label template; only a failing check reads a place label
+    reads = []
+    places = verify.place_classes
+    monkeypatch.setattr(verify, "place_classes", lambda c: tuple(_WatchedPlace(pl, reads) for pl in places(c)))
+    passing = divisor_checks(curve)
+    assert passing.status == "pass" and reads == []
+    bound = verify.valuation_bound
+    monkeypatch.setattr(verify, "valuation_bound", lambda obj, place: bound(obj, place) + 1)
+    failing = divisor_checks(curve)
+    assert failing.status == "fail" and reads
+    assert all(" at " in item["item"] for item in failing.payload["items"] if not item["item"].startswith("deg("))
+
+
+KUMMER_PAIRS = [GENUS6] + [
+    parse_curve_spec(doc) for doc in enumerate_kummer_specs(13, 6, 12, 64, 7) if doc["n"] >= 3
+][:8]
+
+
+@pytest.mark.parametrize("curve", KUMMER_PAIRS, ids=[f"kummer{i}" for i in range(len(KUMMER_PAIRS))])
+def test_each_gg_product_is_built_once_per_pair(curve, monkeypatch):
+    from cycliccover.curve import mu_table, ram_data
+
+    table, ram = mu_table(curve, "extended"), ram_data(curve)
+    mus = table.mus()
+    assert all(table[mu].I == table[curve.n - mu].I for mu in mus)  # n lambda_i = 0 mod e_i
+    pairs = {frozenset((mu, curve.n - mu)) for mu in mus}
+    against_f, roots = [], []
+    eq, from_roots = Poly.__eq__, Poly.from_roots
+    monkeypatch.setattr(Poly, "__eq__", lambda a, b: (against_f.append(b is curve.f), eq(a, b))[1])
+    monkeypatch.setattr(
+        Poly, "from_roots", classmethod(lambda cls, spec, rs: (roots.append(rs), from_roots(spec, rs))[1])
+    )
+    items = verify._kummer_identities(curve, table, ram)
+    monkeypatch.undo()
+    assert [template.format(*args) for _, _, _, template, args in items] == [
+        label for mu in mus for label in (f"gg:mu={mu}", f"logder:mu={mu}")
+    ]
+    assert all(ok for ok, *_ in items)
+    # one gg comparison and one support per pair; one phi per mu
+    assert sum(against_f) == len(pairs) < len(mus)
+    assert len(roots) == len(pairs) + len(mus)
+
+
 def test_dimension_check_examples():
     assert dimension_check(QUARTIC, build_bases(QUARTIC)).status == "pass"
     assert dimension_check(QUARTIC, build_bases(QUARTIC)).payload == {"omega": 1, "h1": 1, "derham": 2, "genus": 1}
