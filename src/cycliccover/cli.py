@@ -164,10 +164,14 @@ def load_curve_file(path: str) -> Curve:
 # -- report document construction ------------------------------------------------------
 
 
+def _encoding_doc(k: int, p: int, d: int) -> int | list[int]:
+    """The JSON form of the encoding k of an element of F_(p^d): k itself
+    in a prime field, its d base-p digits, ascending, otherwise."""
+    return k if d == 1 else digits(k, p, d)
+
+
 def encode_field(elem: FieldElement) -> int | list[int]:
-    if elem.spec.d == 1:
-        return elem.coeffs[0]
-    return list(elem.coeffs)
+    return _encoding_doc(elem.encoding, elem.spec.p, elem.spec.d)
 
 
 def curve_to_spec_doc(curve: Curve) -> dict:
@@ -256,8 +260,9 @@ def build_report_document(
     if include_bases:
         doc["bases"] = bases_section(report.bases if report is not None else build_bases(curve, policy, sign))
     if report is not None:
+        p, d = curve.spec.p, curve.spec.d
         doc["pairing_matrix"] = (
-            [[encode_field(v) for v in row] for row in report.pairing_matrix]
+            [[_encoding_doc(k, p, d) for k in row] for row in report.pairing_matrix]
             if report.pairing_matrix is not None
             else None
         )
@@ -422,13 +427,12 @@ def enumerate_kummer_specs(
             if math.gcd(n, p) != 1:
                 continue
             if (p - 1) % n == 0:
-                ext = None
-                q = p
+                ext, degree = None, 1
             elif (p * p - 1) % n == 0:
-                ext = find_irreducible_poly(p, 2)
-                q = p * p
+                ext, degree = find_irreducible_poly(p, 2), 2
             else:
                 continue
+            q = p**degree
             cell: list[dict] = []
             for total in range(n, l_max + 1, n):
                 for pattern in _multiplicity_patterns(total, min(total, q), l_max):
@@ -444,8 +448,7 @@ def enumerate_kummer_specs(
                             doc["ext_modulus"] = list(ext)
                         doc["n"] = n
                         doc["branch"] = [
-                            {"rho": enc if ext is None else digits(enc, p, len(ext) - 1), "l": l}
-                            for enc, l in zip(points, pattern)
+                            {"rho": _encoding_doc(enc, p, degree), "l": l} for enc, l in zip(points, pattern)
                         ]
                         cell.append(doc)
             cells.append(cell)
@@ -523,18 +526,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"error: --{option.replace('_', '-')} {value} is outside the bound 1..{bound}", file=sys.stderr)
             return 2
     options = VerifyOptions(mu_range=args.mu_range, sign=args.sign)
-    docs: list[tuple[str, dict]] = []
+    docs: list[dict] = []
     if args.family in ("kummer", "both"):
-        for doc in enumerate_kummer_specs(args.p_max, args.n_max, args.l_max, args.count_cap, args.seed):
-            docs.append(("kummer", doc))
+        docs += enumerate_kummer_specs(args.p_max, args.n_max, args.l_max, args.count_cap, args.seed)
     if args.family in ("artin-schreier", "both"):
-        for doc in enumerate_as_specs(args.p_max, args.r_max, args.li_max, args.count_cap, args.seed):
-            docs.append(("artin-schreier", doc))
+        docs += enumerate_as_specs(args.p_max, args.r_max, args.li_max, args.count_cap, args.seed)
 
     total = 0
     passed = 0
     failures = []
-    for _, doc in docs:
+    for doc in docs:
         curve = parse_curve_spec(doc)
         report = full_report(curve, options)
         total += 1

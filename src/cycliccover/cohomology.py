@@ -241,7 +241,7 @@ def as_psi(curve: ASCurve) -> Poly:
     return curve.psi
 
 
-def _as_pole_den(curve: ASCurve) -> Poly:
+def as_pole_den(curve: ASCurve) -> Poly:
     """prod_i (x - rho_i)^{l_i + 1}, the denominator of dy and of omega_mu."""
     return Poly.from_roots(curve.spec, [(rho, l + 1) for rho, l in curve.branch])
 
@@ -263,7 +263,7 @@ SIGN_CONVENTIONS = ("paper", "negated-infty")
 def _slot(curve: Curve, terms: list[tuple[int, Poly, int, _Den]]) -> FFDiff:
     """One slot: the differential sum of num / (x^shift den) y^j dx over the
     (j, num, shift, den) terms, at distinct j, each coefficient reduced once."""
-    return FFDiff(FFElem.from_terms(curve, [(j, _over(num, shift, den)) for j, num, shift, den in terms]))
+    return FFDiff(FFElem(curve, [(j, _over(num, shift, den)) for j, num, shift, den in terms]))
 
 
 def _build_derham_basis(
@@ -285,7 +285,7 @@ def _build_derham_basis(
             inv_n, f_den = spec.element(curve.n).inverse(), _factored(curve, curve.f, [l for _, l in curve.branch])
         else:
             psi, g_dens = as_psi(curve), _g_dens(curve, table, {mu - 1 for (mu, _), _ in hs})
-            pole_den = _factored(curve, _as_pole_den(curve), [l + 1 for _, l in curve.branch])
+            pole_den = _factored(curve, as_pole_den(curve), [l + 1 for _, l in curve.branch])
     parts_mu, parts = None, None  # the indices come mu ascending: rebuild when mu changes
     out: list[DeRhamClass] = []
     for idx, f0inf in hs:

@@ -14,12 +14,12 @@ the pairing have one code path each that reads the family facts from
 
 An element holds its ``terms``: the pairs (j, a_j) with a_j a nonzero
 rational function, j ascending, reduced by the relation after every
-product.  The basis elements are single y-monomials and a de Rham slot
-has at most two terms, so every walk, sum and negation visits only the
-nonzero coefficients; the dense vector (a_0, ..., a_{deg-1}) is built
-only on request, as the ``coeffs`` view.  Differentials are (element) *
-dx, since x is a separating variable in both families; no local
-uniformizer machinery exists anywhere.
+product.  ``FFElem(curve, terms)`` takes (j, a) pairs, adds those at
+one j and drops zero sums; there is no dense form.  The basis elements
+are single y-monomials and a de Rham slot has at most two terms, so
+every walk, sum and negation visits only the nonzero coefficients.
+Differentials are (element) * dx, since x is a separating variable in
+both families; no local uniformizer machinery exists anywhere.
 
 ``pairing_matrix`` pairs lists of elements and differentials: it forms
 only the y coefficient of f * coeff(omega) that the trace reads (the
@@ -92,14 +92,15 @@ class FFElem:
 
     __slots__ = ("curve", "terms", "_valuations")
 
-    def __init__(self, curve: Curve, coeffs):
-        """The element of the dense vector (a_0, ..., a_{deg-1})."""
+    def __init__(self, curve: Curve, terms):
+        """The element sum a y^j over (j, a) pairs, 0 <= j < deg: the pairs
+        at one j are added and the zero sums dropped."""
         deg = curve.degree
-        cs = list(coeffs)
-        if len(cs) != deg:
-            raise ValueError(f"coefficient vector must have length {deg}")
+        pairs = list(terms)
+        if any(not 0 <= j < deg for j, _ in pairs):
+            raise ValueError(f"y-exponent out of range for degree {deg}")
         self.curve = curve
-        self.terms = tuple((j, a) for j, a in enumerate(cs) if a.num.ints)
+        self.terms = _summed(pairs)
         self._valuations: tuple[int, ...] | None = None  # valuations, on first use
 
     # -- constructors ---------------------------------------------------------
@@ -110,15 +111,6 @@ class FFElem:
         elem = cls.__new__(cls)
         elem.curve, elem.terms, elem._valuations = curve, terms, None
         return elem
-
-    @classmethod
-    def from_terms(cls, curve: Curve, pairs) -> FFElem:
-        """The element sum a y^j over (j, a) pairs, 0 <= j < deg."""
-        deg = curve.degree
-        pairs = list(pairs)
-        if any(not 0 <= j < deg for j, _ in pairs):
-            raise ValueError(f"y-exponent out of range for degree {deg}")
-        return cls._of(curve, _summed(pairs))
 
     @classmethod
     def zero(cls, curve: Curve) -> FFElem:
@@ -144,14 +136,6 @@ class FFElem:
         return cls._of(curve, ((j, a),) if a.num.ints else ())
 
     # -- basic structure ---------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[RatFn, ...]:
-        """The dense vector (a_0, ..., a_{deg-1}), built on each read."""
-        out = [RatFn.zero(self.curve.spec)] * self.curve.degree
-        for j, a in self.terms:
-            out[j] = a
-        return tuple(out)
 
     @property
     def is_zero(self) -> bool:

@@ -257,13 +257,7 @@ class Poly:
             return 0
         if not r:
             return _x_order(self.ints)
-        sums = _horner(self.spec, self.ints[::-1], r)  # the leading term is nonzero throughout
-        m = 0
-        while not sums[-1]:
-            sums.pop()
-            sums = _horner(self.spec, sums, r)
-            m += 1
-        return m
+        return _divide_out(self.spec, self.ints[::-1], r, len(self.ints))[1]
 
     def shift(self, k: int) -> Poly:
         """Multiply by x^k."""
@@ -391,6 +385,21 @@ def _horner(spec: FieldSpec, desc: Sequence[int], r: int) -> list[int]:
             acc = c
         sums.append(acc)
     return sums
+
+
+def _divide_out(spec: FieldSpec, desc: Sequence[int], r: int, limit: int) -> tuple[Sequence[int], int]:
+    """(desc / (x - r)^c, c) for the descending encodings ``desc`` with a
+    nonzero leading term and the nonzero x = r: one synthetic division
+    (``_horner``) per pass, for as long as the value at r is zero, at most
+    ``limit`` times."""
+    c = 0
+    while c < limit:
+        sums = _horner(spec, desc, r)
+        if sums[-1]:
+            break
+        sums.pop()
+        desc, c = sums, c + 1
+    return desc, c
 
 
 def _root_product(spec: FieldSpec, roots: Iterable[tuple[int, int]]) -> list[int]:
@@ -610,13 +619,7 @@ def reduce_over_roots(num: Poly, e: int, den: Poly, roots: Sequence[tuple[int, i
     desc = num.ints[::-1][:len(num.ints) - k]  # num / x^k, descending
     left, cancelled = [], False
     for r, m in roots:
-        c = 0
-        while c < m:
-            sums = _horner(spec, desc, r)
-            if sums[-1]:
-                break
-            sums.pop()
-            desc, c = sums, c + 1
+        desc, c = _divide_out(spec, desc, r, m)
         cancelled = cancelled or c > 0
         if c < m:
             left.append((r, m - c))

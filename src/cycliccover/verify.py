@@ -7,9 +7,11 @@ point of the class, never a limitation of the bound.
 
 Serre duality itself is not re-proved: the duality check computes the
 full pairing matrix (``funcfield.pairing_matrix``, the one pairing
-route, each residue once per key) and demands the identity, compared on
-encodings.  The exactness check reads H^1 coordinates from that matrix,
-so ``full_report`` orders duality before exactness.
+route, each residue once per key) and demands the identity.  The matrix
+stays in field encodings from ``pairing_matrix`` to the report; only a
+failing entry is made a ``FieldElement``, to render it.  The exactness
+check reads H^1 coordinates from that matrix, so ``full_report`` orders
+duality before exactness.
 
 The cocycle check sums each y coefficient of d f_0inf - omega_0 +
 omega_inf as one unreduced fraction (``polyrat.fraction_sum``): its
@@ -50,9 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .cohomology import Bases, DeRhamClass, DeRhamTriple, as_psi, build_bases, map_i, map_p, off_fiber_poles
+from .cohomology import (
+    Bases, DeRhamClass, DeRhamTriple, as_pole_den, as_psi, build_bases, map_i, map_p, off_fiber_poles,
+)
 from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff, FFElem, pairing, pairing_matrix, place_classes, poles, valuation_bound
+from .funcfield import FFDiff, FFElem, pairing_matrix, place_classes, poles, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, _axpy, _horner, fraction_sum
 
@@ -79,25 +83,23 @@ class VerifyOptions:
 class Report:
     checks: list[CheckResult]
     all_pass: bool
-    pairing_matrix: list[list[FieldElement]] | None = None
+    pairing_matrix: list[list[int]] | None = None  # encodings, as ``pairing_matrix`` gives them
     bases: Bases | None = None
 
 
-def duality_matrix(curve: Curve, bases: Bases) -> tuple[list[list[FieldElement]], CheckResult]:
+def duality_matrix(curve: Curve, bases: Bases) -> tuple[list[list[int]], CheckResult]:
     """Full pairing matrix of the differential basis against the H^1
-    basis in duality-respecting column order (``pairing_matrix``); passes
-    iff it is the identity, compared on encodings.  Entry (i, j) pairs
-    column j against the i-th differential, so column j holds the H^1
-    coordinates of its representative."""
-    spec = curve.spec
-    codes = pairing_matrix(curve, [w for _, w in bases.omega], [h for _, h in bases.columns])
+    basis in duality-respecting column order, as the encodings
+    ``pairing_matrix`` gives; passes iff it is the identity.  Entry (i, j)
+    pairs column j against the i-th differential, so column j holds the
+    H^1 coordinates of its representative."""
+    matrix = pairing_matrix(curve, [w for _, w in bases.omega], [h for _, h in bases.columns])
     mismatches = [
-        (i, j, FieldElement(spec, c).render())
-        for i, row in enumerate(codes)
+        (i, j, FieldElement(curve.spec, c).render())
+        for i, row in enumerate(matrix)
         for j, c in enumerate(row)
         if c != (1 if i == j else 0)
     ]
-    matrix = [[FieldElement(spec, c) for c in row] for row in codes]
     if mismatches:
         result = CheckResult(
             "duality",
@@ -156,7 +158,7 @@ def cocycle_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) ->
     if all(num.is_zero for num, _ in sums.values()):
         return CheckResult(name, "pass", "exterior derivative matches the slot difference")
     terms = [(k, RatFn(num, den)) for k, (num, den) in sums.items()]
-    residual = FFDiff(FFElem.from_terms(triple.f0inf.curve, terms))
+    residual = FFDiff(FFElem(triple.f0inf.curve, terms))
     return CheckResult(
         name,
         "fail",
@@ -172,15 +174,11 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
     triple, label = _triple(item, label)
     name = f"locus:{label}"
     slots = (
-        ("omega_0", triple.omega0, lambda pl: pl.covers_zero),
-        ("omega_inf", triple.omega_inf, lambda pl: pl.kind == "over_infinity"),
-        ("f_0inf", triple.f0inf, lambda pl: pl.kind != "branch" or pl.covers_zero),
+        ("omega_0", poles(triple.omega0, lambda pl: pl.covers_zero)),
+        ("omega_inf", poles(triple.omega_inf, lambda pl: pl.kind == "over_infinity")),
+        ("f_0inf", off_fiber_poles(triple.f0inf)),
     )
-    violations = [
-        f"{slot} at {place.label}: bound {value}"
-        for slot, obj, allowed in slots
-        for place, value in poles(obj, allowed)
-    ]
+    violations = [f"{slot} at {place.label}: bound {value}" for slot, found in slots for place, value in found]
     if violations:
         return CheckResult(name, "fail", "; ".join(violations), {"violations": violations})
     return CheckResult(name, "pass", "all slots regular away from their allowed fibers")
@@ -357,7 +355,7 @@ def divisor_checks(curve: Curve) -> CheckResult:
     if curve.kind == "kummer":
         items += _kummer_identities(curve, table, ram)
     else:
-        psi, pole_den = as_psi(curve), Poly.from_roots(spec, [(rho, l + 1) for rho, l in curve.branch])
+        psi, pole_den = as_psi(curve), as_pole_den(curve)
         ok = _dy_matches(curve, psi, pole_den)
         shown = (None, None)  # a passing item is not reported
         if not ok:
@@ -395,7 +393,7 @@ def dimension_check(curve: Curve, bases: Bases) -> CheckResult:
     )
 
 
-def exactness_check(curve: Curve, bases: Bases, matrix: list[list[FieldElement]]) -> CheckResult:
+def exactness_check(curve: Curve, bases: Bases, matrix: list[list[int]]) -> CheckResult:
     """Exactness of 0 -> H^0(Omega) -> H^1_dR -> H^1(O) -> 0 on the
     constructed bases: i lands in the kernel of p, the a-family surjects
     onto the H^1 basis with unit coordinates, and the delta-family has
@@ -403,34 +401,35 @@ def exactness_check(curve: Curve, bases: Bases, matrix: list[list[FieldElement]]
     zero element itself, so nothing is paired for it; an a-class whose
     image is an H^1 basis representative takes its coordinates from that
     representative's column of ``matrix`` (``duality_matrix`` of the same
-    bases); every other image is paired afresh.  An image with a pole off
-    the fibers over 0 and infinity is no H^1 class: it is reported, by
-    class and place, and not paired."""
-    zero = curve.spec.zero()
-    one = curve.spec.one()
+    bases), and the other images are paired afresh, all in one
+    ``pairing_matrix`` call.  Coordinates are compared as encodings.  An
+    image with a pole off the fibers over 0 and infinity is no H^1 class:
+    it is reported, by class and place, and not paired."""
     problems = []
     for idx, w in bases.omega:
         if not map_p(map_i(w)).is_zero:
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) is not zero")
     a_classes = [c for c in bases.derham if c.kind == "a"]
+    images = [map_p(cls.triple) for cls in a_classes]
+    off_fiber = [off_fiber_poles(image) for image in images]
     columns: dict[FFElem, int] = {}  # each representative's first column
     for j, (_, h) in enumerate(bases.columns):
         columns.setdefault(h, j)
+    fresh = [image for image, found in zip(images, off_fiber) if not found and image not in columns]
+    if fresh:  # a passing report has none: its a-class images are the representatives
+        paired = pairing_matrix(curve, [w for _, w in bases.omega], fresh)
+        matrix = [row + more for row, more in zip(matrix, paired)]
+        columns.update((image, len(bases.columns) + k) for k, image in enumerate(fresh))
     seen_positions = []
-    for cls in a_classes:
-        image = map_p(cls.triple)
-        found = off_fiber_poles(image)
+    for cls, image, found in zip(a_classes, images, off_fiber):
         if found:
             places = ", ".join(place.label for place, _ in found)
             problems.append(f"p({cls.label}) has a pole at {places}: not an O(U_0 cap U_inf) class")
             continue
-        column = columns.get(image)
-        if column is not None:
-            coords = [row[column] for row in matrix]
-        else:
-            coords = [pairing(image, w) for _, w in bases.omega]
-        hits = [k for k, c in enumerate(coords) if c != zero]
-        if len(hits) != 1 or coords[hits[0]] != one:
+        column = columns[image]
+        coords = [row[column] for row in matrix]
+        hits = [k for k, c in enumerate(coords) if c]
+        if len(hits) != 1 or coords[hits[0]] != 1:
             problems.append(f"p({cls.label}) is not a unit coordinate vector")
         else:
             seen_positions.append(hits[0])

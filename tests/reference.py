@@ -7,7 +7,9 @@ them shares no code with the path it checks.
 
 The dense walks (``dense_*``) work on plain y-coefficient vectors
 (a_0, ..., a_{deg-1}) of ``RatFn``, visiting every index, zero or not:
-they are the routes the sparse ``FFElem`` terms are checked against."""
+they are the routes the sparse ``FFElem`` terms are checked against.
+``dense`` reads an element's vector off its terms; ``FFElem(curve,
+enumerate(vector))`` builds the element of one."""
 
 import math
 
@@ -15,6 +17,14 @@ from cycliccover.curve import ram_data
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.gf import nth_root_of_unity
 from cycliccover.polyrat import Poly, RatFn, residue_at_infinity
+
+
+def dense(h: FFElem) -> list[RatFn]:
+    """The dense vector (a_0, ..., a_{deg-1}) of h, zeros included."""
+    out = [RatFn.zero(h.curve.spec)] * h.curve.degree
+    for j, a in h.terms:
+        out[j] = a
+    return out
 
 
 def galois(h: FFElem, j: int) -> FFElem:
@@ -27,13 +37,13 @@ def galois(h: FFElem, j: int) -> FFElem:
         raise ValueError(f"Galois index {j} out of range for degree {curve.degree}")
     if curve.kind == "kummer":
         zeta = nth_root_of_unity(spec, curve.n)
-        return FFElem(curve, [a * zeta ** (j * k) for k, a in enumerate(h.coeffs)])
+        return FFElem(curve, [(k, a * zeta ** (j * k)) for k, a in enumerate(dense(h))])
     out = [RatFn.zero(spec)] * curve.degree
     shift = spec.element(j)
-    for k, a in enumerate(h.coeffs):
+    for k, a in enumerate(dense(h)):
         for m in range(k + 1):
             out[m] = out[m] + a * (spec.element(math.comb(k, m)) * shift ** (k - m))
-    return FFElem(curve, out)
+    return FFElem(curve, enumerate(out))
 
 
 def orbit_sum(h: FFElem) -> FFElem:
@@ -44,12 +54,12 @@ def orbit_sum(h: FFElem) -> FFElem:
 
 
 def trace_by_orbit(h: FFElem) -> RatFn:
-    return orbit_sum(h).coeffs[0]
+    return dense(orbit_sum(h))[0]
 
 
 def trace(h: FFElem) -> RatFn:
     """The trace table: Tr(y^k) = 0 but for Tr(1) = n (Kummer) and Tr(y^(p-1)) = -1 (Artin-Schreier)."""
-    return dense_trace(h.curve, h.coeffs)
+    return dense_trace(h.curve, dense(h))
 
 
 def dense_trace(curve, coeffs) -> RatFn:
@@ -76,7 +86,7 @@ def scale(obj, c):
     """An element or a differential times a ``RatFn`` or a field constant."""
     if isinstance(obj, FFDiff):
         return FFDiff(scale(obj.coeff, c))
-    return FFElem(obj.curve, [a * c for a in obj.coeffs])
+    return FFElem(obj.curve, [(k, a * c) for k, a in enumerate(dense(obj))])
 
 
 def _linear_product(spec, roots) -> Poly:

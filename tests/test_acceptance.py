@@ -60,7 +60,7 @@ def test_c01_worked_kummer_curve():
     ok &= len(hs) == 1 and hs[0][1].render() == "(1/x)*y"
 
     matrix, duality = duality_matrix(curve, build_bases(curve))
-    ok &= duality.status == "pass" and matrix == [[F5.one()]]
+    ok &= duality.status == "pass" and matrix == [[1]]  # encodings
 
     table = mu_table(curve)
     psi = _psi_at(_kummer_psi_parts(curve, 1, table), 1)
@@ -94,7 +94,7 @@ def test_c02_worked_artin_schreier_curve():
     matrix, duality = duality_matrix(curve, build_bases(curve, "extended"))
     ok &= duality.status == "pass"
     ok &= all(
-        v == (F3.one() if i == j else F3.zero())
+        v == (1 if i == j else 0)  # encodings
         for i, row in enumerate(matrix)
         for j, v in enumerate(row)
     )
@@ -141,7 +141,7 @@ def test_c04_trace_table():
                 num = Poly(spec, [spec.from_encoding(rng.randrange(spec.q)) for _ in range(rng.randrange(3))])
                 den = Poly(spec, [spec.from_encoding(rng.randrange(spec.q)) for _ in range(rng.randrange(1, 3))])
                 coeffs.append(RatFn(num, den if not den.is_zero else Poly.one(spec)))
-            elem = FFElem(curve, coeffs)
+            elem = FFElem(curve, enumerate(coeffs))
             ok &= trace(elem) == trace_by_orbit(elem)
     _report("C4 trace table for p in {3,5,7} plus 100 randoms per p", ok)
 

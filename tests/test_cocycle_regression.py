@@ -43,14 +43,12 @@ def reduced_d(f: FFElem) -> FFDiff:
     curve = f.curve
     table = _family_table(curve)
     out = [RatFn.zero(curve.spec)] * curve.degree
-    for j, a in enumerate(f.coeffs):
-        if a.is_zero:
-            continue
+    for j, a in f.terms:
         out[j] = out[j] + a.derivative()
         if j:
             k = j - 1 + table.dy_exponent
             out[k] = out[k] + a * table.dy_coeff * curve.spec.element(j)
-    return FFDiff(FFElem(curve, out))
+    return FFDiff(FFElem(curve, enumerate(out)))
 
 
 def reduced_route(triple: DeRhamTriple) -> tuple[str, str]:

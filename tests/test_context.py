@@ -78,15 +78,15 @@ def test_report_and_document_build_each_basis_once(doc, policy, sign, monkeypatc
     counts: dict[str, int] = {}
     for name in BUILDERS:
         _counting(monkeypatch, cohomology, name, counts)
-    _counting(monkeypatch, verify, "pairing", counts)
-    _counting(monkeypatch, cohomology, "pairing_matrix", counts)
+    _counting(monkeypatch, verify, "pairing_matrix", counts)
     _counting(monkeypatch, funcfield, "fraction_residue", counts)
     curve = parse_curve_spec(doc)
     report = full_report(curve, VerifyOptions(mu_range=policy, sign=sign))
     build_report_document(curve, policy, sign, include_bases=True, report=report)
     assert {name: counts.get(name, 0) for name in BUILDERS} == dict.fromkeys(BUILDERS, 1)
-    # the pairing matrix computes one residue per key; exactness pairs nothing more
-    assert "pairing" not in counts and "pairing_matrix" not in counts
+    # the duality matrix is the one pairing_matrix call: it computes one residue
+    # per key, and exactness pairs nothing more
+    assert counts["pairing_matrix"] == 1
     assert counts["fraction_residue"] == len(_residue_keys(curve, report.bases)) > 0
 
 
@@ -150,7 +150,7 @@ def test_matrix_columns_are_the_coordinates_of_their_representatives(monkeypatch
     counts = {}
     _counting(monkeypatch, cohomology, "pairing_matrix", counts)
     for j, (_, h) in enumerate(bases.columns):
-        assert h1_coordinates(curve, h) == tuple(row[j] for row in matrix)
+        assert tuple(c.encoding for c in h1_coordinates(curve, h)) == tuple(row[j] for row in matrix)
     assert counts.get("pairing_matrix", 0) == len(bases.columns)
 
 
@@ -167,16 +167,23 @@ def test_exactness_pairs_an_image_off_the_columns_afresh_and_fails(monkeypatch):
     curve = parse_curve_spec(SPECS[1])  # over F_3, where 2 h has coordinates 2 e_j, not a unit vector
     bases = build_bases(curve)
     matrix, _ = duality_matrix(curve, bases)
-    counts: dict[str, int] = {}
-    _counting(monkeypatch, verify, "pairing", counts)
-    assert exactness_check(curve, bases, matrix).status == "pass" and counts == {}
+    paired = []  # per pairing_matrix call: its differential count and columns
+    original = verify.pairing_matrix
+
+    def recorded(curve, omegas, columns):
+        paired.append((len(omegas), list(columns)))
+        return original(curve, omegas, columns)
+
+    monkeypatch.setattr(verify, "pairing_matrix", recorded)
+    assert exactness_check(curve, bases, matrix).status == "pass" and paired == []
 
     h = map_p(next(cls for cls in bases.derham if cls.kind == "a").triple)
     representatives = [rep for _, rep in bases.columns]
     assert h in representatives and h + h not in representatives
     planted, label = _planted(bases, "a", h + h)
     result = exactness_check(curve, planted, matrix)
-    assert counts == {"pairing": len(bases.omega)}  # one fresh row of pairings, for 2 h only
+    # one pairing_matrix call: 2 h, the one image off the columns, against every differential
+    assert paired == [(len(bases.omega), [h + h])]
     assert result.status == "fail"
     assert result.payload["problems"] == [
         f"p({label}) is not a unit coordinate vector",

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference import galois, orbit_sum, power, trace, trace_by_orbit
+from reference import dense, galois, orbit_sum, power, trace, trace_by_orbit
 
 from cycliccover.curve import ASCurve, KummerCurve
 from cycliccover.funcfield import FFDiff, FFElem, pairing, place_classes, valuation_bound
@@ -28,20 +28,33 @@ def _rand_elem(curve, rng, max_len=4):
             den = Poly.one(spec)
         return RatFn(num, den)
 
-    return FFElem(curve, [rand_ratfn() for _ in range(curve.degree)])
+    return FFElem(curve, [(j, rand_ratfn()) for j in range(curve.degree)])
 
 
 def test_mul_reduction_examples():
     y = FFElem.y(QUARTIC)
     sq = y * y
-    assert sq.coeffs[0] == RatFn.from_poly(QUARTIC.f)
-    assert sq.coeffs[1].is_zero
+    assert dense(sq)[0] == RatFn.from_poly(QUARTIC.f)
+    assert dense(sq)[1].is_zero
 
     y3 = FFElem.y(AS_P3)
     cube = y3 * y3 * y3
-    assert cube.coeffs[0] == AS_P3.r_fn
-    assert cube.coeffs[1] == RatFn.one(F3)
-    assert cube.coeffs[2].is_zero
+    assert dense(cube)[0] == AS_P3.r_fn
+    assert dense(cube)[1] == RatFn.one(F3)
+    assert dense(cube)[2].is_zero
+
+
+def test_the_terms_constructor_checks_range_and_merges():
+    one, x = RatFn.one(F3), RatFn.from_poly(Poly.x(F3))
+    for bad in (-1, AS_P3.degree):
+        with pytest.raises(ValueError, match="out of range"):
+            FFElem(AS_P3, [(0, one), (bad, one)])
+    # repeated indices add, a sum that cancels is dropped, and so is a zero term
+    elem = FFElem(AS_P3, [(2, x), (0, one), (2, x), (1, one), (1, -one), (0, RatFn.zero(F3))])
+    assert elem.terms == ((0, one), (2, x + x))
+    assert elem == FFElem.one(AS_P3) + FFElem.monomial(AS_P3, 2, x + x)
+    assert FFElem(AS_P3, []) == FFElem(AS_P3, [(1, RatFn.zero(F3))]) == FFElem.zero(AS_P3)
+    assert not hasattr(FFElem, "coeffs") and not hasattr(FFElem, "from_terms")
 
 
 def test_add_identity_and_mismatch():
@@ -56,11 +69,11 @@ def test_add_identity_and_mismatch():
 def test_galois_examples():
     zeta = nth_root_of_unity(F5, 2)
     gy = galois(FFElem.y(QUARTIC), 1)
-    assert gy.coeffs[1] == RatFn.constant(zeta)
+    assert dense(gy)[1] == RatFn.constant(zeta)
 
     gy3 = galois(FFElem.y(AS_P3), 1)
-    assert gy3.coeffs[0] == RatFn.one(F3)
-    assert gy3.coeffs[1] == RatFn.one(F3)
+    assert dense(gy3)[0] == RatFn.one(F3)
+    assert dense(gy3)[1] == RatFn.one(F3)
 
     a = _rand_elem(AS_P3, random.Random(1))
     assert galois(a, 0) == a
@@ -74,7 +87,7 @@ def test_galois_is_automorphism_fixing_base():
             for j in range(1, curve.degree):
                 assert galois(a * b, j) == galois(a, j) * galois(b, j)
                 assert galois(a + b, j) == galois(a, j) + galois(b, j)
-            const = FFElem.from_ratfn(curve, a.coeffs[0])
+            const = FFElem.from_ratfn(curve, dense(a)[0])
             assert galois(const, 1) == const
 
 
@@ -112,7 +125,7 @@ def test_orbit_sum_lies_in_base_field():
     for curve in (QUARTIC, AS_P3):
         for _ in range(20):
             total = orbit_sum(_rand_elem(curve, rng))
-            assert all(c.is_zero for c in total.coeffs[1:])
+            assert all(c.is_zero for c in dense(total)[1:])
 
 
 def test_exterior_d_examples():
@@ -122,12 +135,12 @@ def test_exterior_d_examples():
         Poly.from_ints(F5, [1, 0, 0, 0, 1]),
         Poly.from_ints(F5, [0, 0, 4, 0, 0, 0, 1]),  # x^2 (x^4 + 4)
     )
-    assert d.coeff.coeffs[1] == expected
-    assert d.coeff.coeffs[0].is_zero
+    assert dense(d.coeff)[1] == expected
+    assert dense(d.coeff)[0].is_zero
 
     dy = FFElem.y(AS_P3).exterior_d()
-    assert dy.coeff.coeffs[0] == -AS_P3.r_fn.derivative()
-    assert all(c.is_zero for c in dy.coeff.coeffs[1:])
+    assert dense(dy.coeff)[0] == -AS_P3.r_fn.derivative()
+    assert all(c.is_zero for c in dense(dy.coeff)[1:])
 
     assert FFElem.one(QUARTIC).exterior_d().is_zero
 

@@ -21,7 +21,7 @@ import inspect
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_pairing
+from reference import dense, dense_pairing
 from test_funcfield_properties import CURVES, IDS, elements
 from test_golden import SHA_SPECS
 from test_pairing_oracle import CORPORA, PAIRS, POLICIES
@@ -56,7 +56,7 @@ def _mismatches(matrix_fn, curve, omegas, columns) -> int:
     bad = 0
     for row, w in zip(codes, omegas):
         for code, h in zip(row, columns):
-            bad += code != dense_pairing(curve, h.coeffs, w.coeff.coeffs).encoding
+            bad += code != dense_pairing(curve, dense(h), dense(w.coeff)).encoding
     return bad
 
 
@@ -74,8 +74,8 @@ def _probe():
     curve = parse_curve_spec(CORPORA["specs"]()[0])
     spec = curve.spec
     a, b = RatFn.one(spec), RatFn(Poly.one(spec), Poly.x(spec))
-    column = FFElem.from_terms(curve, [(0, a), (1, a)])
-    omega = FFDiff(FFElem.from_terms(curve, [(0, b), (curve.n - 1, b)]))
+    column = FFElem(curve, [(0, a), (1, a)])
+    omega = FFDiff(FFElem(curve, [(0, b), (curve.n - 1, b)]))
     return curve, [omega], [column]
 
 

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import galois, scale
+from reference import dense, galois, scale
 
 from cycliccover.curve import ASCurve, KummerCurve
 from cycliccover.funcfield import FFDiff, FFElem, place_classes, valuation_bound, valuations
@@ -96,8 +96,8 @@ def _char_poly(h: FFElem) -> list[RatFn]:
             (cs[k] if k < len(cs) else FFElem.zero(h.curve)) - (root * cs[k - 1] if k else FFElem.zero(h.curve))
             for k in range(len(cs) + 1)
         ]
-    assert all(a.is_zero for c in cs for a in c.coeffs[1:]), "the coefficients lie in F_q(x)"
-    return [c.coeffs[0] for c in cs]
+    assert all(a.is_zero for c in cs for a in dense(c)[1:]), "the coefficients lie in F_q(x)"
+    return [dense(c)[0] for c in cs]
 
 
 def newton_valuation(cs: list[RatFn], e: int, place) -> tuple[int, int]:
@@ -113,7 +113,7 @@ def newton_valuation(cs: list[RatFn], e: int, place) -> tuple[int, int]:
 def _tied(h: FFElem, place) -> bool:
     """Whether two or more y-monomials share the least score at the class."""
     e, v_y, _ = _local_data(h.curve, place)
-    scores = [e * _order(a, place) + j * v_y for j, a in enumerate(h.coeffs) if not a.is_zero]
+    scores = [e * _order(a, place) + j * v_y for j, a in enumerate(dense(h)) if not a.is_zero]
     return scores.count(min(scores)) > 1
 
 
@@ -155,7 +155,7 @@ def _tied_element(curve, place, rng) -> FFElem:
     free = [j for j in range(curve.degree) if j not in js]
     if free and rng.random() < 0.3:
         coeffs[rng.choice(free)] = _coefficient(curve.spec, rng, place, rng.randrange(-2, 3))
-    return FFElem(curve, coeffs)
+    return FFElem(curve, enumerate(coeffs))
 
 
 _RNG = random.Random(20261018)
@@ -207,7 +207,7 @@ def test_the_kept_tuple_is_a_fresh_walk_and_zero_has_none():
     for h in ELEMENTS:
         kept = valuations(h)
         assert valuations(h) is kept  # read back, not walked again
-        copy = FFElem(h.curve, h.coeffs)
+        copy = FFElem(h.curve, h.terms)
         assert copy._valuations is None and valuations(copy) == kept
     for curve in CURVES.values():
         for obj in (FFElem.zero(curve), FFDiff.zero(curve)):

@@ -36,7 +36,7 @@ SPECS = Path(__file__).resolve().parents[1] / "specs"
 def test_duality_matrix_quartic():
     matrix, result = duality_matrix(QUARTIC, build_bases(QUARTIC))
     assert result.status == "pass"
-    assert matrix == [[F5.one()]]
+    assert matrix == [[1]]  # encodings
 
 
 def test_duality_matrix_as_extended():
@@ -45,7 +45,7 @@ def test_duality_matrix_as_extended():
     assert len(matrix) == 2
     for i, row in enumerate(matrix):
         for j, v in enumerate(row):
-            assert v == (F3.one() if i == j else F3.zero())
+            assert v == (1 if i == j else 0)  # encodings
 
 
 def test_duality_matrix_full_identity_across_distinct_mu():
@@ -56,7 +56,7 @@ def test_duality_matrix_full_identity_across_distinct_mu():
     assert len(matrix) == 6
     for i, row in enumerate(matrix):
         for j, v in enumerate(row):
-            assert v == (F11.one() if i == j else F11.zero())
+            assert v == (1 if i == j else 0)  # encodings
 
 
 def test_cocycle_check_refuses_slots_on_mismatched_curves():
@@ -249,7 +249,7 @@ def test_full_report_all_pass_and_ordering():
     assert names[:4] == ["validation", "divisors", "dimension", "duality"]
     assert names[-1] == "exactness"
     assert "cocycle:a[1,1]" in names and "locus:delta[1,1]" in names
-    assert report.pairing_matrix == [[F5.one()]]
+    assert report.pairing_matrix == [[1]]  # encodings
 
 
 def test_full_report_paper_policy_dimension_failure_only():
