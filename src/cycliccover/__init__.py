@@ -19,8 +19,8 @@ verify      machine verification of the asserted identities
 cli         batch front end (info / basis / verify / sweep)
 """
 
-from .gf import FieldSpec, FieldElement, nth_root_of_unity
-from .polyrat import Poly, RatFn, poly_gcd, split_at_degree, residue_at_infinity
+from .gf import FieldSpec, FieldElement
+from .polyrat import Poly, RatFn, poly_gcd, split_at_degree
 from .curve import (
     KummerCurve,
     ASCurve,
@@ -32,7 +32,7 @@ from .curve import (
     genus_rh,
     genus_from_basis,
 )
-from .funcfield import FFElem, FFDiff, PlaceClass, place_classes, valuations, valuation_bound, pairing
+from .funcfield import FFElem, FFDiff, PlaceClass, place_classes, valuations, valuation_bound
 from .cohomology import (
     BasisIndex,
     DeRhamTriple,
@@ -41,10 +41,8 @@ from .cohomology import (
     build_bases,
     omega_basis,
     h1_basis,
-    derham_basis,
     map_i,
     map_p,
-    h1_coordinates,
 )
 from .verify import (
     CheckResult,
@@ -61,12 +59,10 @@ from .verify import (
 __all__ = [
     "FieldSpec",
     "FieldElement",
-    "nth_root_of_unity",
     "Poly",
     "RatFn",
     "poly_gcd",
     "split_at_degree",
-    "residue_at_infinity",
     "KummerCurve",
     "ASCurve",
     "Violation",
@@ -82,7 +78,6 @@ __all__ = [
     "place_classes",
     "valuations",
     "valuation_bound",
-    "pairing",
     "BasisIndex",
     "DeRhamTriple",
     "DeRhamClass",
@@ -90,10 +85,8 @@ __all__ = [
     "build_bases",
     "omega_basis",
     "h1_basis",
-    "derham_basis",
     "map_i",
     "map_p",
-    "h1_coordinates",
     "CheckResult",
     "VerifyOptions",
     "duality_matrix",

@@ -1,5 +1,5 @@
-"""Constructors for the three cohomology bases, the maps of the exact
-sequence and H^1 coordinates.
+"""Constructors for the three cohomology bases and the maps of the exact
+sequence.
 
 Index conventions.  A pair (mu, nu) is admissible on the differential
 side when t_mu >= 2 and 1 <= nu <= t_mu - 1; the Kummer H^1 side reuses
@@ -59,8 +59,9 @@ the delta-family takes the ``omega_basis`` objects, and rebuilds neither.
 
 ``build_bases`` builds every basis of one curve, policy and sign once,
 into a ``Bases`` value that the checks and the report document share;
-``derham_basis`` reads its de Rham list, and ``omega_basis`` and
-``h1_basis`` build their one basis on each call.
+``omega_basis`` and ``h1_basis`` build their one basis on each call.
+The checks read H^1 coordinates off the columns of
+``funcfield.pairing_matrix`` (``verify.exactness_check``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data, require_valid
+from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data
 from .funcfield import FFDiff, FFElem, PlaceClass, pairing_matrix, poles
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, _axpy, reduce_over_roots, split_at_degree
@@ -315,16 +316,6 @@ def _build_derham_basis(
     return out
 
 
-def derham_basis(
-    curve: Curve,
-    range_policy: str = "extended",
-    sign_convention: str = "negated-infty",
-) -> list[DeRhamClass]:
-    """The 2g de Rham classes: the a-family projecting onto the H^1 basis
-    followed by the delta-family lifting the holomorphic differentials."""
-    return build_bases(curve, range_policy, sign_convention).derham
-
-
 class Bases(NamedTuple):
     """The bases of one curve under one mu-range policy and sign convention.
     ``columns`` is the H^1 basis in duality order: column j is the partner
@@ -364,28 +355,3 @@ def off_fiber_poles(f: FFElem) -> list[tuple[PlaceClass, int]]:
     """The poles of f away from the fibers over 0 and infinity, where an
     O(U_0 cap U_inf) class has none."""
     return poles(f, lambda place: place.kind != "branch" or place.covers_zero)
-
-
-def require_h1_class(curve: Curve, f: FFElem) -> None:
-    """f must be regular away from the fibers over 0 and infinity."""
-    require_valid(curve)
-    if f.curve is not curve:
-        raise ValueError("element does not live on the given curve")
-    found = off_fiber_poles(f)
-    if found:
-        raise ValueError(f"element has a pole at {found[0][0].label}: not an O(U_0 cap U_inf) class")
-
-
-def h1_coordinates(
-    curve: Curve, f: FFElem, range_policy: str = "extended"
-) -> tuple[FieldElement, ...]:
-    """Coordinates of a class [f] in the H^1 basis, read off by pairing
-    against the differential basis (valid once duality holds): the one
-    column of ``pairing_matrix`` with f as its column.
-
-    Requires f to be regular away from the fibers over 0 and infinity.
-    """
-    require_h1_class(curve, f)
-    rows = pairing_matrix(curve, [w for _, w in omega_basis(curve, range_policy)], [f])
-    return tuple(FieldElement(curve.spec, c) for c, in rows)
-

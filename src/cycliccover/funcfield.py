@@ -25,7 +25,7 @@ both families; no local uniformizer machinery exists anywhere.
 only the y coefficient of f * coeff(omega) that the trace reads (the
 reach rows, ``_reach``) and sums their residues on unreduced fractions,
 with no gcd, each once per key: the x-free parts of a_i and b_j, the
-reach row and their summed x-order.  ``pairing`` is its single entry.
+reach row and their summed x-order.
 ``differential_terms`` lists the terms of d(a_j y^j) unreduced;
 ``exterior_d`` reduces them, and the cocycle check tests their sum for
 zero without reducing.
@@ -415,13 +415,6 @@ def _reach(curve: Curve) -> list[tuple[int, RatFn | None]]:
     if table.relation_has_y and k:
         reach.append((k + deg - 1, None))
     return reach
-
-
-def pairing(f: FFElem, omega: FFDiff) -> FieldElement:
-    """Serre duality pairing of an H^1 representative against a
-    differential: the one entry of ``pairing_matrix``; arguments on
-    mismatched curves are refused."""
-    return FieldElement(f.curve.spec, pairing_matrix(f.curve, [omega], [f])[0][0])
 
 
 def pairing_matrix(curve: Curve, omegas: list[FFDiff], columns: list[FFElem]) -> list[list[int]]:

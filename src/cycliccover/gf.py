@@ -7,7 +7,7 @@ ascending coefficient list.  An element c0 + c1*z + ... + c_{d-1}*z^{d-1}
 c0 + c1*p + c2*p^2 + ..., which reads the coefficients as base-p digits.
 The encoding is unique, so equality is integer equality, and it orders the
 field deterministically, which is what makes runs reproducible byte for
-byte (in particular the choice of the primitive n-th root of unity below).
+byte (in particular the choice of the primitive element g below).
 
 Arithmetic is table lookup, the same for prime and extension fields (Zech
 logarithms; Huber, IEEE Trans. Inf. Theory 36(4), 1990).  ``FieldSpec``
@@ -37,7 +37,6 @@ outweigh one field at the budget.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 MAX_Q = 2**16  # largest field size q = p^d; the tables hold O(q) entries
@@ -451,18 +450,3 @@ def find_irreducible_poly(p: int, d: int) -> list[int]:
         if _zp_is_irreducible(m, p):
             return m
     raise ValueError(f"no irreducible polynomial of degree {d} over Z/{p} (unreachable)")
-
-
-def nth_root_of_unity(spec: FieldSpec, n: int) -> FieldElement:
-    """Deterministic primitive n-th root of unity in F_q.
-
-    Returns the element of exact multiplicative order n whose canonical
-    integer encoding is smallest; raises if n does not divide q - 1.  The
-    elements of order n are g^(j (q-1)/n) with j prime to n.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if (spec.q - 1) % n != 0:
-        raise ValueError(f"no primitive {n}-th root in field: {n} does not divide q-1 = {spec.q - 1}")
-    step = (spec.q - 1) // n
-    return FieldElement(spec, min(spec.exp[j * step] for j in range(1, n) if math.gcd(j, n) == 1))

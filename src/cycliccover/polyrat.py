@@ -5,9 +5,9 @@ encodings (see ``gf``) with no trailing zero, so representations are
 unique; the zero polynomial is the empty tuple and its degree is the
 -infinity sentinel (never -1, so degree arithmetic stays honest).  A
 ``FieldElement`` is made or read only at the boundary: the constructors, a
-scalar factor, ``coeffs``, ``leading``, ``evaluate``, rendering and
-residues.  A ``RatFn`` is a pair num/den kept fully reduced with monic
-denominator; zero is 0/1.
+scalar factor, ``coeffs``, ``leading``, ``evaluate`` and rendering; a
+residue is an encoding.  A ``RatFn`` is a pair num/den kept fully reduced
+with monic denominator; zero is 0/1.
 
 Every coefficient loop reads the field's tables (``FieldSpec.exp``,
 ``log`` and ``zech``, see ``gf``) in locals, with no call per
@@ -674,9 +674,3 @@ def fraction_sum(spec: FieldSpec, terms: Iterable[tuple[Poly, Poly]]) -> tuple[P
     if common is None:
         return Poly.zero(spec), Poly.one(spec)
     return total, common.shift(top)
-
-
-def residue_at_infinity(h: RatFn) -> FieldElement:
-    """Residue at x = infinity of the differential h(x) dx (see
-    ``fraction_residue``)."""
-    return FieldElement(h.spec, fraction_residue(h.num, h.den))

@@ -68,10 +68,6 @@ class CheckResult:
     details: str
     payload: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 @dataclass
 class VerifyOptions:

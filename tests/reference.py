@@ -1,22 +1,24 @@
 """Reference routes the tests compare the report path against: the Galois
-action, the traces, powers and scaling, the Kummer psi and the
-Artin-Schreier omega_mu.  Each is written from the curve data (n, zeta_n,
-the branch points, the mu-tables) on ``FFElem`` ``+``/``*``, ``RatFn``
-and ``Poly``; none reads the curve's family table, so an oracle built on
-them shares no code with the path it checks.
+action and its root of unity, the traces, powers and scaling, the Kummer
+psi and the Artin-Schreier omega_mu.  Each is written from the curve data
+(n, zeta_n, the branch points, the mu-tables) on ``FFElem`` ``+``/``*``,
+``RatFn`` and ``Poly``; none reads the curve's family table, so an oracle
+built on them shares no code with the path it checks.
 
 The dense walks (``dense_*``) work on plain y-coefficient vectors
-(a_0, ..., a_{deg-1}) of ``RatFn``, visiting every index, zero or not:
-they are the routes the sparse ``FFElem`` terms are checked against.
-``dense`` reads an element's vector off its terms; ``FFElem(curve,
-enumerate(vector))`` builds the element of one."""
+(a_0, ..., a_{deg-1}) of ``RatFn``, visiting every index, zero or not
+(``dense_mul`` skips only the rows of zero entries): they are the routes
+the sparse ``FFElem`` terms are checked against.  ``dense`` reads an
+element's vector off its terms; ``FFElem(curve, enumerate(vector))``
+builds the element of one.  ``dense_pairing`` gives an encoding, as
+``pairing_matrix`` does."""
 
 import math
 
 from cycliccover.curve import ram_data
 from cycliccover.funcfield import FFDiff, FFElem
-from cycliccover.gf import nth_root_of_unity
-from cycliccover.polyrat import Poly, RatFn, residue_at_infinity
+from cycliccover.gf import FieldElement, FieldSpec
+from cycliccover.polyrat import Poly, RatFn, fraction_residue
 
 
 def dense(h: FFElem) -> list[RatFn]:
@@ -25,6 +27,21 @@ def dense(h: FFElem) -> list[RatFn]:
     for j, a in h.terms:
         out[j] = a
     return out
+
+
+def nth_root_of_unity(spec: FieldSpec, n: int) -> FieldElement:
+    """Deterministic primitive n-th root of unity in F_q.
+
+    Returns the element of exact multiplicative order n whose canonical
+    integer encoding is smallest; raises if n does not divide q - 1.  The
+    elements of order n are g^(j (q-1)/n) with j prime to n.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if (spec.q - 1) % n != 0:
+        raise ValueError(f"no primitive {n}-th root in field: {n} does not divide q-1 = {spec.q - 1}")
+    step = (spec.q - 1) // n
+    return FieldElement(spec, min(spec.exp[j * step] for j in range(1, n) if math.gcd(j, n) == 1))
 
 
 def galois(h: FFElem, j: int) -> FFElem:
@@ -135,12 +152,14 @@ def dense_neg(a) -> list[RatFn]:
 
 
 def dense_mul(curve, a, b) -> list[RatFn]:
-    """The product of two dense vectors, every index pair multiplied, with
-    y^deg replaced once by the curve's equation: y^n = f (Kummer), resp.
-    y^p = y + r (Artin-Schreier)."""
+    """The product of two dense vectors, every index pair multiplied but
+    for the rows of a zero entry of ``a``, with y^deg replaced once by the
+    curve's equation: y^n = f (Kummer), resp. y^p = y + r (Artin-Schreier)."""
     spec, deg = curve.spec, curve.degree
     raw = [RatFn.zero(spec)] * (2 * deg - 1)
     for i, x in enumerate(a):
+        if x.is_zero:
+            continue
         for j, y in enumerate(b):
             raw[i + j] = raw[i + j] + x * y
     kummer = curve.kind == "kummer"
@@ -182,6 +201,7 @@ def dense_valuations(coeffs, places) -> tuple[int, ...]:
     return tuple(best)
 
 
-def dense_pairing(curve, f, w):
-    """c * Res_inf(Tr(f w)) from the whole dense product."""
-    return pairing_scale(curve) * residue_at_infinity(dense_trace(curve, dense_mul(curve, f, w)))
+def dense_pairing(curve, f, w) -> int:
+    """The encoding of c * Res_inf(Tr(f w)), from the whole dense product."""
+    tr = dense_trace(curve, dense_mul(curve, f, w))
+    return curve.spec.mul(pairing_scale(curve).encoding, fraction_residue(tr.num, tr.den))

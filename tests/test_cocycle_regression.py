@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from test_funcfield_properties import CURVES, elements
 
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
-from cycliccover.cohomology import DeRhamTriple, derham_basis
+from cycliccover.cohomology import DeRhamTriple, build_bases
 from cycliccover.funcfield import FFDiff, FFElem, _family_table
 from cycliccover.polyrat import RatFn
 from cycliccover.verify import cocycle_check
@@ -71,7 +71,7 @@ def _agree(triple: DeRhamTriple) -> str:
 def test_paper_sign_triples_match_the_reduced_route(corpus):
     statuses = []
     for doc in CORPORA[corpus]():
-        for cls in derham_basis(parse_curve_spec(doc), "extended", "paper"):
+        for cls in build_bases(parse_curve_spec(doc), "extended", "paper").derham:
             statuses.append(_agree(cls.triple))
     # the paper's sign leaves a nonzero residual on some a-classes of every corpus
     assert "fail" in statuses and "pass" in statuses
@@ -86,7 +86,7 @@ def _curve(name):
 @given(data=st.data())
 def test_perturbed_triples_match_the_reduced_route(name, data):
     curve = _curve(name)
-    classes = [cls for cls in derham_basis(curve) if cls.kind == "a"]
+    classes = [cls for cls in build_bases(curve).derham if cls.kind == "a"]
     triple = data.draw(st.sampled_from(classes)).triple
     noise = FFDiff(data.draw(elements(curve)))
     planted = DeRhamTriple(triple.omega0 + noise, triple.omega_inf, triple.f0inf)

@@ -1,13 +1,11 @@
-import pytest
 from reference import as_omega_mu, dense, kummer_psi
 
 from cycliccover import cohomology, verify
 from cycliccover.cohomology import (
     BasisIndex,
     as_psi,
-    derham_basis,
+    build_bases,
     h1_basis,
-    h1_coordinates,
     h1_indices,
     map_i,
     map_p,
@@ -15,7 +13,7 @@ from cycliccover.cohomology import (
     omega_indices,
 )
 from cycliccover.curve import ASCurve, KummerCurve, MuRow, MuTable, genus_rh, mu_table, ram_data
-from cycliccover.funcfield import FFElem, place_classes, valuation_bound
+from cycliccover.funcfield import FFElem, pairing_matrix, place_classes, valuation_bound
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 
@@ -122,7 +120,7 @@ def test_derham_builder_builds_the_psi_parts_once_per_mu(monkeypatch):
         return original(curve, mu, table)
 
     monkeypatch.setattr(cohomology, "_kummer_psi_parts", counted)
-    classes = [c for c in derham_basis(curve) if c.kind == "a"]
+    classes = [c for c in build_bases(curve).derham if c.kind == "a"]
     mus = [idx.mu for idx in h1_indices(curve)]
     assert len(classes) == len(mus) > len(set(mus))  # some mu has several nu
     assert sorted(calls) == sorted(set(mus))
@@ -165,7 +163,7 @@ def test_as_omega_mu_vanishes_at_mu_one():
 
 
 def test_derham_quartic_worked_triple():
-    classes = derham_basis(QUARTIC)
+    classes = build_bases(QUARTIC).derham
     assert [c.label for c in classes] == ["a[1,1]", "delta[1,1]"]
     a = classes[0].triple
     # psi = 2x^4 + 2 split at degree nu + 1 = 2 gives (2, 2x^4)
@@ -181,8 +179,8 @@ def test_derham_quartic_worked_triple():
 
 
 def test_derham_paper_sign_flips_infinity_slot():
-    default = derham_basis(QUARTIC)[0].triple
-    paper = derham_basis(QUARTIC, sign_convention="paper")[0].triple
+    default = build_bases(QUARTIC).derham[0].triple
+    paper = build_bases(QUARTIC, sign_convention="paper").derham[0].triple
     assert paper.omega_inf == -default.omega_inf
     assert paper.omega0 == default.omega0
     # under the paper sign the displayed triple satisfies df = w0 + winf
@@ -191,7 +189,7 @@ def test_derham_paper_sign_flips_infinity_slot():
 
 def test_derham_counts_and_cocycles_on_corpus():
     for curve in _corpus():
-        classes = derham_basis(curve)
+        classes = build_bases(curve).derham
         g = genus_rh(curve)
         assert len(classes) == 2 * g
         assert sum(1 for c in classes if c.kind == "a") == g
@@ -202,7 +200,7 @@ def test_derham_counts_and_cocycles_on_corpus():
 
 def test_derham_split_adjustment_keeps_omega0_finite_at_infinity():
     # t^{(n-mu)} = 1 on this curve: the top slot must stay regular over infinity
-    classes = [c for c in derham_basis(CUBIC_F7) if c.kind == "a"]
+    classes = [c for c in build_bases(CUBIC_F7).derham if c.kind == "a"]
     assert classes, "the cubic has a nonempty a-family"
     inf = [p for p in place_classes(CUBIC_F7) if p.kind == "over_infinity"][0]
     for cls in classes:
@@ -215,37 +213,26 @@ def test_maps_of_the_exact_sequence():
     triple = map_i(w)
     assert triple.omega0 == w and triple.omega_inf == w
     assert map_p(triple).is_zero
-    delta = [c for c in derham_basis(QUARTIC) if c.kind == "delta"][0]
+    delta = [c for c in build_bases(QUARTIC).derham if c.kind == "delta"][0]
     assert delta.triple == map_i(w)
 
-    a_classes = {tuple(c.index): c for c in derham_basis(AS_P3) if c.kind == "a"}
+    a_classes = {tuple(c.index): c for c in build_bases(AS_P3).derham if c.kind == "a"}
     for h_idx, h in h1_basis(AS_P3):
         assert map_p(a_classes[tuple(h_idx)].triple) == h
 
 
 def test_h1_coordinates_examples():
+    # the coordinates of [h] are the column of h paired against the differential basis
     y_over_x = FFElem.monomial(QUARTIC, 1, RatFn(Poly.one(F5), Poly.x(F5)))
-    assert h1_coordinates(QUARTIC, y_over_x) == (F5.one(),)
-    assert h1_coordinates(QUARTIC, FFElem.one(QUARTIC)) == (F5.zero(),)
+    omegas = [w for _, w in omega_basis(QUARTIC)]
+    assert pairing_matrix(QUARTIC, omegas, [y_over_x, FFElem.one(QUARTIC)]) == [[1, 0]]
 
 
 def test_h1_coordinates_linearity():
     reps = [h for _, h in h1_basis(AS_P3)]
-    total = reps[0] + reps[1]
-    coords = h1_coordinates(AS_P3, total)
-    expected = tuple(
-        a + b
-        for a, b in zip(h1_coordinates(AS_P3, reps[0]), h1_coordinates(AS_P3, reps[1]))
-    )
-    assert coords == expected
-
-
-def test_h1_coordinates_rejects_branch_poles():
-    bad = FFElem.from_ratfn(
-        QUARTIC, RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))
-    )  # pole at the branch point x = 1
-    with pytest.raises(ValueError):
-        h1_coordinates(QUARTIC, bad)
+    omegas = [w for _, w in omega_basis(AS_P3)]
+    matrix = pairing_matrix(AS_P3, omegas, [reps[0] + reps[1], *reps])
+    assert [total for total, _, _ in matrix] == [F3.add(a, b) for _, a, b in matrix]
 
 
 def test_index_sets_align_under_duality():

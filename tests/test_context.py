@@ -1,8 +1,8 @@
 """One ``Bases`` value per report: every basis is built once per report
 and document, the pairing matrix computes one residue per key, reading
 coordinates from the matrix gives the same exactness verdict as pairing
-every element afresh, and a finished report holds no cycle through its
-curve."""
+every image afresh through the dense full product of ``reference``, and
+a finished report holds no cycle through its curve."""
 
 import dataclasses
 import gc
@@ -11,19 +11,18 @@ import weakref
 from pathlib import Path
 
 import pytest
+from reference import dense, dense_pairing
 
 from cycliccover import cohomology, funcfield, verify
 from cycliccover.cli import build_report_document, enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import (
     build_bases,
-    derham_basis,
     h1_basis,
-    h1_coordinates,
     map_i,
     map_p,
     omega_basis,
 )
-from cycliccover.funcfield import FFElem
+from cycliccover.funcfield import FFElem, pairing_matrix
 from cycliccover.polyrat import Poly, RatFn
 from cycliccover.verify import CheckResult, VerifyOptions, duality_matrix, exactness_check, full_report
 
@@ -102,7 +101,6 @@ def test_each_a_class_holds_its_h1_representative(doc, policy, sign):
     assert len(a_classes) == len(bases.h1) > 0
     for cls, (idx, h) in zip(a_classes, bases.h1):
         assert cls.index == idx and cls.triple.f0inf is h
-    assert derham_basis(curve, policy, sign) == build_bases(curve, policy, sign).derham
 
 
 @pytest.mark.parametrize("doc", SPECS, ids=["kummer_quartic", "as_p3"])
@@ -121,7 +119,7 @@ def test_a_report_frees_its_curve_by_reference_count(doc):
 
 def test_readers_hand_out_fresh_lists():
     curve = parse_curve_spec(SPECS[0])
-    for reader in (omega_basis, h1_basis, derham_basis):
+    for reader in (omega_basis, h1_basis):
         first = reader(curve)
         expected = list(first)
         first.clear()
@@ -133,8 +131,6 @@ def test_unknown_policy_and_sign_are_refused():
     with pytest.raises(ValueError, match="policy"):
         omega_basis(curve, "literal")
     with pytest.raises(ValueError, match="sign convention"):
-        derham_basis(curve, "extended", "flipped")
-    with pytest.raises(ValueError, match="sign convention"):
         build_bases(curve, "extended", "flipped")
 
 
@@ -142,16 +138,14 @@ COORDINATE_CASES = SPECS + enumerate_kummer_specs(7, 4, 6, 6, 3) + enumerate_as_
 
 
 @pytest.mark.parametrize("doc", COORDINATE_CASES, ids=[f"case{i}" for i in range(len(COORDINATE_CASES))])
-def test_matrix_columns_are_the_coordinates_of_their_representatives(monkeypatch, doc):
-    # h1_coordinates pairs its element against the whole differential basis in one matrix call
+def test_matrix_columns_are_the_coordinates_of_their_representatives(doc):
+    # a representative paired alone against the differential basis gives its column of the matrix
     curve = parse_curve_spec(doc)
     bases = build_bases(curve)
     matrix, _ = duality_matrix(curve, bases)
-    counts = {}
-    _counting(monkeypatch, cohomology, "pairing_matrix", counts)
+    omegas = [w for _, w in bases.omega]
     for j, (_, h) in enumerate(bases.columns):
-        assert tuple(c.encoding for c in h1_coordinates(curve, h)) == tuple(row[j] for row in matrix)
-    assert counts.get("pairing_matrix", 0) == len(bases.columns)
+        assert pairing_matrix(curve, omegas, [h]) == [[row[j]] for row in matrix]
 
 
 def _planted(bases, kind, f0inf):
@@ -222,23 +216,28 @@ def test_exactness_reports_an_image_with_a_pole_off_the_fibers(monkeypatch):
 
 
 def _exactness_by_pairing(curve, range_policy, sign) -> CheckResult:
-    """The exactness check with every image paired afresh through
-    ``h1_coordinates``: the reference the matrix-reading check must match."""
-    zero = curve.spec.zero()
-    one = curve.spec.one()
+    """The exactness check with every image paired afresh against every
+    differential through ``reference.dense_pairing``, which shares no code
+    with ``pairing_matrix``: the reference the matrix-reading check must
+    match."""
+    bases = build_bases(curve, range_policy, sign)
+    dense_omegas = [dense(w.coeff) for _, w in bases.omega]
+
+    def coordinates(image):
+        f = dense(image)
+        return [dense_pairing(curve, f, w) for w in dense_omegas]
+
     problems = []
-    omegas = omega_basis(curve, range_policy)
-    for idx, w in omegas:
-        coords = h1_coordinates(curve, map_p(map_i(w)), range_policy)
-        if any(c != zero for c in coords):
+    for idx, w in bases.omega:
+        if any(coordinates(map_p(map_i(w)))):
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) has nonzero coordinates")
-    classes = derham_basis(curve, range_policy, sign)
+    classes = bases.derham
     a_classes = [c for c in classes if c.kind == "a"]
     seen_positions = []
     for cls in a_classes:
-        coords = h1_coordinates(curve, map_p(cls.triple), range_policy)
-        hits = [k for k, c in enumerate(coords) if c != zero]
-        if len(hits) != 1 or coords[hits[0]] != one:
+        coords = coordinates(map_p(cls.triple))
+        hits = [k for k, c in enumerate(coords) if c]
+        if len(hits) != 1 or coords[hits[0]] != 1:
             problems.append(f"p({cls.label}) is not a unit coordinate vector")
         else:
             seen_positions.append(hits[0])
@@ -253,7 +252,7 @@ def _exactness_by_pairing(curve, range_policy, sign) -> CheckResult:
         "exactness",
         "pass",
         "kernel, surjectivity and zero-section conditions all hold",
-        {"a_count": len(a_classes), "omega_count": len(omegas)},
+        {"a_count": len(a_classes), "omega_count": len(bases.omega)},
     )
 
 

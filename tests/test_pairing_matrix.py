@@ -1,13 +1,13 @@
 """``pairing_matrix`` against the full-product route.
 
-``pairing_matrix`` pairs every column of the H^1 basis against every
-differential at once, and ``pairing`` reads its single entry, so the
-pairing has one route.  It indexes the columns' terms by y index, and it
-computes each residue once per key: the x-free parts of the two
-coefficients, the reach row and the summed x-order m.  Every entry is
-compared with ``reference.dense_pairing``, which forms the whole dense
-product and shares no code with the matrix, on both spec files and both
-README sweep corpora under both mu-range policies, on the two larger
+``pairing_matrix``, the one pairing route in ``src/``, pairs every column
+of the H^1 basis against every differential at once.  It indexes the
+columns' terms by y index, and it computes each residue once per key: the
+x-free parts of the two coefficients, the reach row and the summed
+x-order m.  Every entry is compared with ``reference.dense_pairing``,
+which forms the whole dense product from the dense vectors of its row and
+column, each read once, and shares no code with the matrix, on both spec
+files and both README sweep corpora under both mu-range policies, on the two larger
 pinned curves of ``test_golden``, and on random elements of the four
 curves of the function field property module.
 
@@ -29,7 +29,7 @@ from test_pairing_oracle import CORPORA, PAIRS, POLICIES
 from cycliccover import funcfield
 from cycliccover.cli import parse_curve_spec
 from cycliccover.cohomology import build_bases
-from cycliccover.funcfield import FFDiff, FFElem, pairing, pairing_matrix
+from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix
 from cycliccover.polyrat import Poly, RatFn
 
 PLANTED = {
@@ -53,10 +53,12 @@ def _mismatches(matrix_fn, curve, omegas, columns) -> int:
     route."""
     codes = matrix_fn(curve, omegas, columns)
     assert len(codes) == len(omegas) and all(len(row) == len(columns) for row in codes)
+    dense_columns = [dense(h) for h in columns]
     bad = 0
     for row, w in zip(codes, omegas):
-        for code, h in zip(row, columns):
-            bad += code != dense_pairing(curve, dense(h), dense(w.coeff)).encoding
+        dense_w = dense(w.coeff)
+        for code, column in zip(row, dense_columns):
+            bad += code != dense_pairing(curve, column, dense_w)
     return bad
 
 
@@ -120,7 +122,7 @@ def test_mismatched_curves_are_refused():
     with pytest.raises(ValueError, match="mismatched curves"):
         pairing_matrix(other, omegas, columns)
     with pytest.raises(ValueError, match="mismatched curves"):
-        pairing(columns[0], FFDiff(FFElem.one(other)))
+        pairing_matrix(curve, [FFDiff(FFElem.one(other))], columns)
     assert pairing_matrix(curve, [], columns) == [] and pairing_matrix(curve, omegas, []) == [[]]
 
 

@@ -1,10 +1,10 @@
 """The Serre duality pairing against a full-product route.
 
-``pairing`` returns the one entry of ``funcfield.pairing_matrix``, the
-only pairing route in ``src/``, so this module checks the matrix through
-it.  The matrix forms only the y^k coefficient of f * coeff(omega) that
-the trace reads, and sums residues of unreduced fractions.  The oracle forms
-the whole reduced product, takes its trace (the trace table, or the
+``funcfield.pairing_matrix`` is the only pairing route in ``src/``, so
+this module checks its entries, as encodings.  The matrix forms only the
+y^k coefficient of f * coeff(omega) that the trace reads, and sums
+residues of unreduced fractions.  The oracle forms the whole reduced
+product, takes its trace (the trace table, or the
 independent Galois orbit sum, both from ``reference``) and then the
 residue: c * Res_inf(Tr(f * coeff(omega))), with c = -1/n for Kummer and
 1 for Artin-Schreier taken from the curve, not from its family table.
@@ -28,8 +28,8 @@ from test_funcfield_properties import CURVES, IDS, elements
 
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import build_bases
-from cycliccover.funcfield import FFDiff, pairing
-from cycliccover.polyrat import residue_at_infinity
+from cycliccover.funcfield import FFDiff, pairing_matrix
+from cycliccover.polyrat import fraction_residue
 
 REPO = Path(__file__).resolve().parents[1]
 SPEC_FILES = ("kummer_quartic.json", "as_p3.json")
@@ -47,12 +47,13 @@ PAIRS = {
 }
 
 
-def full_product_pairing(f, omega, orbit=False):
-    """c * Res_inf(Tr(f * coeff(omega))) from the whole reduced product,
-    with the trace read from the trace table or summed over the orbit."""
+def full_product_pairing(f, omega, orbit=False) -> int:
+    """The encoding of c * Res_inf(Tr(f * coeff(omega))) from the whole
+    reduced product, with the trace read from the trace table or summed
+    over the orbit."""
     product = f * omega.coeff
     tr = trace_by_orbit(product) if orbit else trace(product)
-    return pairing_scale(f.curve) * residue_at_infinity(tr)
+    return f.curve.spec.mul(pairing_scale(f.curve).encoding, fraction_residue(tr.num, tr.den))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -62,10 +63,11 @@ def test_pairing_matches_the_full_product_route(corpus, policy):
     for doc in CORPORA[corpus]():
         curve = parse_curve_spec(doc)
         bases = build_bases(curve, policy)
+        matrix = pairing_matrix(curve, [w for _, w in bases.omega], [h for _, h in bases.columns])
         for i, (_, w) in enumerate(bases.omega):
             for j, (_, h) in enumerate(bases.columns):
                 expected = full_product_pairing(h, w)
-                assert pairing(h, w) == expected, (doc, policy, i, j)
+                assert matrix[i][j] == expected, (doc, policy, i, j)
                 assert full_product_pairing(h, w, orbit=True) == expected, (doc, policy, i, j)
                 pairs += 1
     assert pairs == PAIRS[corpus, policy]
@@ -77,7 +79,7 @@ def test_pairing_matches_the_full_product_route(corpus, policy):
 def test_pairing_matches_the_full_product_route_on_random_elements(name, data):
     curve = CURVES[name]
     f, w = data.draw(elements(curve)), FFDiff(data.draw(elements(curve)))
-    assert pairing(f, w) == full_product_pairing(f, w)
+    assert pairing_matrix(curve, [w], [f]) == [[full_product_pairing(f, w)]]
 
 
 @pytest.mark.parametrize("name", IDS)
@@ -87,4 +89,5 @@ def test_pairing_is_galois_invariant(name, data):
     curve = CURVES[name]
     f, w = data.draw(elements(curve)), data.draw(elements(curve))
     j = data.draw(st.integers(1, curve.degree - 1))
-    assert pairing(galois(f, j), FFDiff(galois(w, j))) == pairing(f, FFDiff(w))
+    matrix = pairing_matrix(curve, [FFDiff(galois(w, j)), FFDiff(w)], [galois(f, j), f])
+    assert matrix[0][0] == matrix[1][1]

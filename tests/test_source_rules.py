@@ -2,8 +2,8 @@
 explicit errors instead of ``assert`` (which ``python -O`` strips),
 per-curve values live in declared fields, not in a string-keyed cache
 dict on the curve, the function field arithmetic (``FFElem``,
-``FFDiff``, ``pairing``) reads every family fact from the curve's family
-table, never from ``.kind``, the polynomial arithmetic works on field
+``FFDiff``, ``pairing_matrix``) reads every family fact from the curve's
+family table, never from ``.kind``, the polynomial arithmetic works on field
 encodings: it neither builds a ``FieldElement`` nor reads one out of a
 ``Poly``, and every ``CheckResult`` is built with the literal status
 "pass" or "fail", the only two verdicts.  The pairing and the cocycle
@@ -16,7 +16,10 @@ per-coefficient valuation, so every valuation they read comes from
 ``funcfield.valuations``, the one walk.
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
-references stay out of the path they check.  The coefficient loops that
+references stay out of the path they check, nor the name of a retired
+second route to a value (a wrapper beside ``pairing_matrix``,
+``build_bases`` or ``fraction_residue``, or the root of unity the Galois
+oracle keeps), so each value keeps one way in.  The coefficient loops that
 read the field tables inline, and the root walks that call the row kernel
 ``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
 one to a local, so no per-coefficient call comes back.  Only ``gf`` and
@@ -30,7 +33,7 @@ basis builders reduce every coefficient over the roots its denominator
 is built from: ``cohomology`` calls neither ``poly_gcd`` nor
 the reducing two-argument ``RatFn(num, den)``.  The pairing has one
 route: only ``pairing_matrix`` sums pairing residues, so in ``src/`` only
-it and the ``residue_at_infinity`` wrapper call ``fraction_residue``."""
+it calls ``fraction_residue``."""
 
 import ast
 from pathlib import Path
@@ -40,7 +43,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "cycliccover"
 MODULES = sorted(SRC.glob("*.py"))
 CACHE_DICT = "_" "cache"  # the retired string-keyed dict; spelt apart so a grep for it stays empty
-FAMILY_BLIND = ("FFElem", "FFDiff", "pairing")  # funcfield definitions that must not read .kind
+FAMILY_BLIND = ("FFElem", "FFDiff", "pairing_matrix")  # funcfield definitions that must not read .kind
 # polyrat arithmetic on encodings, by class ("" for module level)
 INT_CODED = {
     "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic", "from_roots"),
@@ -53,7 +56,7 @@ ELEMENT_ATTRS = ("coeffs", "coefficient", "leading", "evaluate", "element", "fro
 STATUSES = ("pass", "fail")
 # the pairing, the cocycle zero test and the helpers they call, by module and class ("" for module level)
 UNREDUCED = {
-    "funcfield.py": {"": ("pairing", "pairing_matrix", "_reach"), "FFElem": ("differential_terms",)},
+    "funcfield.py": {"": ("pairing_matrix", "_reach"), "FFElem": ("differential_terms",)},
     "verify.py": {"": ("_cocycle_sums", "_dx_sums", "_dy_matches")},
     "polyrat.py": {"": ("fraction_residue", "fraction_sum")},
 }
@@ -79,11 +82,15 @@ FIELD_TABLES = ("exp", "log", "zech")  # read only in TABLE_MODULES
 TABLE_MODULES = ("gf.py", "polyrat.py")
 ZECH_READERS = ("_axpy", "_horner", "Poly.__add__")  # the polyrat definitions that read zech
 SPARSE_MODULES = ("funcfield.py", "cohomology.py", "verify.py")  # modules that walk terms, never .coeffs
-RESIDUE_CALLERS = ("pairing_matrix", "residue_at_infinity")  # the only callers of fraction_residue
+RESIDUE_CALLERS = ("pairing_matrix",)  # the only caller of fraction_residue
 # reference routes and retired family-table fields that no src/ definition may be named
 REFERENCE_NAMES = (
     "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
     "gen_a", "gen_b", "trace_value", "pairing_scale", "KummerAux", "ASAux",
+)
+# retired second routes to a value that no src/ definition may be named
+RETIRED_NAMES = (
+    "pairing", "h1_coordinates", "require_h1_class", "derham_basis", "residue_at_infinity", "nth_root_of_unity",
 )
 
 
@@ -133,12 +140,12 @@ def test_the_kind_rule_catches_violations():
         "class FFElem:\n"
         "    def trace(self):\n"
         "        return self.curve.kind\n"
-        "def pairing(f, omega):\n"
-        "    kummer = f.curve.kind == 'kummer'\n"
+        "def pairing_matrix(curve, omegas, columns):\n"
+        "    kummer = curve.kind == 'kummer'\n"
         "def place_classes(curve):\n"
         "    return curve.kind\n"
     )
-    assert _kind_reads(tree) == ["line 3: FFElem reads .kind", "line 5: pairing reads .kind"]
+    assert _kind_reads(tree) == ["line 3: FFElem reads .kind", "line 5: pairing_matrix reads .kind"]
 
 
 def _element_uses(tree: ast.Module) -> tuple[set[str], list[str]]:
@@ -440,6 +447,32 @@ def test_the_reference_name_rule_catches_violations():
     ]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_definition_takes_a_retired_name(path):
+    assert _definitions(ast.parse(path.read_text(encoding="utf-8")), RETIRED_NAMES) == []
+
+
+def test_the_retired_name_rule_catches_violations():
+    tree = ast.parse(
+        "def pairing(f, omega):\n"
+        "    return pairing_matrix(f.curve, [omega], [f])[0][0]\n"
+        "def pairing_matrix(curve, omegas, columns):\n"
+        "    def residue_at_infinity(h):\n"
+        "        return fraction_residue(h.num, h.den)\n"
+        "class Bases:\n"
+        "    derham_basis: list\n"
+        "    derham: list\n"
+        "    def h1_coordinates(self, f):\n"
+        "        return nth_root_of_unity(self.spec, 2)\n"
+    )
+    assert _definitions(tree, RETIRED_NAMES) == [
+        "line 1: names pairing",
+        "line 4: names residue_at_infinity",
+        "line 7: names derham_basis",
+        "line 9: names h1_coordinates",
+    ]
+
+
 def _field_calls(tree: ast.Module, wanted: dict[str, tuple[str, ...]]) -> tuple[set[str], list[str]]:
     """The wanted definitions found, and each place one of them reaches a
     method from ``FIELD_CALLS``: an attribute of that name, whether called
@@ -688,6 +721,7 @@ def test_the_residue_rule_catches_violations():
     assert _residue_calls(tree, RESIDUE_CALLERS) == [
         "line 2: pairing calls fraction_residue",
         "line 5: pairing_matrix.entry calls fraction_residue",
+        "line 8: residue_at_infinity calls fraction_residue",
         "line 11: FFDiff.residue calls fraction_residue",
         "line 12: module calls fraction_residue",
     ]
