@@ -42,8 +42,8 @@ written as an unreduced num/den product and reduced once:
     Artin-Schreier, y^{mu-2}:  (mu-1) g_{p-mu} lo|hi(psi) / (x^nu prod (x-rho_i)^{l_i+1})
 
 (the last absent at mu = 1).  psi_AS and prod (x-rho_i)^{l_i+1} are built
-once per build, the Kummer psi parts and the Artin-Schreier phi parts
-once per mu.
+once per curve (the divisor check's dy item reads them too), the Kummer
+psi parts and the Artin-Schreier phi parts once per mu.
 
 Every denominator here and in the omega and H^1 bases is x^e times a
 product of branch factors (x - rho_i)^m whose exponents come from the
@@ -66,7 +66,6 @@ The checks read H^1 coordinates off the columns of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data
@@ -80,15 +79,13 @@ class BasisIndex(NamedTuple):
     nu: int
 
 
-@dataclass(frozen=True)
-class DeRhamTriple:
+class DeRhamTriple(NamedTuple):
     omega0: FFDiff
     omega_inf: FFDiff
     f0inf: FFElem
 
 
-@dataclass(frozen=True)
-class DeRhamClass:
+class DeRhamClass(NamedTuple):
     kind: str  # "a" | "delta"
     index: BasisIndex
     triple: DeRhamTriple
@@ -235,16 +232,17 @@ def _psi_at(parts: tuple[Poly, Poly], nu: int) -> Poly:
 
 def as_psi(curve: ASCurve) -> Poly:
     """Numerator of dy: f sum_i l_i prod_{j != i}(x - rho_j) - f' prod_i (x - rho_i)."""
-    if curve.psi is not None:
-        return curve.psi
-    total, support = _cofactor_parts(curve.spec, [(rho, curve.spec.element(l)) for rho, l in curve.branch])
-    curve.psi = curve.f * total - curve.f.derivative() * support
+    if curve.psi is None:
+        total, support = _cofactor_parts(curve.spec, [(rho, curve.spec.element(l)) for rho, l in curve.branch])
+        curve.psi = curve.f * total - curve.f.derivative() * support
     return curve.psi
 
 
 def as_pole_den(curve: ASCurve) -> Poly:
     """prod_i (x - rho_i)^{l_i + 1}, the denominator of dy and of omega_mu."""
-    return Poly.from_roots(curve.spec, [(rho, l + 1) for rho, l in curve.branch])
+    if curve.pole_den is None:
+        curve.pole_den = Poly.from_roots(curve.spec, [(rho, l + 1) for rho, l in curve.branch])
+    return curve.pole_den
 
 
 def _as_phi_parts(curve: ASCurve, table: MuTable, mu: int) -> tuple[Poly, Poly]:

@@ -23,7 +23,6 @@ with g_mu = prod (x - rho_i)^{m_i} and t_mu = (1/n) sum g_i v_i
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .gf import FieldElement, FieldSpec
@@ -66,6 +65,7 @@ class CyclicCover:
         self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
         self.family_table: FamilyTable | None = None  # funcfield: relation, dy, trace index
         self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
+        self.pole_den: Poly | None = None  # cohomology.as_pole_den, Artin-Schreier: denominator of dy
 
 
 class KummerCurve(CyclicCover):
@@ -186,8 +186,7 @@ def require_valid(curve: Curve) -> None:
         raise CurveInvalidError(curve.violations)
 
 
-@dataclass(frozen=True)
-class BranchRam:
+class BranchRam(NamedTuple):
     rho: FieldElement
     l: int
     e: int
@@ -195,8 +194,7 @@ class BranchRam:
     lam: int | None  # valuation of y above the point; Kummer only
 
 
-@dataclass(frozen=True)
-class RamData:
+class RamData(NamedTuple):
     branch: tuple[BranchRam, ...]
     l0: int | None
     e0: int
@@ -226,8 +224,7 @@ def ram_data(curve: Curve) -> RamData:
     return data
 
 
-@dataclass(frozen=True)
-class MuRow:
+class MuRow(NamedTuple):
     mu: int
     m: tuple[int, ...]
     v: tuple[int, ...]

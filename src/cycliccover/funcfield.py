@@ -47,17 +47,14 @@ off an allowed locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .curve import Curve, ram_data, require_valid
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, _x_order, fraction_residue
 
 
-@dataclass(frozen=True)
-class FamilyTable:
+class FamilyTable(NamedTuple):
     """The family facts of one cover of degree deg (see the module docstring)."""
 
     relation: RatFn  # y^deg = relation, plus y when relation_has_y
@@ -284,8 +281,7 @@ class FFDiff:
         return f"FFDiff({self.render()})"
 
 
-@dataclass(frozen=True)
-class PlaceClass:
+class PlaceClass(NamedTuple):
     """All points of X above one point of the projective line, with the
     local data shared by every point of the class."""
 
@@ -297,13 +293,7 @@ class PlaceClass:
     v_dx: int
     npoints: int
     position: int  # the class's index in place_classes
-
-    @cached_property
-    def label(self) -> str:
-        """The class's name in reports, rendered once per class."""
-        if self.kind == "branch":
-            return f"branch[{self.index}]@{self.rho.render()}"
-        return self.kind
+    label: str  # the class's name in reports, rendered once per class by place_classes
 
     @property
     def covers_zero(self) -> bool:
@@ -322,10 +312,12 @@ def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
     out = []
     for i, b in enumerate(ram.branch, start=1):
         v_y, v_dx = (b.lam, b.e - 1) if kummer else (-b.l, (b.e - 1) * (b.l + 1))
-        out.append(PlaceClass("branch", i, b.rho, b.e, v_y, v_dx, b.g, len(out)))
+        label = f"branch[{i}]@{b.rho.render()}"
+        out.append(PlaceClass("branch", i, b.rho, b.e, v_y, v_dx, b.g, len(out), label))
     if not any(b.rho.is_zero for b in ram.branch):
-        out.append(PlaceClass("over_zero", None, curve.spec.zero(), 1, 0, 0, curve.degree, len(out)))
-    out.append(PlaceClass("over_infinity", None, None, 1, -curve.t if kummer else 0, -2, curve.degree, len(out)))
+        out.append(PlaceClass("over_zero", None, curve.spec.zero(), 1, 0, 0, curve.degree, len(out), "over_zero"))
+    v_y = -curve.t if kummer else 0
+    out.append(PlaceClass("over_infinity", None, None, 1, v_y, -2, curve.degree, len(out), "over_infinity"))
     curve.places = tuple(out)
     return curve.places
 
@@ -340,17 +332,17 @@ def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:
     if isinstance(obj, FFDiff):
         return tuple(v + place.v_dx for v, place in zip(valuations(obj.coeff), place_classes(obj.curve)))
     if obj._valuations is None:
-        places = place_classes(obj.curve)
+        places = [(place.rho, place.e, place.v_y) for place in place_classes(obj.curve)]
         best = None
         for j, a in obj.terms:
             num, den = a.num, a.den
             scores = []
-            for place in places:
-                if place.rho is None:  # over infinity: deg den - deg num
+            for rho, e, v_y in places:
+                if rho is None:  # over infinity: deg den - deg num
                     v = len(den.ints) - len(num.ints)
                 else:
-                    v = place.e * (num.multiplicity_at(place.rho) - den.multiplicity_at(place.rho))
-                scores.append(v + j * place.v_y)
+                    v = e * (num.multiplicity_at(rho) - den.multiplicity_at(rho))
+                scores.append(v + j * v_y)
             best = scores if best is None else list(map(min, best, scores))
         if best is None:
             raise ValueError("valuation of the zero element is undefined")

@@ -49,7 +49,6 @@ and renders its two reduced differentials only when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .cohomology import (
@@ -61,22 +60,19 @@ from .gf import FieldElement
 from .polyrat import Poly, RatFn, _axpy, _horner, fraction_sum
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail"
     details: str
-    payload: dict = field(default_factory=dict)
+    payload: dict  # a fresh dict per result, {} when the check reports nothing more
 
 
-@dataclass
-class VerifyOptions:
+class VerifyOptions(NamedTuple):
     mu_range: str = "extended"
     sign: str = "negated-infty"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     checks: list[CheckResult]
     all_pass: bool
     pairing_matrix: list[list[int]] | None = None  # encodings, as ``pairing_matrix`` gives them
@@ -152,7 +148,7 @@ def cocycle_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) ->
     name = f"cocycle:{label}"
     sums = _cocycle_sums(triple)
     if all(num.is_zero for num, _ in sums.values()):
-        return CheckResult(name, "pass", "exterior derivative matches the slot difference")
+        return CheckResult(name, "pass", "exterior derivative matches the slot difference", {})
     terms = [(k, RatFn(num, den)) for k, (num, den) in sums.items()]
     residual = FFDiff(FFElem(triple.f0inf.curve, terms))
     return CheckResult(
@@ -177,7 +173,7 @@ def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> C
     violations = [f"{slot} at {place.label}: bound {value}" for slot, found in slots for place, value in found]
     if violations:
         return CheckResult(name, "fail", "; ".join(violations), {"violations": violations})
-    return CheckResult(name, "pass", "all slots regular away from their allowed fibers")
+    return CheckResult(name, "pass", "all slots regular away from their allowed fibers", {})
 
 
 # A divisor item is (ok, expected, got, template, args): its label is the
@@ -451,9 +447,9 @@ def full_report(curve: Curve, options: VerifyOptions | None = None) -> Report:
     violations = validate(curve)
     if violations:
         for v in violations:
-            checks.append(CheckResult(f"validate:{v.code}", "fail", v.message))
+            checks.append(CheckResult(f"validate:{v.code}", "fail", v.message, {}))
         return Report(checks, all_pass=False, pairing_matrix=None)
-    checks.append(CheckResult("validation", "pass", "all curve hypotheses hold"))
+    checks.append(CheckResult("validation", "pass", "all curve hypotheses hold", {}))
     checks.append(divisor_checks(curve))
     bases = build_bases(curve, options.mu_range, options.sign)
     checks.append(dimension_check(curve, bases))

@@ -4,7 +4,6 @@ coordinates from the matrix gives the same exactness verdict as pairing
 every image afresh through the dense full product of ``reference``, and
 a finished report holds no cycle through its curve."""
 
-import dataclasses
 import gc
 import json
 import weakref
@@ -153,7 +152,7 @@ def _planted(bases, kind, f0inf):
     and that class's label."""
     k = next(k for k, cls in enumerate(bases.derham) if cls.kind == kind)
     cls = bases.derham[k]
-    planted = dataclasses.replace(cls, triple=dataclasses.replace(cls.triple, f0inf=f0inf))
+    planted = cls._replace(triple=cls.triple._replace(f0inf=f0inf))
     return bases._replace(derham=bases.derham[:k] + [planted] + bases.derham[k + 1:]), cls.label
 
 

@@ -12,7 +12,6 @@ change to the payload is intended.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -56,7 +55,7 @@ def _forced_failure(doc: dict) -> dict:
         original = table(c, range_policy)
         if c.kind == "kummer":
             return original
-        rows = {mu: replace(row, v=tuple(v + 1 for v in row.v)) for mu, row in original.rows.items()}
+        rows = {mu: row._replace(v=tuple(v + 1 for v in row.v)) for mu, row in original.rows.items()}
         return MuTable(original.policy, rows)
 
     with pytest.MonkeyPatch.context() as mp:

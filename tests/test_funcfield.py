@@ -11,6 +11,7 @@ from cycliccover.polyrat import Poly, RatFn
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
+F9 = FieldSpec(3, [1, 0, 1])
 
 QUARTIC = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
 AS_P3 = ASCurve(F3, Poly.from_ints(F3, [1, 0, 1]), [(F3.element(1), 1), (F3.element(2), 1)])
@@ -186,6 +187,31 @@ def test_place_classes_layout():
     as_places = place_classes(AS_P3)
     assert as_places[0].e == 3 and as_places[0].v_y == -1 and as_places[0].v_dx == 4
     assert as_places[-1].v_y == 0 and as_places[-1].npoints == 3
+
+
+Z9 = F9.from_encoding(3)  # z, with z^2 = -1
+
+
+@pytest.mark.parametrize(
+    "curve,labels",
+    [
+        (QUARTIC, ["branch[1]@1", "branch[2]@2", "branch[3]@3", "branch[4]@4", "over_zero", "over_infinity"]),
+        (KummerCurve(F5, 2, [(F5.element(i), 1) for i in (0, 1, 2, 3)]),
+         ["branch[1]@0", "branch[2]@1", "branch[3]@2", "branch[4]@3", "over_infinity"]),
+        (AS_P3, ["branch[1]@1", "branch[2]@2", "over_zero", "over_infinity"]),
+        (KummerCurve(F9, 2, [(Z9, 1), (Z9 + F9.element(1), 1)]),
+         ["branch[1]@(z)", "branch[2]@(1 + z)", "over_zero", "over_infinity"]),
+        (KummerCurve(F9, 2, [(F9.zero(), 1), (Z9, 1)]), ["branch[1]@0", "branch[2]@(z)", "over_infinity"]),
+        (ASCurve(F9, Poly.from_ints(F9, [1, 1]), [(Z9, 1)]), ["branch[1]@(z)", "over_zero", "over_infinity"]),
+    ],
+    ids=["quartic", "zero_branch", "as_p3", "f9", "f9_zero_branch", "as_f9"],
+)
+def test_place_labels_keep_their_rendering(curve, labels):
+    # a field that place_classes fills once per class: branch[i]@rho, or the class's kind
+    places = place_classes(curve)
+    assert [place.label for place in places] == labels
+    for place in places:
+        assert place.label == (f"branch[{place.index}]@{place.rho.render()}" if place.kind == "branch" else place.kind)
 
 
 def test_valuation_bound_examples():

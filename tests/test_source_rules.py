@@ -33,7 +33,9 @@ basis builders reduce every coefficient over the roots its denominator
 is built from: ``cohomology`` calls neither ``poly_gcd`` nor
 the reducing two-argument ``RatFn(num, den)``.  The pairing has one
 route: only ``pairing_matrix`` sums pairing residues, so in ``src/`` only
-it calls ``fraction_residue``."""
+it calls ``fraction_residue``.  Every value record is a ``NamedTuple``:
+``src/`` imports no ``dataclasses``, decorates nothing ``@dataclass`` and
+uses no ``cached_property``."""
 
 import ast
 from pathlib import Path
@@ -88,6 +90,7 @@ REFERENCE_NAMES = (
     "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
     "gen_a", "gen_b", "trace_value", "pairing_scale", "KummerAux", "ASAux",
 )
+RECORD_MACHINERY = ("dataclass", "cached_property")  # the record idiom that NamedTuple replaced
 # retired second routes to a value that no src/ definition may be named
 RETIRED_NAMES = (
     "pairing", "h1_coordinates", "require_h1_class", "derham_basis", "residue_at_infinity", "nth_root_of_unity",
@@ -724,4 +727,58 @@ def test_the_residue_rule_catches_violations():
         "line 8: residue_at_infinity calls fraction_residue",
         "line 11: FFDiff.residue calls fraction_residue",
         "line 12: module calls fraction_residue",
+    ]
+
+
+def _record_machinery(tree: ast.AST) -> list[str]:
+    """Each import of ``dataclasses`` or ``cached_property``, each
+    ``@dataclass`` decorator and each use of ``cached_property``, by name
+    or attribute."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, "imports dataclasses") for alias in node.names if alias.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "dataclasses":
+                out.append((node.lineno, "imports dataclasses"))
+            else:
+                out += [(node.lineno, f"imports {a.name}") for a in node.names if a.name in RECORD_MACHINERY]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in RECORD_MACHINERY:
+                out.append((node.lineno, f"uses {name}"))
+    return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_record_is_a_named_tuple(path):
+    assert _record_machinery(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_record_rule_catches_violations():
+    tree = ast.parse(
+        "import dataclasses, json\n"
+        "from dataclasses import dataclass, field\n"
+        "from functools import cached_property, lru_cache\n"
+        "@dataclass(frozen=True)\n"
+        "class RamData:\n"
+        "    e0: int\n"
+        "@dataclasses.dataclass\n"
+        "class PlaceClass(NamedTuple):\n"
+        "    @functools.cached_property\n"
+        "    def label(self):\n"
+        "        return self.kind\n"
+        "class MuRow(NamedTuple):\n"
+        "    t: int\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        return str(self.t)\n"
+    )
+    assert _record_machinery(tree) == [
+        "line 1: imports dataclasses",
+        "line 2: imports dataclasses",
+        "line 3: imports cached_property",
+        "line 4: uses dataclass",
+        "line 7: uses dataclass",
+        "line 9: uses cached_property",
     ]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from reference import scale
 
-from cycliccover import verify
+from cycliccover import cohomology, verify
 from cycliccover.cli import enumerate_kummer_specs, parse_curve_spec
 from cycliccover.cohomology import DeRhamTriple, build_bases, off_fiber_poles, omega_basis
 from cycliccover.curve import ASCurve, KummerCurve
@@ -273,6 +273,34 @@ def test_full_report_on_invalid_curve_reports_only_validation():
     assert report.pairing_matrix is None
     assert all(c.name.startswith("validate:") for c in report.checks)
     assert {c.status for c in report.checks} == {"fail"}
+
+
+def test_checks_without_a_payload_share_no_dict():
+    # the validation, cocycle and locus results that report nothing more
+    # each hold a fresh {}, never one dict shared through a default
+    report = full_report(QUARTIC)
+    bad = KummerCurve(F5, 3, [(F5.element(1), 1)])  # l not divisible by n, n not dividing q - 1
+    empty = [c for c in report.checks + full_report(bad).checks if c.payload == {}]
+    names = {c.name.split(":")[0] for c in empty}
+    assert names == {"validation", "cocycle", "locus", "validate"}
+    assert len({id(c.payload) for c in empty}) == len(empty)
+    empty[0].payload["planted"] = 1
+    assert all(c.payload == {} for c in empty[1:])
+    assert full_report(QUARTIC).checks[0].payload == {}
+
+
+def test_the_dy_item_and_the_de_rham_builder_read_one_pole_denominator(monkeypatch):
+    # prod (x - rho_i)^(l_i + 1) is a per-curve field, built once for the
+    # divisor check's dy item and the a-family's omega_mu terms
+    curve = ASCurve(F5, Poly.from_ints(F5, [2, 0, 1]), [(F5.element(1), 1), (F5.element(2), 1)])
+    dy_dens, factored = [], []
+    dy_matches, factor = verify._dy_matches, cohomology._factored
+    monkeypatch.setattr(verify, "_dy_matches", lambda c, psi, den: dy_dens.append(den) or dy_matches(c, psi, den))
+    monkeypatch.setattr(cohomology, "_factored", lambda c, poly, ms: factored.append(poly) or factor(c, poly, ms))
+    assert full_report(curve).all_pass
+    [den] = dy_dens
+    assert den is curve.pole_den is cohomology.as_pole_den(curve)
+    assert any(poly is den for poly in factored)
 
 
 def test_the_kummer_identities_build_two_products_of_roots_per_mu(monkeypatch):
