@@ -4,7 +4,8 @@ emit reports, drive corpus sweeps.
 Curve spec files are strict JSON: unknown keys are rejected so option
 typos fail closed, and all decoding errors carry the offending position.
 Field elements encode as a plain integer in prime fields and as an
-ascending coordinate list in extension fields.
+ascending coordinate list in extension fields; an integer, a coordinate
+and a modulus coefficient must each lie in 0..p-1.
 
 Exit codes: 0 all checks pass, 1 at least one verification failure,
 2 input or validation error.  Reports are built with a fixed key order
@@ -67,15 +68,22 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _residue(value: int, p: int, where: str) -> int:
+    """A coefficient over Z/p, which must be written in 0..p-1."""
+    if not 0 <= value < p:
+        raise SpecFileError(f"{where}: {value} is outside 0..{p - 1}")
+    return value
+
+
 def _decode_field(spec: FieldSpec, value: Any, where: str) -> FieldElement:
     if isinstance(value, bool):
         raise SpecFileError(f"{where}: expected a field element encoding, got a boolean")
     if _is_int(value):
-        return spec.element(value)
+        return spec.element(_residue(value, spec.p, where))
     if isinstance(value, list) and all(map(_is_int, value)):
         if len(value) > spec.d:
             raise SpecFileError(f"{where}: {len(value)} coordinates but field degree is {spec.d}")
-        return spec.element(value)
+        return spec.element([_residue(c, spec.p, f"{where}[{k}]") for k, c in enumerate(value)])
     raise SpecFileError(f"{where}: expected an integer or list of integers")
 
 
@@ -106,6 +114,8 @@ def parse_curve_spec(doc: Any) -> Curve:
     if modulus is not None:
         if not isinstance(modulus, list) or not all(map(_is_int, modulus)):
             raise SpecFileError("ext_modulus: expected a list of integers")
+        for k, c in enumerate(modulus):
+            _residue(c, p, f"ext_modulus[{k}]")
         try:
             spec = FieldSpec.shared(p, modulus)
         except ValueError as exc:
@@ -175,7 +185,7 @@ def encode_field(elem: FieldElement) -> int | list[int]:
 
 
 def curve_to_spec_doc(curve: Curve) -> dict:
-    """Re-runnable spec document for a curve (the sweep failure echo)."""
+    """Re-runnable spec document for a curve: the curve section of a report."""
     doc: dict[str, Any] = {"type": curve.kind, "p": curve.spec.p}
     if curve.spec.modulus is not None:
         doc["ext_modulus"] = list(curve.spec.modulus)
@@ -206,13 +216,13 @@ def curve_section(curve: Curve, policy: str) -> dict:
     section["mu_table"] = [
         {
             "mu": mu,
-            "m": list(table[mu].m),
-            "v": list(table[mu].v),
-            "g_mu": table[mu].g_mu.render(),
-            "t": table[mu].t,
-            "I": list(table[mu].I),
+            "m": list(row.m),
+            "v": list(row.v),
+            "g_mu": row.g_mu.render(),
+            "t": row.t,
+            "I": list(row.I),
         }
-        for mu in table.mus()
+        for mu, row in table.items()
     ]
     return section
 

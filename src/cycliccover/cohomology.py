@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curve import ASCurve, Curve, KummerCurve, MuTable, mu_table, ram_data
+from .curve import ASCurve, Curve, KummerCurve, MuRow, mu_table, ram_data
 from .funcfield import FFDiff, FFElem, PlaceClass, pairing_matrix, poles
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, _axpy, reduce_over_roots, split_at_degree
@@ -102,7 +102,7 @@ def omega_indices(curve: Curve, range_policy: str = "extended") -> list[BasisInd
     """Admissible (mu, nu) pairs on the differential side, mu then nu ascending."""
     table = mu_table(curve, range_policy)
     out = []
-    for mu in table.mus():
+    for mu in table:
         t = table[mu].t
         if t >= 2:
             out.extend(BasisIndex(mu, nu) for nu in range(1, t))
@@ -142,7 +142,7 @@ def _factored(curve: Curve, poly: Poly, ms) -> _Den:
     return _Den(e, Poly.from_encodings(curve.spec, poly.ints[e:]), tuple((r, m) for r, m in zip(rhos, ms) if r and m))
 
 
-def _g_dens(curve: Curve, table: MuTable, mus) -> dict[int, _Den]:
+def _g_dens(curve: Curve, table: dict[int, MuRow], mus) -> dict[int, _Den]:
     """The g_mu of the given mus, factored."""
     return {mu: _factored(curve, table[mu].g_mu, table[mu].m) for mu in mus}
 
@@ -212,7 +212,7 @@ def _cofactor_parts(spec: FieldSpec, terms: list[tuple[FieldElement, FieldElemen
     return Poly.from_encodings(spec, total), Poly.from_encodings(spec, support)
 
 
-def _kummer_psi_parts(curve: KummerCurve, mu: int, table: MuTable) -> tuple[Poly, Poly]:
+def _kummer_psi_parts(curve: KummerCurve, mu: int, table: dict[int, MuRow]) -> tuple[Poly, Poly]:
     """(x A_mu, n S_mu), where A_mu = sum_{i in I} g_i v_i prod_{j in I \\ {i}} (x - rho_j)
     and S_mu = prod_{i in I} (x - rho_i): psi_{mu,nu} = x A_mu - nu n S_mu,
     and neither part depends on nu."""
@@ -245,7 +245,7 @@ def as_pole_den(curve: ASCurve) -> Poly:
     return curve.pole_den
 
 
-def _as_phi_parts(curve: ASCurve, table: MuTable, mu: int) -> tuple[Poly, Poly]:
+def _as_phi_parts(curve: ASCurve, table: dict[int, MuRow], mu: int) -> tuple[Poly, Poly]:
     """(x g_{p-mu}' g_{mu-1}, g_{p-mu} g_{mu-1}): the splitting polynomial
     phi_{mu,nu} is the first minus nu times the second, and neither part
     depends on nu."""

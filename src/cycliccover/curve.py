@@ -61,7 +61,7 @@ class CyclicCover:
         self.l = sum(l for _, l in self.branch)
         self.violations: tuple[Violation, ...] | None = None  # validate
         self.ram: RamData | None = None  # ram_data
-        self.mu_tables: dict[str, MuTable] = {}  # mu_table, per mu-range policy
+        self.mu_tables: dict[str, dict[int, MuRow]] = {}  # mu_table, per mu-range policy
         self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
         self.family_table: FamilyTable | None = None  # funcfield: relation, dy, trace index
         self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
@@ -104,7 +104,7 @@ class ASCurve(CyclicCover):
         self.p = spec.p
         self.f = f
         self.branch_poly = Poly.from_roots(spec, self.branch)
-        self.r_fn = RatFn(f, self.branch_poly) if not f.is_zero else RatFn.zero(spec)
+        self.r_fn = RatFn(f, self.branch_poly)
 
     @property
     def degree(self) -> int:
@@ -233,20 +233,6 @@ class MuRow(NamedTuple):
     I: tuple[int, ...]  # 1-based branch indices with v_i != 0
 
 
-class MuTable:
-    """Euclidean-division rows indexed by mu for the active policy range."""
-
-    def __init__(self, policy: str, rows: dict[int, MuRow]):
-        self.policy = policy
-        self.rows = rows
-
-    def __getitem__(self, mu: int) -> MuRow:
-        return self.rows[mu]
-
-    def mus(self) -> list[int]:
-        return sorted(self.rows)
-
-
 POLICIES = ("paper", "extended")
 
 
@@ -255,8 +241,9 @@ def _check_policy(range_policy: str) -> None:
         raise ValueError(f"unknown mu-range policy {range_policy!r}; use one of {POLICIES}")
 
 
-def mu_table(curve: Curve, range_policy: str = "extended") -> MuTable:
-    """The m_i / v_i / g_mu / t table over the policy's mu range.
+def mu_table(curve: Curve, range_policy: str = "extended") -> dict[int, MuRow]:
+    """The m_i / v_i / g_mu / t rows over the policy's mu range, keyed by
+    mu, mu ascending.
 
     Kummer curves use mu in 1..n-1 under both policies.  Artin-Schreier
     curves use 1..p-1 under the paper policy and 0..p-1 under the
@@ -291,8 +278,8 @@ def mu_table(curve: Curve, range_policy: str = "extended") -> MuTable:
         g_mu = Poly.from_roots(curve.spec, [(entry.rho, m) for entry, m in zip(ram.branch, ms)])
         I = tuple(i for i, v in enumerate(vs, start=1) if v != 0)
         rows[mu] = MuRow(mu, ms, vs, g_mu, t, I)
-    table = curve.mu_tables[range_policy] = MuTable(range_policy, rows)
-    return table
+    curve.mu_tables[range_policy] = rows
+    return rows
 
 
 def genus_rh(curve: Curve) -> int:
@@ -312,4 +299,4 @@ def genus_rh(curve: Curve) -> int:
 def genus_from_basis(curve: Curve, range_policy: str = "extended") -> int:
     """Genus as the basis count sum of max(t_mu - 1, 0) over the active range."""
     table = mu_table(curve, range_policy)
-    return sum(max(row.t - 1, 0) for row in table.rows.values())
+    return sum(max(row.t - 1, 0) for row in table.values())

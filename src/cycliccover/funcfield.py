@@ -15,7 +15,8 @@ the pairing have one code path each that reads the family facts from
 An element holds its ``terms``: the pairs (j, a_j) with a_j a nonzero
 rational function, j ascending, reduced by the relation after every
 product.  ``FFElem(curve, terms)`` takes (j, a) pairs, adds those at
-one j and drops zero sums; there is no dense form.  The basis elements
+one j and drops zero sums, so a sum of elements is the constructor on
+their joined terms; there is no dense form.  The basis elements
 are single y-monomials and a de Rham slot has at most two terms, so
 every walk, sum and negation visits only the nonzero coefficients.
 Differentials are (element) * dx, since x is a separating variable in
@@ -70,7 +71,7 @@ def _family_table(curve: Curve) -> FamilyTable:
         if curve.kind == "kummer":
             inv_n = curve.spec.element(curve.n).inverse()
             curve.family_table = FamilyTable(
-                relation=RatFn.from_poly(curve.f), relation_has_y=False,
+                relation=RatFn(curve.f), relation_has_y=False,
                 dy_coeff=RatFn(curve.f.derivative(), curve.f) * inv_n, dy_exponent=1,
                 trace_index=0,
             )
@@ -122,10 +123,6 @@ class FFElem:
         return cls.monomial(curve, 1, RatFn.one(curve.spec))
 
     @classmethod
-    def from_ratfn(cls, curve: Curve, a: RatFn) -> FFElem:
-        return cls.monomial(curve, 0, a)
-
-    @classmethod
     def monomial(cls, curve: Curve, j: int, a: RatFn) -> FFElem:
         deg = curve.degree
         if not 0 <= j < deg:
@@ -151,13 +148,6 @@ class FFElem:
         return hash((id(self.curve), self.terms))
 
     # -- ring operations -----------------------------------------------------------
-
-    def __add__(self, other: FFElem) -> FFElem:
-        self._check(other)
-        return FFElem._of(self.curve, _summed(self.terms + other.terms))
-
-    def __sub__(self, other: FFElem) -> FFElem:
-        return self + -other
 
     def __neg__(self) -> FFElem:
         return FFElem._of(self.curve, tuple((j, -a) for j, a in self.terms))
@@ -240,10 +230,6 @@ class FFDiff:
     def __init__(self, coeff: FFElem):
         self.coeff = coeff
 
-    @classmethod
-    def zero(cls, curve: Curve) -> FFDiff:
-        return cls(FFElem.zero(curve))
-
     @property
     def curve(self) -> Curve:
         return self.coeff.curve
@@ -251,12 +237,6 @@ class FFDiff:
     @property
     def is_zero(self) -> bool:
         return self.coeff.is_zero
-
-    def __add__(self, other: FFDiff) -> FFDiff:
-        return FFDiff(self.coeff + other.coeff)
-
-    def __sub__(self, other: FFDiff) -> FFDiff:
-        return FFDiff(self.coeff - other.coeff)
 
     def __neg__(self) -> FFDiff:
         return FFDiff(-self.coeff)

@@ -393,12 +393,6 @@ class FieldElement:
     def inverse(self) -> FieldElement:
         return FieldElement(self.spec, self.spec.inv(self.encoding))
 
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero field element")
-        return self * other.inverse()
-
     def __pow__(self, e: int) -> FieldElement:
         return FieldElement(self.spec, self.spec.pow(self.encoding, e))
 

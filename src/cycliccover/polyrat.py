@@ -5,7 +5,7 @@ encodings (see ``gf``) with no trailing zero, so representations are
 unique; the zero polynomial is the empty tuple and its degree is the
 -infinity sentinel (never -1, so degree arithmetic stays honest).  A
 ``FieldElement`` is made or read only at the boundary: the constructors, a
-scalar factor, ``coeffs``, ``leading``, ``evaluate`` and rendering; a
+scalar factor, ``coeffs``, ``evaluate`` and rendering; a
 residue is an encoding.  A ``RatFn`` is a pair num/den kept fully reduced
 with monic denominator; zero is 0/1.
 
@@ -127,10 +127,6 @@ class Poly:
         return _poly(spec, [0, 1])
 
     @classmethod
-    def constant(cls, c: FieldElement) -> Poly:
-        return _poly(c.spec, [c.encoding])
-
-    @classmethod
     def monomial(cls, spec: FieldSpec, k: int, c: FieldElement | None = None) -> Poly:
         return _poly(spec, [0] * k + [1 if c is None else c.encoding])
 
@@ -152,12 +148,6 @@ class Poly:
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.spec, c) for c in self.ints)
-
-    @property
-    def leading(self) -> FieldElement:
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.spec, self.ints[-1])
 
     def _scale(self, c: int) -> Poly:
         if not c:
@@ -229,9 +219,6 @@ class Poly:
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
 
     # -- calculus and evaluation ------------------------------------------------
 
@@ -516,18 +503,6 @@ class RatFn:
     def one(cls, spec: FieldSpec) -> RatFn:
         return cls(Poly.one(spec))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> RatFn:
-        return cls(p, Poly.one(p.spec), _reduced=True)
-
-    @classmethod
-    def constant(cls, c: FieldElement) -> RatFn:
-        return cls(Poly.constant(c))
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.num.spec
-
     @property
     def is_zero(self) -> bool:
         return not self.num.ints
@@ -540,12 +515,6 @@ class RatFn:
         if other.is_zero:
             return self
         num = self.num * other.den + other.num * self.den
-        return RatFn(num, self.den * other.den)
-
-    def __sub__(self, other: RatFn) -> RatFn:
-        if other.is_zero:
-            return self
-        num = self.num * other.den - other.num * self.den
         return RatFn(num, self.den * other.den)
 
     def __neg__(self) -> RatFn:
@@ -567,14 +536,6 @@ class RatFn:
         return RatFn(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> RatFn:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFn(self.den, self.num)
-
-    def __truediv__(self, other: RatFn) -> RatFn:
-        return self * other.inverse()
 
     def derivative(self) -> RatFn:
         """Formal derivative via the quotient rule."""

@@ -51,10 +51,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .cohomology import (
-    Bases, DeRhamClass, DeRhamTriple, as_pole_den, as_psi, build_bases, map_i, map_p, off_fiber_poles,
-)
-from .curve import ASCurve, Curve, KummerCurve, MuTable, RamData, genus_rh, mu_table, ram_data, validate
+from .cohomology import Bases, DeRhamTriple, as_pole_den, as_psi, build_bases, map_i, map_p, off_fiber_poles
+from .curve import ASCurve, Curve, KummerCurve, MuRow, RamData, genus_rh, mu_table, ram_data, validate
 from .funcfield import FFDiff, FFElem, pairing_matrix, place_classes, poles, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, _axpy, _horner, fraction_sum
@@ -109,14 +107,6 @@ def duality_matrix(curve: Curve, bases: Bases) -> tuple[list[list[int]], CheckRe
     return matrix, result
 
 
-def _triple(item: DeRhamTriple | DeRhamClass, label: str | None) -> tuple[DeRhamTriple, str]:
-    """The triple of a class or bare triple, and its label (given, the
-    class's own, or "triple")."""
-    if isinstance(item, DeRhamClass):
-        return item.triple, label or item.label
-    return item, label or "triple"
-
-
 def _dx_sums(f: FFElem, terms: Sequence[tuple[int, Poly, Poly]]) -> dict[int, tuple[Poly, Poly]]:
     """Per y index that has a nonzero term, the dx coefficient of d f plus
     the (index, num, den) terms as one unreduced fraction num/den: the sum
@@ -140,11 +130,10 @@ def _cocycle_sums(triple: DeRhamTriple) -> dict[int, tuple[Poly, Poly]]:
     return _dx_sums(f, slots)
 
 
-def cocycle_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> CheckResult:
+def cocycle_check(triple: DeRhamTriple, label: str) -> CheckResult:
     """d f_0inf = omega_0 - omega_inf, demanded as exact equality: every
     y coefficient of the difference, summed unreduced, has numerator zero.
     A failing check reduces the sums into the residual it reports."""
-    triple, label = _triple(item, label)
     name = f"cocycle:{label}"
     sums = _cocycle_sums(triple)
     if all(num.is_zero for num, _ in sums.values()):
@@ -159,11 +148,10 @@ def cocycle_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) ->
     )
 
 
-def locus_check(item: DeRhamTriple | DeRhamClass, label: str | None = None) -> CheckResult:
+def locus_check(triple: DeRhamTriple, label: str) -> CheckResult:
     """Membership of the three slots in their sheaves: omega_0 regular off
     the fiber over 0, omega_inf off the fiber over infinity, f_0inf off
     both fibers."""
-    triple, label = _triple(item, label)
     name = f"locus:{label}"
     slots = (
         ("omega_0", poles(triple.omega0, lambda pl: pl.covers_zero)),
@@ -212,12 +200,12 @@ def _failed(items: Sequence[_Item]) -> list[dict]:
     ]
 
 
-def _kummer_rows(curve: KummerCurve, table: MuTable, ram: RamData, dx: FFDiff, g: int) -> list[_Row]:
+def _kummer_rows(curve: KummerCurve, table: dict[int, MuRow], ram: RamData, dx: FFDiff, g: int) -> list[_Row]:
     rows = [
         _Row("y", FFElem.y(curve), [b.lam for b in ram.branch], 0, -curve.t),
         _Row("dx", dx, [b.e - 1 for b in ram.branch], 0, -2, 2 * g - 2),
     ]
-    for mu in table.mus():
+    for mu in table:
         row = table[mu]
         elem = FFElem.monomial(curve, mu, RatFn(Poly.one(curve.spec), row.g_mu))
         rows.append(_Row(f"y^{mu}/g_{mu}", elem, row.v, 0, -row.t))
@@ -238,7 +226,7 @@ def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElemen
     return Poly.from_encodings(spec, acc[-2::-1])
 
 
-def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list[_Item]:
+def _kummer_identities(curve: KummerCurve, table: dict[int, MuRow], ram: RamData) -> list[_Item]:
     """Per mu: the gg product and the log derivative of phi, whose
     prod_(I-i) (x - rho) are quotients of the support prod_I (x - rho).
     The gg items of mu and n - mu test one product: when the two rows
@@ -247,7 +235,7 @@ def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list
     spec = curve.spec
     items = []
     pending: dict[int, tuple[Poly, bool]] = {}  # n - mu -> the support and gg verdict it shares with mu
-    for mu in table.mus():
+    for mu in table:
         row, partner = table[mu], table[curve.n - mu]
         if mu in pending:
             support, gg = pending.pop(mu)
@@ -264,7 +252,7 @@ def _kummer_identities(curve: KummerCurve, table: MuTable, ram: RamData) -> list
     return items
 
 
-def _as_rows(curve: ASCurve, table: MuTable, dx: FFDiff, g: int) -> list[_Row]:
+def _as_rows(curve: ASCurve, table: dict[int, MuRow], dx: FFDiff, g: int) -> list[_Row]:
     p = curve.p
     ls = [l for _, l in curve.branch]
     rows = [
@@ -274,18 +262,18 @@ def _as_rows(curve: ASCurve, table: MuTable, dx: FFDiff, g: int) -> list[_Row]:
             shift=curve.l, degree_label="y (pole part balanced by deg f)",
         ),
         _Row(
-            "prod (x-rho)^l", FFElem.from_ratfn(curve, RatFn.from_poly(curve.branch_poly)),
+            "prod (x-rho)^l", FFElem.monomial(curve, 0, RatFn(curve.branch_poly)),
             [p * l for l in ls], 0, -curve.l,
         ),
         _Row("dx", dx, [(p - 1) * (l + 1) for l in ls], 0, -2, 2 * g - 2),
     ]
-    for mu in table.mus():
+    for mu in table:
         row = table[mu]
         if row.g_mu.degree != 0:  # a constant has the trivial divisor
-            elem = FFElem.from_ratfn(curve, RatFn.from_poly(row.g_mu))
+            elem = FFElem.monomial(curve, 0, RatFn(row.g_mu))
             rows.append(_Row(f"g_{mu}", elem, [p * m for m in row.m], 0, -row.t))
     # g_m y^{mu-1} with mu = p - m: the pole parts, and the exponent identity
-    for m in table.mus():
+    for m in table:
         row, mu = table[m], p - m
         label = f"g_{m}*y^{mu - 1}"
         exponents = [p * mi - (mu - 1) * l for mi, l in zip(row.m, ls)]
@@ -293,7 +281,7 @@ def _as_rows(curve: ASCurve, table: MuTable, dx: FFDiff, g: int) -> list[_Row]:
             (got == p - 1 - v and got >= 0, p - 1 - v, got, "exponent:{} at branch[{}]", (label, i))
             for i, (got, v) in enumerate(zip(exponents, row.v), start=1)
         ]
-        elem = FFElem.monomial(curve, mu - 1, RatFn.from_poly(row.g_mu))
+        elem = FFElem.monomial(curve, mu - 1, RatFn(row.g_mu))
         rows.append(
             _Row(
                 label, elem, exponents, 0, -row.t,
@@ -321,7 +309,7 @@ def divisor_checks(curve: Curve) -> CheckResult:
     spec = curve.spec
     g = genus_rh(curve)
     dx = FFDiff(FFElem.one(curve))
-    x_elem = FFElem.from_ratfn(curve, RatFn.from_poly(Poly.x(spec)))
+    x_elem = FFElem.monomial(curve, 0, RatFn(Poly.x(spec)))
     x_row = _Row("x", x_elem, [b.e if b.rho.is_zero else 0 for b in ram.branch], 1, -1)
     if curve.kind == "kummer":
         rows = [x_row] + _kummer_rows(curve, table, ram, dx, g)
@@ -351,7 +339,7 @@ def divisor_checks(curve: Curve) -> CheckResult:
         ok = _dy_matches(curve, psi, pole_den)
         shown = (None, None)  # a passing item is not reported
         if not ok:
-            expected_dy = FFDiff(FFElem.from_ratfn(curve, RatFn(psi, pole_den)))
+            expected_dy = FFDiff(FFElem.monomial(curve, 0, RatFn(psi, pole_den)))
             shown = (expected_dy.render(), FFElem.y(curve).exterior_d().render())
         items.append((ok, *shown, "{}", ("dy == psi / prod (x-rho)^{l+1} dx",)))
 
@@ -456,8 +444,8 @@ def full_report(curve: Curve, options: VerifyOptions | None = None) -> Report:
     matrix, duality = duality_matrix(curve, bases)
     checks.append(duality)
     for cls in bases.derham:
-        checks.append(cocycle_check(cls))
-        checks.append(locus_check(cls))
+        checks.append(cocycle_check(cls.triple, cls.label))
+        checks.append(locus_check(cls.triple, cls.label))
     checks.append(exactness_check(curve, bases, matrix))
     all_pass = all(c.status == "pass" for c in checks)
     return Report(checks, all_pass=all_pass, pairing_matrix=matrix, bases=bases)

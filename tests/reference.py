@@ -1,9 +1,12 @@
 """Reference routes the tests compare the report path against: the Galois
 action and its root of unity, the traces, powers and scaling, the Kummer
 psi and the Artin-Schreier omega_mu.  Each is written from the curve data
-(n, zeta_n, the branch points, the mu-tables) on ``FFElem`` ``+``/``*``,
-``RatFn`` and ``Poly``; none reads the curve's family table, so an oracle
-built on them shares no code with the path it checks.
+(n, zeta_n, the branch points, the mu-tables) on the ``FFElem``
+constructor and ``*``, ``RatFn`` and ``Poly``; none reads the curve's
+family table, so an oracle built on them shares no code with the path it
+checks.  The reduced cocycle residual (``cocycle_residual``) takes d f_0inf
+from ``exterior_d``, which ``test_cocycle_regression`` checks against a
+derivative written term by term.
 
 The dense walks (``dense_*``) work on plain y-coefficient vectors
 (a_0, ..., a_{deg-1}) of ``RatFn``, visiting every index, zero or not
@@ -64,10 +67,8 @@ def galois(h: FFElem, j: int) -> FFElem:
 
 
 def orbit_sum(h: FFElem) -> FFElem:
-    total = h
-    for j in range(1, h.curve.degree):
-        total = total + galois(h, j)
-    return total
+    """The sum of the Galois orbit of h, one element on every image's terms."""
+    return FFElem(h.curve, h.terms + tuple(term for j in range(1, h.curve.degree) for term in galois(h, j).terms))
 
 
 def trace_by_orbit(h: FFElem) -> RatFn:
@@ -132,19 +133,22 @@ def kummer_psi(curve, mu: int, nu: int, table) -> Poly:
 def as_omega_mu(curve, mu: int, table) -> FFDiff:
     """(mu - 1) g_{p-mu} y^(mu-2) / prod (x - rho_i)^(l_i + 1) dx, zero at mu = 1."""
     if mu == 1:
-        return FFDiff.zero(curve)
+        return FFDiff(FFElem.zero(curve))
     spec = curve.spec
     num = table[curve.p - mu].g_mu * spec.element(mu - 1)
     den = _linear_product(spec, [(rho, l + 1) for rho, l in curve.branch])
     return FFDiff(FFElem.monomial(curve, mu - 2, RatFn(num, den)))
 
 
+def cocycle_residual(triple) -> FFElem:
+    """The dx coefficient of d f_0inf - omega_0 + omega_inf in reduced
+    arithmetic: one element on the terms of ``exterior_d`` and of the slots."""
+    terms = triple.f0inf.exterior_d().coeff.terms + (-triple.omega0).coeff.terms + triple.omega_inf.coeff.terms
+    return FFElem(triple.f0inf.curve, terms)
+
+
 def dense_add(a, b) -> list[RatFn]:
     return [x + y for x, y in zip(a, b)]
-
-
-def dense_sub(a, b) -> list[RatFn]:
-    return [x - y for x, y in zip(a, b)]
 
 
 def dense_neg(a) -> list[RatFn]:
@@ -163,7 +167,7 @@ def dense_mul(curve, a, b) -> list[RatFn]:
         for j, y in enumerate(b):
             raw[i + j] = raw[i + j] + x * y
     kummer = curve.kind == "kummer"
-    relation = RatFn.from_poly(curve.f) if kummer else curve.r_fn
+    relation = RatFn(curve.f) if kummer else curve.r_fn
     out = raw[:deg]
     for k in range(deg, 2 * deg - 1):
         out[k - deg] = out[k - deg] + raw[k] * relation

@@ -282,6 +282,40 @@ def test_booleans_inside_lists_are_rejected(doc, position, tmp_path, capsys):
     assert re.match(rf"error: {position}: expected ", capsys.readouterr().err)
 
 
+F9_KUMMER = {
+    "type": "kummer", "p": 3, "ext_modulus": [1, 0, 1], "n": 4,
+    "branch": [{"rho": [0, 1], "l": 1}, {"rho": [1, 1], "l": 1}, {"rho": 1, "l": 1}, {"rho": 2, "l": 1}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc,position,value,p",
+    [
+        # in F_9 an integer is a constant: 7 would be read as 1, not as the element [1, 2] of encoding 7
+        ({**F9_KUMMER, "branch": F9_KUMMER["branch"][:2] + [{"rho": 7, "l": 1}, {"rho": 2, "l": 1}]},
+         r"branch\[2\]\.rho", 7, 3),
+        ({**F9_KUMMER, "branch": [{"rho": [0, 4], "l": 1}] + F9_KUMMER["branch"][1:]},
+         r"branch\[0\]\.rho\[1\]", 4, 3),
+        ({**F9_KUMMER, "ext_modulus": [1, 0, 4]}, r"ext_modulus\[2\]", 4, 3),
+        ({**F9_KUMMER, "ext_modulus": [-2, 0, 1]}, r"ext_modulus\[0\]", -2, 3),
+        # 6 would be read as 1 and collide with the branch point 1
+        ({"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 6, "l": 1}, {"rho": 1, "l": 1}]},
+         r"branch\[0\]\.rho", 6, 5),
+        ({**AS_P3, "branch": [{"rho": -2, "l": 1}, AS_BRANCH[1]]}, r"branch\[0\]\.rho", -2, 3),
+        ({**AS_P3, "f": [1, 0, 4]}, r"f\[2\]", 4, 3),
+    ],
+)
+def test_field_values_outside_the_residues_mod_p_are_rejected(doc, position, value, p):
+    with pytest.raises(SpecFileError, match=rf"^{position}: {value} is outside 0\.\.{p - 1}$"):
+        parse_curve_spec(doc)
+
+
+def test_the_largest_residues_mod_p_are_read_as_written():
+    doc = {**F9_KUMMER, "branch": F9_KUMMER["branch"][:2] + [{"rho": [1, 2], "l": 1}, {"rho": 2, "l": 1}]}
+    assert curve_to_spec_doc(parse_curve_spec(doc))["branch"][2] == {"rho": [1, 2], "l": 1}
+    assert parse_curve_spec({**AS_P3, "f": [2, 0, 2]}).f.ints == (2, 0, 2)
+
+
 HOSTILE_SWEEPS = {
     "p_max": ["--p-max", "1000000000"],
     "l_max": ["--l-max", "1000"],

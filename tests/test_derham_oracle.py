@@ -59,8 +59,10 @@ def scaled_route(curve, policy, sign):
             lo_phi, hi_phi = split_at_degree(phi, nu + 1, inclusive=False)
             lo_psi, hi_psi = split_at_degree(as_psi(curve), nu, inclusive=False)
             x_nu1, x_nu = Poly.monomial(spec, nu + 1), Poly.monomial(spec, nu)
-            omega0 = scale(w_prev, RatFn(lo_phi, x_nu1)) + scale(omega_mu, RatFn(lo_psi, x_nu))
-            omega_inf = scale(w_prev, RatFn(hi_phi, x_nu1)) + scale(omega_mu, RatFn(hi_psi, x_nu))
+            omega0 = FFDiff(FFElem(curve, scale(w_prev, RatFn(lo_phi, x_nu1)).coeff.terms
+                                   + scale(omega_mu, RatFn(lo_psi, x_nu)).coeff.terms))
+            omega_inf = FFDiff(FFElem(curve, scale(w_prev, RatFn(hi_phi, x_nu1)).coeff.terms
+                                      + scale(omega_mu, RatFn(hi_psi, x_nu)).coeff.terms))
             f0inf = FFElem.monomial(curve, mu - 1, RatFn(g_pm, x_nu))
         if sign == "negated-infty":
             omega_inf = -omega_inf

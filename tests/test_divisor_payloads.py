@@ -18,7 +18,6 @@ import pytest
 
 from cycliccover import verify
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
-from cycliccover.curve import MuTable
 from cycliccover.polyrat import Poly
 
 REPO = Path(__file__).resolve().parents[1]
@@ -55,8 +54,7 @@ def _forced_failure(doc: dict) -> dict:
         original = table(c, range_policy)
         if c.kind == "kummer":
             return original
-        rows = {mu: row._replace(v=tuple(v + 1 for v in row.v)) for mu, row in original.rows.items()}
-        return MuTable(original.policy, rows)
+        return {mu: row._replace(v=tuple(v + 1 for v in row.v)) for mu, row in original.items()}
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "valuation_bound", shifted_bound)

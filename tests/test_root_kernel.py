@@ -59,7 +59,7 @@ def test_the_kernel_edge_cases(name):
     roots = [(rho.encoding, 2)]
     for num, e in (
         (Poly.zero(spec), 3),  # a zero numerator is 0/1
-        (Poly.constant(top), 2),  # a non-monic constant: nothing cancels, den kept
+        (Poly.monomial(spec, 0, top), 2),  # a non-monic constant: nothing cancels, den kept
         (Poly.monomial(spec, 5, top), 2),  # the x-order above e
         (Poly.monomial(spec, 1, top), 4),  # the x-order below e
         (Poly.from_roots(spec, [(rho, 3)]) * top, 0),  # the multiplicity above m

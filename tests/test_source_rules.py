@@ -18,8 +18,12 @@ No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check, nor the name of a retired
 second route to a value (a wrapper beside ``pairing_matrix``,
-``build_bases`` or ``fraction_residue``, or the root of unity the Galois
-oracle keeps), so each value keeps one way in.  The coefficient loops that
+``build_bases`` or ``fraction_residue``, the root of unity the Galois
+oracle keeps, the ``MuTable`` wrapper of the mu-table dict, the
+class-or-triple fork ``_triple`` of the de Rham checks, or an unreached
+operator or second constructor of a value type, banned by its
+class-qualified name such as ``RatFn.inverse``), so each value and each
+operation keeps one way in.  The coefficient loops that
 read the field tables inline, and the root walks that call the row kernel
 ``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
 one to a local, so no per-coefficient call comes back.  Only ``gf`` and
@@ -91,9 +95,13 @@ REFERENCE_NAMES = (
     "gen_a", "gen_b", "trace_value", "pairing_scale", "KummerAux", "ASAux",
 )
 RECORD_MACHINERY = ("dataclass", "cached_property")  # the record idiom that NamedTuple replaced
-# retired second routes to a value that no src/ definition may be named
+# retired second routes to a value that no src/ definition may be named; a class-qualified
+# name bans the method (or a class-level alias) of that name in that class only
 RETIRED_NAMES = (
     "pairing", "h1_coordinates", "require_h1_class", "derham_basis", "residue_at_infinity", "nth_root_of_unity",
+    "MuTable", "_triple", "FieldElement.__truediv__", "Poly.constant", "Poly.leading", "Poly.__mod__",
+    "RatFn.from_poly", "RatFn.constant", "RatFn.spec", "RatFn.__sub__", "RatFn.inverse", "RatFn.__truediv__",
+    "FFElem.__add__", "FFElem.__sub__", "FFElem.from_ratfn", "FFDiff.zero", "FFDiff.__add__", "FFDiff.__sub__",
 )
 
 
@@ -409,7 +417,8 @@ def test_the_valuation_rule_catches_violations():
 
 def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
     """Each class, function or field (an annotated name in a class body)
-    that takes a banned name."""
+    that takes a banned name, and each method or class-level alias whose
+    class-qualified name (``RatFn.inverse``) is banned."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -417,6 +426,10 @@ def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
         if isinstance(node, ast.ClassDef):
             found += [(sub.lineno, sub.target.id) for sub in node.body
                       if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
+            found += [(sub.lineno, f"{node.name}.{sub.name}") for sub in node.body
+                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            found += [(sub.lineno, f"{node.name}.{target.id}") for sub in node.body if isinstance(sub, ast.Assign)
+                      for target in sub.targets if isinstance(target, ast.Name)]
     return [f"line {line}: names {name}" for line, name in sorted(found) if name in banned]
 
 
@@ -467,12 +480,22 @@ def test_the_retired_name_rule_catches_violations():
         "    derham: list\n"
         "    def h1_coordinates(self, f):\n"
         "        return nth_root_of_unity(self.spec, 2)\n"
+        "class RatFn:\n"
+        "    def inverse(self):\n"
+        "        return RatFn(self.den, self.num)\n"
+        "class FFElem:\n"
+        "    def inverse(self):\n"
+        "        return self\n"
+        "    __add__ = _plus\n"
+        "    __mul__ = _times\n"
     )
     assert _definitions(tree, RETIRED_NAMES) == [
         "line 1: names pairing",
         "line 4: names residue_at_infinity",
         "line 7: names derham_basis",
         "line 9: names h1_coordinates",
+        "line 12: names RatFn.inverse",
+        "line 17: names FFElem.__add__",
     ]
 
 

@@ -93,7 +93,7 @@ def _char_poly(h: FFElem) -> list[RatFn]:
     for j in range(h.curve.degree):
         root = galois(h, j)
         cs = [
-            (cs[k] if k < len(cs) else FFElem.zero(h.curve)) - (root * cs[k - 1] if k else FFElem.zero(h.curve))
+            FFElem(h.curve, (cs[k].terms if k < len(cs) else ()) + ((-(root * cs[k - 1])).terms if k else ()))
             for k in range(len(cs) + 1)
         ]
     assert all(a.is_zero for c in cs for a in dense(c)[1:]), "the coefficients lie in F_q(x)"
@@ -197,7 +197,7 @@ def test_the_oracle_separates_the_points_of_a_class():
     # two of the four conjugates have the least valuation
     curve = CURVES["kummer_n4_F5"]
     inv_lin = RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))
-    h = scale(FFElem.monomial(curve, 2, inv_lin) - FFElem.one(curve), inv_lin)
+    h = scale(FFElem(curve, [(2, inv_lin), (0, -RatFn.one(F5))]), inv_lin)  # (u - 1)/(x - 1)
     place = place_classes(curve)[0]
     assert newton_valuation(_char_poly(h), 2, place) == (-2, 2)
     assert valuation_bound(h, place) == -2
@@ -210,7 +210,7 @@ def test_the_kept_tuple_is_a_fresh_walk_and_zero_has_none():
         copy = FFElem(h.curve, h.terms)
         assert copy._valuations is None and valuations(copy) == kept
     for curve in CURVES.values():
-        for obj in (FFElem.zero(curve), FFDiff.zero(curve)):
+        for obj in (FFElem.zero(curve), FFDiff(FFElem.zero(curve))):
             with pytest.raises(ValueError, match="valuation of the zero element is undefined"):
                 valuations(obj)
             with pytest.raises(ValueError, match="valuation of the zero element is undefined"):

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from reference import scale
+from reference import cocycle_residual, scale
 
 from cycliccover import cohomology, verify
 from cycliccover.cli import enumerate_kummer_specs, parse_curve_spec
@@ -63,33 +63,33 @@ def test_cocycle_check_refuses_slots_on_mismatched_curves():
     triple = build_bases(QUARTIC).derham[0].triple
     other = FFDiff(FFElem.one(AS_P3))
     with pytest.raises(ValueError, match="mismatched curves"):
-        cocycle_check(DeRhamTriple(triple.omega0, other, triple.f0inf))
+        cocycle_check(DeRhamTriple(triple.omega0, other, triple.f0inf), "mismatched")
 
 
 def test_cocycle_check_examples():
     classes = build_bases(QUARTIC).derham
-    assert cocycle_check(classes[0]).status == "pass"
-    assert cocycle_check(classes[0]).name == "cocycle:a[1,1]"
-    assert cocycle_check(classes[1]).status == "pass"  # delta
+    assert cocycle_check(classes[0].triple, classes[0].label).status == "pass"
+    assert cocycle_check(classes[0].triple, classes[0].label).name == "cocycle:a[1,1]"
+    assert cocycle_check(classes[1].triple, classes[1].label).status == "pass"  # delta
 
-    paper = build_bases(QUARTIC, sign_convention="paper").derham[0]
-    result = cocycle_check(paper)
+    paper = build_bases(QUARTIC, sign_convention="paper").derham[0].triple
+    result = cocycle_check(paper, "a[1,1]")
     assert result.status == "fail"
     # diagnostic identity: the residual is exactly twice the infinity slot
-    residual = paper.triple.f0inf.exterior_d() - paper.triple.omega0 + paper.triple.omega_inf
-    assert residual == paper.triple.omega_inf + paper.triple.omega_inf
+    residual = FFDiff(cocycle_residual(paper))
+    assert residual == scale(paper.omega_inf, F5.element(2))
     assert result.payload["residual"] == residual.render()
 
 
 def test_locus_check_passes_on_emitted_triples():
     for curve in (QUARTIC, AS_P3, GENUS6):
         for cls in build_bases(curve).derham:
-            assert locus_check(cls).status == "pass"
+            assert locus_check(cls.triple, cls.label).status == "pass"
 
 
 def test_locus_check_engineered_failure():
     # omega_0 with a pole at a branch point is a confirmed violation
-    bad = FFDiff(FFElem.from_ratfn(QUARTIC, RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))))
+    bad = FFDiff(FFElem.monomial(QUARTIC, 0, RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))))
     holom = omega_basis(QUARTIC)[0][1]
     triple = DeRhamTriple(bad, holom, FFElem.zero(QUARTIC))
     result = locus_check(triple, "engineered")
@@ -98,7 +98,8 @@ def test_locus_check_engineered_failure():
 
 
 def _locus_on_f0inf(elem):
-    return locus_check(DeRhamTriple(FFDiff.zero(elem.curve), FFDiff.zero(elem.curve), elem), "engineered")
+    zero = FFDiff(FFElem.zero(elem.curve))
+    return locus_check(DeRhamTriple(zero, zero, elem), "engineered")
 
 
 def test_locus_check_fails_on_a_tied_minimum_at_both_points():
@@ -107,9 +108,7 @@ def test_locus_check_fails_on_a_tied_minimum_at_both_points():
     # so u + 1 != 0 at both points and each has a double pole
     curve = KummerCurve(F5, 4, [(F5.element(1), 2), (F5.element(2), 1), (F5.element(3), 1)])
     lin = Poly.from_ints(F5, [-1, 1])  # x - 1
-    elem = FFElem.monomial(curve, 2, RatFn(Poly.one(F5), lin * lin)) + FFElem.monomial(
-        curve, 0, RatFn(Poly.one(F5), lin)
-    )
+    elem = FFElem(curve, [(2, RatFn(Poly.one(F5), lin * lin)), (0, RatFn(Poly.one(F5), lin))])
     result = _locus_on_f0inf(elem)
     assert result.status == "fail"
     assert result.details == "f_0inf at branch[1]@1: bound -2"
@@ -120,8 +119,7 @@ def test_locus_check_fails_on_a_pole_at_one_point_of_the_class():
     # (u - 1)/(x-1) cancels at the point u = 1 and has a double pole at u = -1
     curve = KummerCurve(F5, 4, [(F5.element(1), 2), (F5.element(3), 1), (F5.element(4), 1)])
     lin = RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))
-    u = FFElem.monomial(curve, 2, lin)
-    elem = scale(u - FFElem.one(curve), lin)
+    elem = scale(FFElem(curve, [(2, lin), (0, -RatFn.one(F5))]), lin)  # (u - 1)/(x - 1)
     result = _locus_on_f0inf(elem)
     assert result.status == "fail"
     assert result.details == "f_0inf at branch[1]@1: bound -2"
@@ -159,11 +157,10 @@ def test_divisor_checks_cover_the_identity_suite():
     # extrael2 exponent identity on the AS example
     table = mu_table(AS_P3, "extended")
     p = AS_P3.p
-    for m in table.mus():
+    for m, row in table.items():
         mu = p - m
         if mu < 1:
             continue
-        row = table[m]
         for i, (_, l) in enumerate(AS_P3.branch):
             assert p * row.m[i] - (mu - 1) * l == p - 1 - row.v[i]
             assert p * row.m[i] - (mu - 1) * l >= 0
@@ -206,7 +203,7 @@ def test_each_gg_product_is_built_once_per_pair(curve, monkeypatch):
     from cycliccover.curve import mu_table, ram_data
 
     table, ram = mu_table(curve, "extended"), ram_data(curve)
-    mus = table.mus()
+    mus = list(table)
     assert all(table[mu].I == table[curve.n - mu].I for mu in mus)  # n lambda_i = 0 mod e_i
     pairs = {frozenset((mu, curve.n - mu)) for mu in mus}
     against_f, roots = [], []
@@ -315,7 +312,7 @@ def test_the_kummer_identities_build_two_products_of_roots_per_mu(monkeypatch):
     def counted(curve, table, ram):
         before = len(calls)
         items = identities(curve, table, ram)
-        counts.append((len(calls) - before, len(table.mus())))
+        counts.append((len(calls) - before, len(table)))
         return items
 
     monkeypatch.setattr(verify, "_kummer_identities", counted)
