@@ -27,12 +27,13 @@ from .curve import (
     Violation,
     CurveInvalidError,
     validate,
-    ram_data,
+    PlaceClass,
+    place_classes,
     mu_table,
     genus_rh,
     genus_from_basis,
 )
-from .funcfield import FFElem, FFDiff, PlaceClass, place_classes, valuations, valuation_bound
+from .funcfield import FFElem, FFDiff, valuations, valuation_bound
 from .cohomology import (
     BasisIndex,
     DeRhamTriple,
@@ -68,7 +69,6 @@ __all__ = [
     "Violation",
     "CurveInvalidError",
     "validate",
-    "ram_data",
     "mu_table",
     "genus_rh",
     "genus_from_basis",

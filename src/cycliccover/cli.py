@@ -23,7 +23,7 @@ import sys
 from typing import Any, Iterable
 
 from .cohomology import Bases, build_bases
-from .curve import ASCurve, Curve, KummerCurve, genus_from_basis, genus_rh, mu_table, ram_data, validate
+from .curve import ASCurve, Curve, KummerCurve, genus_from_basis, genus_rh, mu_table, place_classes, validate
 from .funcfield import FFDiff, FFElem
 from .gf import FieldElement, FieldSpec, digits, find_irreducible_poly, is_prime
 from .polyrat import Poly
@@ -40,7 +40,7 @@ class SpecFileError(ValueError):
 # with q.  Every corpus in the repository stays far below them (p <= 31,
 # q <= 961, sum l_i <= 20).
 MAX_P = 2**16  # characteristic
-MAX_DEGREE = 512  # sum of |l_i| over the branch points
+MAX_DEGREE = 512  # sum of |l_i| over the branch points, and the number of branch points
 MAX_F_TERMS = MAX_DEGREE + 1  # coefficients of the Artin-Schreier numerator f
 
 # Sweep option bounds: each option must lie in 1..bound, checked before any
@@ -126,6 +126,8 @@ def parse_curve_spec(doc: Any) -> Curve:
     branch_doc = doc["branch"]
     if not isinstance(branch_doc, list):
         raise SpecFileError("branch: expected a list")
+    if len(branch_doc) > MAX_DEGREE:  # each valid l_i is >= 1, so r <= sum l_i
+        raise SpecFileError(f"branch: {len(branch_doc)} branch points exceed the budget {MAX_DEGREE}")
     branch = []
     for i, entry in enumerate(branch_doc):
         where = f"branch[{i}]"
@@ -198,21 +200,22 @@ def curve_to_spec_doc(curve: Curve) -> dict:
 
 
 def curve_section(curve: Curve, policy: str) -> dict:
-    ram = ram_data(curve)
+    places = place_classes(curve)
     table = mu_table(curve, policy)
     section = curve_to_spec_doc(curve)
     section["q"] = curve.spec.q
     section["genus"] = genus_rh(curve)
     section["genus_from_basis"] = genus_from_basis(curve, policy)
     ramification = []
-    for entry in ram.branch:
-        row = {"rho": encode_field(entry.rho), "l": entry.l, "e": entry.e, "g": entry.g}
+    for place in places[:curve.r]:
+        row = {"rho": encode_field(place.rho), "l": place.l, "e": place.e, "g": place.npoints}
         if curve.kind == "kummer":
-            row["lambda"] = entry.lam
+            row["lambda"] = place.v_y
         ramification.append(row)
     section["ramification"] = ramification
-    section["zero_conventions"] = {"l0": ram.l0, "e0": ram.e0, "g0": ram.g0}
-    section["points_over_infinity"] = ram.infinity_points
+    zero = next(place for place in places if place.covers_zero)
+    section["zero_conventions"] = {"l0": zero.l, "e0": zero.e, "g0": zero.npoints}
+    section["points_over_infinity"] = places[-1].npoints
     section["mu_table"] = [
         {
             "mu": mu,
@@ -366,8 +369,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     if args.json:
         doc = build_report_document(curve, args.mu_range, args.sign, include_bases=True)
         if args.which != "all":
-            keep = {"omega": ["omega"], "h1": ["h1"], "derham": ["derham"]}[args.which]
-            doc["bases"] = {k: v for k, v in doc["bases"].items() if k in keep}
+            doc["bases"] = {args.which: doc["bases"][args.which]}
         print(_dump(doc))
     else:
         _print_bases_text(curve, args.mu_range, args.sign, args.which)

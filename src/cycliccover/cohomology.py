@@ -68,8 +68,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curve import ASCurve, Curve, KummerCurve, MuRow, mu_table, ram_data
-from .funcfield import FFDiff, FFElem, PlaceClass, pairing_matrix, poles
+from .curve import ASCurve, Curve, KummerCurve, MuRow, PlaceClass, mu_table, place_classes
+from .funcfield import FFDiff, FFElem, pairing_matrix, poles
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, _axpy, reduce_over_roots, split_at_degree
 
@@ -217,8 +217,8 @@ def _kummer_psi_parts(curve: KummerCurve, mu: int, table: dict[int, MuRow]) -> t
     and S_mu = prod_{i in I} (x - rho_i): psi_{mu,nu} = x A_mu - nu n S_mu,
     and neither part depends on nu."""
     row, spec = table[mu], curve.spec
-    branch = ram_data(curve).branch
-    weights = [(branch[i - 1].rho, spec.element(branch[i - 1].g * row.v[i - 1])) for i in row.I]
+    places = place_classes(curve)  # the branch classes first, in branch order
+    weights = [(places[i - 1].rho, spec.element(places[i - 1].npoints * row.v[i - 1])) for i in row.I]
     total, support = _cofactor_parts(spec, weights)
     return total.shift(1), support * spec.element(curve.n)
 

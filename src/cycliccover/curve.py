@@ -29,7 +29,7 @@ from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn
 
 if TYPE_CHECKING:
-    from .funcfield import FamilyTable, PlaceClass
+    from .funcfield import FamilyTable
 
 
 class Violation(NamedTuple):
@@ -60,9 +60,8 @@ class CyclicCover:
         self.r = len(self.branch)
         self.l = sum(l for _, l in self.branch)
         self.violations: tuple[Violation, ...] | None = None  # validate
-        self.ram: RamData | None = None  # ram_data
         self.mu_tables: dict[str, dict[int, MuRow]] = {}  # mu_table, per mu-range policy
-        self.places: tuple[PlaceClass, ...] | None = None  # funcfield.place_classes
+        self.places: tuple[PlaceClass, ...] | None = None  # place_classes
         self.family_table: FamilyTable | None = None  # funcfield: relation, dy, trace index
         self.psi: Poly | None = None  # cohomology.as_psi, Artin-Schreier: numerator of dy
         self.pole_den: Poly | None = None  # cohomology.as_pole_den, Artin-Schreier: denominator of dy
@@ -186,42 +185,51 @@ def require_valid(curve: Curve) -> None:
         raise CurveInvalidError(curve.violations)
 
 
-class BranchRam(NamedTuple):
-    rho: FieldElement
-    l: int
+class PlaceClass(NamedTuple):
+    """All points of X above one point of the projective line, with the
+    local data shared by every point of the class."""
+
+    kind: str  # "branch" | "over_zero" | "over_infinity"
+    index: int | None  # 1-based branch index for kind == "branch"
+    rho: FieldElement | None
+    l: int | None  # l_i at a branch; over 0 the l0 convention (n, resp. None for Artin-Schreier); None over infinity
     e: int
-    g: int
-    lam: int | None  # valuation of y above the point; Kummer only
+    v_y: int
+    v_dx: int
+    npoints: int
+    position: int  # the class's index in place_classes
+    label: str  # the class's name in reports, rendered once per class by place_classes
+
+    @property
+    def covers_zero(self) -> bool:
+        """Whether this class is the fiber over x = 0."""
+        return self.kind == "over_zero" or (self.kind == "branch" and self.rho.is_zero)
 
 
-class RamData(NamedTuple):
-    branch: tuple[BranchRam, ...]
-    l0: int | None
-    e0: int
-    g0: int
-    infinity_points: int
-
-
-def ram_data(curve: Curve) -> RamData:
-    """Ramification data at branch points plus the zero and infinity conventions."""
+def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
+    """The one ramification table: the branch classes in branch order, the
+    fiber over 0 when unbranched, then the fiber over infinity.  A Kummer
+    branch has g_i = gcd(n, l_i) points (``npoints``), e_i = n / g_i and
+    v(y) = lambda_i = l_i / g_i; an Artin-Schreier one has e = p, v(y) = -l_i."""
     require_valid(curve)
-    if curve.ram is not None:
-        return curve.ram
-    entries = []
-    for rho, l in curve.branch:
-        if curve.kind == "kummer":
+    if curve.places is not None:
+        return curve.places
+    kummer = curve.kind == "kummer"
+    out = []
+    for i, (rho, l) in enumerate(curve.branch, start=1):
+        if kummer:
             g = math.gcd(curve.n, l)
-            entries.append(BranchRam(rho=rho, l=l, e=curve.n // g, g=g, lam=l // g))
+            e, v_y, v_dx = curve.n // g, l // g, curve.n // g - 1
         else:
-            entries.append(BranchRam(rho=rho, l=l, e=curve.p, g=1, lam=None))
-    zero_entry = next((entry for entry in entries if entry.rho.is_zero), None)
-    if zero_entry is not None:
-        data = RamData(tuple(entries), zero_entry.l, zero_entry.e, zero_entry.g, curve.degree)
-    else:  # 0 is not a branch point
-        l0 = curve.n if curve.kind == "kummer" else None
-        data = RamData(tuple(entries), l0, 1, curve.degree, curve.degree)
-    curve.ram = data
-    return data
+            g, e, v_y, v_dx = 1, curve.p, -l, (curve.p - 1) * (l + 1)
+        out.append(PlaceClass("branch", i, rho, l, e, v_y, v_dx, g, len(out), f"branch[{i}]@{rho.render()}"))
+    if not any(rho.is_zero for rho, _ in curve.branch):
+        l0 = curve.n if kummer else None
+        out.append(PlaceClass("over_zero", None, curve.spec.zero(), l0, 1, 0, 0, curve.degree, len(out), "over_zero"))
+    v_y = -curve.t if kummer else 0
+    out.append(PlaceClass("over_infinity", None, None, None, 1, v_y, -2, curve.degree, len(out), "over_infinity"))
+    curve.places = tuple(out)
+    return curve.places
 
 
 class MuRow(NamedTuple):
@@ -254,7 +262,7 @@ def mu_table(curve: Curve, range_policy: str = "extended") -> dict[int, MuRow]:
     require_valid(curve)
     if range_policy in curve.mu_tables:
         return curve.mu_tables[range_policy]
-    ram = ram_data(curve)
+    branches = place_classes(curve)[:curve.r]
     p = curve.spec.p
     if curve.kind == "kummer":
         mus = range(1, curve.n)
@@ -263,19 +271,19 @@ def mu_table(curve: Curve, range_policy: str = "extended") -> dict[int, MuRow]:
     rows: dict[int, MuRow] = {}
     for mu in mus:
         if curve.kind == "kummer":
-            divisions = [divmod(mu * entry.lam, entry.e) for entry in ram.branch]
+            divisions = [divmod(mu * b.v_y, b.e) for b in branches]
         else:
-            divisions = [divmod((p - 1 - mu) * entry.l + (p - 1), p) for entry in ram.branch]
+            divisions = [divmod((p - 1 - mu) * b.l + (p - 1), p) for b in branches]
         ms = tuple(m for m, _ in divisions)
         vs = tuple(v for _, v in divisions)
         if curve.kind == "kummer":
-            total = sum(entry.g * v for entry, v in zip(ram.branch, vs))
+            total = sum(b.npoints * v for b, v in zip(branches, vs))
             if total % curve.n:
                 raise ArithmeticError(f"t_{mu} is not an integer, although mu*l == 0 mod n forces it")
             t = total // curve.n
         else:
             t = sum(ms)
-        g_mu = Poly.from_roots(curve.spec, [(entry.rho, m) for entry, m in zip(ram.branch, ms)])
+        g_mu = Poly.from_roots(curve.spec, [(b.rho, m) for b, m in zip(branches, ms)])
         I = tuple(i for i, v in enumerate(vs, start=1) if v != 0)
         rows[mu] = MuRow(mu, ms, vs, g_mu, t, I)
     curve.mu_tables[range_policy] = rows
@@ -286,9 +294,8 @@ def genus_rh(curve: Curve) -> int:
     """Genus from the degree of the canonical divisor; the independent
     oracle for every dimension count."""
     require_valid(curve)
-    if curve.kind == "kummer":
-        ram = ram_data(curve)
-        two_g_minus_2 = -2 * curve.n + sum(e.g * (e.e - 1) for e in ram.branch)
+    if curve.kind == "kummer":  # g_i (e_i - 1) = n - gcd(n, l_i)
+        two_g_minus_2 = -2 * curve.n + sum(curve.n - math.gcd(curve.n, l) for _, l in curve.branch)
     else:
         two_g_minus_2 = -2 * curve.p + sum((curve.p - 1) * (l + 1) for _, l in curve.branch)
     if two_g_minus_2 % 2:

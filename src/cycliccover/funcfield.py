@@ -35,23 +35,22 @@ Regularity questions are answered through ``valuations``, which scores
 each y-monomial a_j y^j at every place class by the exact valuations of
 x - rho, y and dx there and takes the minimum per class.  That minimum
 is the valuation of the class, min_P v_P over its points P, for every
-class ``place_classes`` builds: the minimising monomials share one
-residue of j mod the ramification index, so divided by one of them they
-leave a nonzero polynomial, of degree below the number of points, in a
-unit with pairwise distinct values at those points (Vandermonde; the
-proof is in ``valuation_bound``).  An element's valuations come from one
-walk over its nonzero y coefficients and are kept on the element.
-``valuation_bound`` reads one class from the walk, and ``poles`` zips it
-with the place classes to find the poles of an element or differential
-off an allowed locus.
+class of the curve's ramification table ``curve.place_classes``: the
+minimising monomials share one residue of j mod the ramification index,
+so divided by one of them they leave a nonzero polynomial, of degree
+below the number of points, in a unit with pairwise distinct values at
+those points (Vandermonde; the proof is in ``valuation_bound``).  An
+element's valuations come from one walk over its nonzero y coefficients
+and are kept on the element.  ``valuation_bound`` reads one class from
+the walk, and ``poles`` zips it with the place classes to find the poles
+of an element or differential off an allowed locus.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .curve import Curve, ram_data, require_valid
-from .gf import FieldElement
+from .curve import Curve, PlaceClass, place_classes
 from .polyrat import Poly, RatFn, _x_order, fraction_residue
 
 
@@ -259,47 +258,6 @@ class FFDiff:
 
     def __repr__(self) -> str:
         return f"FFDiff({self.render()})"
-
-
-class PlaceClass(NamedTuple):
-    """All points of X above one point of the projective line, with the
-    local data shared by every point of the class."""
-
-    kind: str  # "branch" | "over_zero" | "over_infinity"
-    index: int | None  # 1-based branch index for kind == "branch"
-    rho: FieldElement | None
-    e: int
-    v_y: int
-    v_dx: int
-    npoints: int
-    position: int  # the class's index in place_classes
-    label: str  # the class's name in reports, rendered once per class by place_classes
-
-    @property
-    def covers_zero(self) -> bool:
-        """Whether this class is the fiber over x = 0."""
-        return self.kind == "over_zero" or (self.kind == "branch" and self.rho.is_zero)
-
-
-def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
-    """Branch classes, the fiber over 0 when unbranched, and the fiber
-    over infinity, in that order."""
-    require_valid(curve)
-    if curve.places is not None:
-        return curve.places
-    ram = ram_data(curve)
-    kummer = curve.kind == "kummer"
-    out = []
-    for i, b in enumerate(ram.branch, start=1):
-        v_y, v_dx = (b.lam, b.e - 1) if kummer else (-b.l, (b.e - 1) * (b.l + 1))
-        label = f"branch[{i}]@{b.rho.render()}"
-        out.append(PlaceClass("branch", i, b.rho, b.e, v_y, v_dx, b.g, len(out), label))
-    if not any(b.rho.is_zero for b in ram.branch):
-        out.append(PlaceClass("over_zero", None, curve.spec.zero(), 1, 0, 0, curve.degree, len(out), "over_zero"))
-    v_y = -curve.t if kummer else 0
-    out.append(PlaceClass("over_infinity", None, None, 1, v_y, -2, curve.degree, len(out), "over_infinity"))
-    curve.places = tuple(out)
-    return curve.places
 
 
 def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:

@@ -31,9 +31,10 @@ makes that image the representative itself.
 
 The divisor check is a table: each divisor is one row holding its label,
 its element or differential, and its closed-form exponents at each branch
-place, over 0 and over infinity, written from the curve, ramification and
-mu-table data (never from the place classes whose valuations are being
-checked), plus the degree its place total must reach.  One loop turns
+place, over 0 and over infinity, written from the spec's branch data and
+the mu-table (never from the ``PlaceClass`` fields whose valuations are
+being checked, so a wrong place formula fails at its place, not only in
+a degree), plus the degree its place total must reach.  One loop turns
 every row into its valuation items and its ``deg(...)`` item; the (x) row
 is shared by both families.  An item holds its verdict, its expected and
 computed values and a label template with its arguments; only a failing
@@ -49,11 +50,12 @@ and renders its two reduced differentials only when it fails.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .cohomology import Bases, DeRhamTriple, as_pole_den, as_psi, build_bases, map_i, map_p, off_fiber_poles
-from .curve import ASCurve, Curve, KummerCurve, MuRow, RamData, genus_rh, mu_table, ram_data, validate
-from .funcfield import FFDiff, FFElem, pairing_matrix, place_classes, poles, valuation_bound
+from .curve import ASCurve, Curve, KummerCurve, MuRow, PlaceClass, genus_rh, mu_table, place_classes, validate
+from .funcfield import FFDiff, FFElem, pairing_matrix, poles, valuation_bound
 from .gf import FieldElement
 from .polyrat import Poly, RatFn, _axpy, _horner, fraction_sum
 
@@ -200,10 +202,10 @@ def _failed(items: Sequence[_Item]) -> list[dict]:
     ]
 
 
-def _kummer_rows(curve: KummerCurve, table: dict[int, MuRow], ram: RamData, dx: FFDiff, g: int) -> list[_Row]:
-    rows = [
-        _Row("y", FFElem.y(curve), [b.lam for b in ram.branch], 0, -curve.t),
-        _Row("dx", dx, [b.e - 1 for b in ram.branch], 0, -2, 2 * g - 2),
+def _kummer_rows(curve: KummerCurve, table: dict[int, MuRow], dx: FFDiff, g: int) -> list[_Row]:
+    rows = [  # at a branch, v(y) = lambda_i = l_i / g_i and v(dx) = e_i - 1, with g_i = gcd(n, l_i)
+        _Row("y", FFElem.y(curve), [l // math.gcd(curve.n, l) for _, l in curve.branch], 0, -curve.t),
+        _Row("dx", dx, [curve.n // math.gcd(curve.n, l) - 1 for _, l in curve.branch], 0, -2, 2 * g - 2),
     ]
     for mu in table:
         row = table[mu]
@@ -226,7 +228,7 @@ def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElemen
     return Poly.from_encodings(spec, acc[-2::-1])
 
 
-def _kummer_identities(curve: KummerCurve, table: dict[int, MuRow], ram: RamData) -> list[_Item]:
+def _kummer_identities(curve: KummerCurve, table: dict[int, MuRow], branches: Sequence[PlaceClass]) -> list[_Item]:
     """Per mu: the gg product and the log derivative of phi, whose
     prod_(I-i) (x - rho) are quotients of the support prod_I (x - rho).
     The gg items of mu and n - mu test one product: when the two rows
@@ -240,13 +242,13 @@ def _kummer_identities(curve: KummerCurve, table: dict[int, MuRow], ram: RamData
         if mu in pending:
             support, gg = pending.pop(mu)
         else:
-            support = Poly.from_roots(spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
+            support = Poly.from_roots(spec, [(branches[i - 1].rho, 1) for i in row.I])
             gg = row.g_mu * partner.g_mu * support == curve.f
             if partner.I == row.I:
                 pending[curve.n - mu] = support, gg
         items.append(_identity(gg, "g_mu * g_{n-mu} * prod_I (x-rho) == f", "gg:mu={}", mu))
-        phi = Poly.from_roots(spec, [(e.rho, v * e.g) for e, v in zip(ram.branch, row.v)])
-        weights = [(ram.branch[i - 1].rho, spec.element(row.v[i - 1] * ram.branch[i - 1].g)) for i in row.I]
+        phi = Poly.from_roots(spec, [(b.rho, v * b.npoints) for b, v in zip(branches, row.v)])
+        weights = [(branches[i - 1].rho, spec.element(row.v[i - 1] * branches[i - 1].npoints)) for i in row.I]
         logder = phi.derivative() * support == phi * _cofactor_sum(support, weights)
         items.append(_identity(logder, "phi' * prod_I == phi * sum_I v g prod_(I-i)", "logder:mu={}", mu))
     return items
@@ -305,18 +307,18 @@ def divisor_checks(curve: Curve) -> CheckResult:
     for dx).  The per-mu polynomial identities that control the de Rham
     construction are verified here as well."""
     table = mu_table(curve, "extended")
-    ram = ram_data(curve)
+    places = place_classes(curve)
     spec = curve.spec
     g = genus_rh(curve)
     dx = FFDiff(FFElem.one(curve))
     x_elem = FFElem.monomial(curve, 0, RatFn(Poly.x(spec)))
-    x_row = _Row("x", x_elem, [b.e if b.rho.is_zero else 0 for b in ram.branch], 1, -1)
+    deg = curve.degree  # e_i = deg / gcd(deg, l_i) in both families, as gcd(p, l_i) = 1
+    x_row = _Row("x", x_elem, [deg // math.gcd(deg, l) if rho.is_zero else 0 for rho, l in curve.branch], 1, -1)
     if curve.kind == "kummer":
-        rows = [x_row] + _kummer_rows(curve, table, ram, dx, g)
+        rows = [x_row] + _kummer_rows(curve, table, dx, g)
     else:
         rows = [x_row] + _as_rows(curve, table, dx, g)
 
-    places = place_classes(curve)
     items: list[_Item] = []
     for row in rows:
         total = row.shift
@@ -333,7 +335,7 @@ def divisor_checks(curve: Curve) -> CheckResult:
         items.append((total == row.degree, row.degree, total, "deg({})", (row.degree_label or row.label,)))
 
     if curve.kind == "kummer":
-        items += _kummer_identities(curve, table, ram)
+        items += _kummer_identities(curve, table, places[:curve.r])
     else:
         psi, pole_den = as_psi(curve), as_pole_den(curve)
         ok = _dy_matches(curve, psi, pole_den)

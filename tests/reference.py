@@ -18,7 +18,7 @@ builds the element of one.  ``dense_pairing`` gives an encoding, as
 
 import math
 
-from cycliccover.curve import ram_data
+from cycliccover.curve import place_classes
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.gf import FieldElement, FieldSpec
 from cycliccover.polyrat import Poly, RatFn, fraction_residue
@@ -120,12 +120,12 @@ def kummer_psi(curve, mu: int, nu: int, table) -> Poly:
     """sum_{i in I} g_i v_i x prod_{j in I - i} (x - rho_j) - nu n prod_{i in I} (x - rho_i),
     with I, v the row of ``table`` at mu; an empty I gives the constant -nu n."""
     spec = curve.spec
-    branch = ram_data(curve).branch
+    branch = place_classes(curve)  # the branch classes first, in branch order
     row = table[mu]
     total = Poly.zero(spec)
     for i in row.I:
         others = _linear_product(spec, [(branch[j - 1].rho, 1) for j in row.I if j != i])
-        total = total + Poly.x(spec) * others * spec.element(branch[i - 1].g * row.v[i - 1])
+        total = total + Poly.x(spec) * others * spec.element(branch[i - 1].npoints * row.v[i - 1])
     support = _linear_product(spec, [(branch[i - 1].rho, 1) for i in row.I])
     return total - support * spec.element(nu * curve.n)
 

@@ -20,10 +20,10 @@ from cycliccover.curve import (
     KummerCurve,
     genus_rh,
     mu_table,
-    ram_data,
+    place_classes,
     validate,
 )
-from cycliccover.funcfield import FFDiff, FFElem, place_classes, valuation_bound
+from cycliccover.funcfield import FFDiff, FFElem, valuation_bound
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn, fraction_residue, split_at_degree
 from cycliccover.verify import VerifyOptions, duality_matrix, full_report
@@ -216,19 +216,19 @@ def test_c08_identity_checks_across_sweeps():
         x_elem = FFElem.monomial(curve, 0, RatFn(Poly.x(spec)))
         ok &= sum(valuation_bound(x_elem, pl) * pl.npoints for pl in places) == 0
         if curve.kind == "kummer":
-            ram = ram_data(curve)
+            branch = places[:curve.r]
             y_elem = FFElem.y(curve)
             ok &= sum(valuation_bound(y_elem, pl) * pl.npoints for pl in places) == 0
             for mu, row in table.items():
                 other = table[curve.n - mu]
-                support = Poly.from_roots(spec, [(ram.branch[i - 1].rho, 1) for i in row.I])
+                support = Poly.from_roots(spec, [(branch[i - 1].rho, 1) for i in row.I])
                 ok &= row.g_mu * other.g_mu * support == curve.f
-                phi = Poly.from_roots(spec, [(e.rho, v * e.g) for e, v in zip(ram.branch, row.v)])
+                phi = Poly.from_roots(spec, [(b.rho, v * b.npoints) for b, v in zip(branch, row.v)])
                 rhs = Poly.zero(spec)
                 for i in row.I:
-                    weight = spec.element(row.v[i - 1] * ram.branch[i - 1].g)
+                    weight = spec.element(row.v[i - 1] * branch[i - 1].npoints)
                     rhs = rhs + Poly.from_roots(
-                        spec, [(ram.branch[j - 1].rho, 1) for j in row.I if j != i]
+                        spec, [(branch[j - 1].rho, 1) for j in row.I if j != i]
                     ) * weight
                 ok &= phi.derivative() * support == phi * rhs
         else:

@@ -257,10 +257,19 @@ AS_BRANCH = [{"rho": 1, "l": 1}, {"rho": 2, "l": 1}]
         ({"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": MAX_DEGREE + 1}]}, "branch"),
         ({"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": 10**6}, {"rho": 2, "l": -10**6}]}, "branch"),
         ({"type": "artin-schreier", "p": 3, "branch": AS_BRANCH, "f": [1] * (MAX_F_TERMS + 1)}, "f"),
+        ({"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": 0}] * 200_000}, "branch"),
+        ({"type": "kummer", "p": 5, "n": 2, "branch": [None] * (MAX_DEGREE + 1)}, "branch"),  # counted, not decoded
     ],
 )
 def test_over_budget_specs_raise_positional_errors(doc, position):
     with pytest.raises(SpecFileError, match=rf"^{position}: .* exceeds? the budget"):
+        parse_curve_spec(doc)
+
+
+def test_the_branch_count_budget_admits_max_degree_points():
+    # r <= sum l_i for every valid curve, so MAX_DEGREE points pass the count and reach validation
+    doc = {"type": "kummer", "p": 5, "n": 2, "branch": [{"rho": 1, "l": 0}] * MAX_DEGREE}
+    with pytest.raises(SpecFileError, match="^curve fails validation"):
         parse_curve_spec(doc)
 
 

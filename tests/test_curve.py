@@ -9,7 +9,7 @@ from cycliccover.curve import (
     genus_from_basis,
     genus_rh,
     mu_table,
-    ram_data,
+    place_classes,
     require_valid,
     validate,
 )
@@ -61,7 +61,7 @@ def test_validate_as_violations():
 def test_tables_refuse_invalid_curves():
     bad = KummerCurve(F5, 3, [(F5.element(i), 1) for i in (1, 2, 3, 4)])
     with pytest.raises(CurveInvalidError):
-        ram_data(bad)
+        place_classes(bad)
     with pytest.raises(CurveInvalidError):
         mu_table(bad)
 
@@ -85,28 +85,33 @@ def test_the_kept_verdict_survives_edits_to_a_returned_list(monkeypatch):
         assert [v.code for v in caught.value.violations] == codes
 
 
-def test_ram_data_examples():
-    ram = ram_data(quartic())
-    assert all(e.e == 2 and e.g == 1 and e.lam == 1 for e in ram.branch)
-    assert (ram.l0, ram.e0, ram.g0) == (2, 1, 2)  # 0 unbranched: l0 = n, e0 = 1, g0 = n
-    assert ram.infinity_points == 2
+def _zero_conventions(curve):
+    """(l0, e0, g0): l, e and npoints of the place class over x = 0."""
+    zero = next(place for place in place_classes(curve) if place.covers_zero)
+    return zero.l, zero.e, zero.npoints
+
+
+def test_place_classes_examples():
+    c = quartic()
+    places = place_classes(c)
+    assert all((b.e, b.npoints, b.v_y) == (2, 1, 1) for b in places[:c.r])  # (e, g, lambda)
+    assert _zero_conventions(c) == (2, 1, 2)  # 0 unbranched: l0 = n, e0 = 1, g0 = n
+    assert places[-1].kind == "over_infinity" and places[-1].npoints == 2
 
     mixed = KummerCurve(F5, 4, [(F5.element(1), 2), (F5.element(2), 1), (F5.element(3), 1)])
-    entry = ram_data(mixed).branch[0]
-    assert (entry.e, entry.g, entry.lam) == (2, 2, 1)
+    entry = place_classes(mixed)[0]
+    assert (entry.l, entry.e, entry.npoints, entry.v_y) == (2, 2, 2, 1)
 
-    as_ram = ram_data(as_p3())
-    assert all(e.e == 3 and e.g == 1 for e in as_ram.branch)
-    assert (as_ram.e0, as_ram.g0) == (1, 3)
+    a = as_p3()
+    assert all(b.e == 3 and b.npoints == 1 for b in place_classes(a)[:a.r])
+    assert _zero_conventions(a) == (None, 1, 3)  # 0 unbranched: no l0 for Artin-Schreier
 
 
-def test_ram_data_zero_branch_conventions():
+def test_place_classes_zero_branch_conventions():
     c = KummerCurve(F5, 2, [(F5.element(i), 1) for i in (0, 1, 2, 3)])
-    ram = ram_data(c)
-    assert (ram.l0, ram.e0, ram.g0) == (1, 2, 1)
+    assert _zero_conventions(c) == (1, 2, 1)
     a = ASCurve(F3, Poly.from_ints(F3, [1, 0, 1]), [(F3.element(0), 1), (F3.element(1), 1)])
-    ram = ram_data(a)
-    assert (ram.l0, ram.e0, ram.g0) == (1, 3, 1)
+    assert _zero_conventions(a) == (1, 3, 1)
 
 
 def test_mu_table_kummer_quartic():
@@ -174,11 +179,11 @@ def test_degree_identities_on_corpus():
     for c in _corpus():
         if c.kind != "kummer":
             continue
-        ram = ram_data(c)
-        assert sum(e.g * e.lam for e in ram.branch) == c.l == c.t * c.n
+        branches = place_classes(c)[:c.r]
+        assert sum(b.npoints * b.v_y for b in branches) == c.l == c.t * c.n
         table = mu_table(c)
         for row in table.values():
-            assert sum(e.g * v for e, v in zip(ram.branch, row.v)) == c.n * row.t
+            assert sum(b.npoints * v for b, v in zip(branches, row.v)) == c.n * row.t
 
 
 def test_extended_basis_count_matches_genus_on_corpus():

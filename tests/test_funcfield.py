@@ -3,8 +3,8 @@ import random
 import pytest
 from reference import dense, galois, nth_root_of_unity, orbit_sum, power, trace, trace_by_orbit
 
-from cycliccover.curve import ASCurve, KummerCurve
-from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, place_classes, valuation_bound
+from cycliccover.curve import ASCurve, KummerCurve, place_classes
+from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, valuation_bound
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 

@@ -47,8 +47,8 @@ from reference import (
 )
 
 from cycliccover.cli import parse_curve_spec
-from cycliccover.curve import ASCurve, KummerCurve, validate
-from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, place_classes, valuations
+from cycliccover.curve import ASCurve, KummerCurve, place_classes, validate
+from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, valuations
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 from cycliccover.verify import full_report

@@ -1,9 +1,9 @@
 """Source rules for ``src/``, checked on the syntax tree: invariants raise
 explicit errors instead of ``assert`` (which ``python -O`` strips),
 per-curve values live in declared fields, not in a string-keyed cache
-dict on the curve, the function field arithmetic (``FFElem``,
-``FFDiff``, ``pairing_matrix``) reads every family fact from the curve's
-family table, never from ``.kind``, the polynomial arithmetic works on field
+dict on the curve, every ``funcfield`` definition but ``_family_table``
+reads every family fact from the curve's family table, never from
+``.kind``, the polynomial arithmetic works on field
 encodings: it neither builds a ``FieldElement`` nor reads one out of a
 ``Poly``, and every ``CheckResult`` is built with the literal status
 "pass" or "fail", the only two verdicts.  The pairing and the cocycle
@@ -22,8 +22,9 @@ second route to a value (a wrapper beside ``pairing_matrix``,
 oracle keeps, the ``MuTable`` wrapper of the mu-table dict, the
 class-or-triple fork ``_triple`` of the de Rham checks, or an unreached
 operator or second constructor of a value type, banned by its
-class-qualified name such as ``RatFn.inverse``), so each value and each
-operation keeps one way in.  The coefficient loops that
+class-qualified name such as ``RatFn.inverse``, or the second
+ramification table ``ram_data`` beside ``curve.place_classes``), so each
+value and each operation keeps one way in.  The coefficient loops that
 read the field tables inline, and the root walks that call the row kernel
 ``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
 one to a local, so no per-coefficient call comes back.  Only ``gf`` and
@@ -39,7 +40,9 @@ the reducing two-argument ``RatFn(num, den)``.  The pairing has one
 route: only ``pairing_matrix`` sums pairing residues, so in ``src/`` only
 it calls ``fraction_residue``.  Every value record is a ``NamedTuple``:
 ``src/`` imports no ``dataclasses``, decorates nothing ``@dataclass`` and
-uses no ``cached_property``."""
+uses no ``cached_property``.  Each module imports only from the layers
+below it, gf -> polyrat -> curve -> funcfield -> cohomology -> verify ->
+cli, except inside an ``if TYPE_CHECKING:`` block."""
 
 import ast
 from pathlib import Path
@@ -49,7 +52,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "cycliccover"
 MODULES = sorted(SRC.glob("*.py"))
 CACHE_DICT = "_" "cache"  # the retired string-keyed dict; spelt apart so a grep for it stays empty
-FAMILY_BLIND = ("FFElem", "FFDiff", "pairing_matrix")  # funcfield definitions that must not read .kind
+KIND_READERS = ("_family_table",)  # the one funcfield definition that may read .kind
 # polyrat arithmetic on encodings, by class ("" for module level)
 INT_CODED = {
     "Poly": ("__add__", "__sub__", "__mul__", "__divmod__", "derivative", "multiplicity_at", "monic", "from_roots"),
@@ -102,7 +105,11 @@ RETIRED_NAMES = (
     "MuTable", "_triple", "FieldElement.__truediv__", "Poly.constant", "Poly.leading", "Poly.__mod__",
     "RatFn.from_poly", "RatFn.constant", "RatFn.spec", "RatFn.__sub__", "RatFn.inverse", "RatFn.__truediv__",
     "FFElem.__add__", "FFElem.__sub__", "FFElem.from_ratfn", "FFDiff.zero", "FFDiff.__add__", "FFDiff.__sub__",
+    "BranchRam", "RamData", "ram_data", "CyclicCover.ram",
 )
+# the package's layers, lowest first: each module imports only from those before it
+LAYERS = ("gf", "polyrat", "curve", "funcfield", "cohomology", "verify", "cli")
+TOP = ("__init__", "__main__")  # above every layer
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -132,7 +139,7 @@ def test_the_rules_catch_violations():
 def _kind_reads(tree: ast.Module) -> list[str]:
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in FAMILY_BLIND:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name not in KIND_READERS:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Attribute) and sub.attr == "kind":
                     out.append(f"line {sub.lineno}: {node.name} reads .kind")
@@ -142,7 +149,7 @@ def _kind_reads(tree: ast.Module) -> list[str]:
 def test_function_field_arithmetic_reads_no_kind():
     tree = ast.parse((SRC / "funcfield.py").read_text(encoding="utf-8"))
     defined = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    assert set(FAMILY_BLIND) <= defined
+    assert set(KIND_READERS) < defined and {"FFElem", "FFDiff", "valuations", "pairing_matrix"} <= defined
     assert _kind_reads(tree) == []
 
 
@@ -155,8 +162,17 @@ def test_the_kind_rule_catches_violations():
         "    kummer = curve.kind == 'kummer'\n"
         "def place_classes(curve):\n"
         "    return curve.kind\n"
+        "def _family_table(curve):\n"
+        "    return curve.kind == 'kummer'\n"
+        "def valuations(obj):\n"
+        "    kummer = obj.curve.kind == 'kummer'\n"
     )
-    assert _kind_reads(tree) == ["line 3: FFElem reads .kind", "line 5: pairing_matrix reads .kind"]
+    assert _kind_reads(tree) == [
+        "line 3: FFElem reads .kind",
+        "line 5: pairing_matrix reads .kind",
+        "line 7: place_classes reads .kind",
+        "line 11: valuations reads .kind",
+    ]
 
 
 def _element_uses(tree: ast.Module) -> tuple[set[str], list[str]]:
@@ -417,8 +433,9 @@ def test_the_valuation_rule_catches_violations():
 
 def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
     """Each class, function or field (an annotated name in a class body)
-    that takes a banned name, and each method or class-level alias whose
-    class-qualified name (``RatFn.inverse``) is banned."""
+    that takes a banned name, and each method, class-level alias or
+    declared instance field (an annotated ``self.name`` in a method) whose
+    class-qualified name (``RatFn.inverse``, ``CyclicCover.ram``) is banned."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -426,6 +443,10 @@ def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
         if isinstance(node, ast.ClassDef):
             found += [(sub.lineno, sub.target.id) for sub in node.body
                       if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
+            found += [(sub.lineno, f"{node.name}.{sub.target.attr}") for method in node.body
+                      if isinstance(method, ast.FunctionDef) for sub in ast.walk(method)
+                      if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Attribute)
+                      and isinstance(sub.target.value, ast.Name) and sub.target.value.id == "self"]
             found += [(sub.lineno, f"{node.name}.{sub.name}") for sub in node.body
                       if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
             found += [(sub.lineno, f"{node.name}.{target.id}") for sub in node.body if isinstance(sub, ast.Assign)
@@ -488,6 +509,15 @@ def test_the_retired_name_rule_catches_violations():
         "        return self\n"
         "    __add__ = _plus\n"
         "    __mul__ = _times\n"
+        "class RamData(NamedTuple):\n"
+        "    l0: int | None\n"
+        "def ram_data(curve):\n"
+        "    return curve.ram\n"
+        "class CyclicCover:\n"
+        "    def __init__(self, spec):\n"
+        "        self.ram: RamData | None = None\n"
+        "        self.places: tuple | None = None\n"
+        "        self.ram = None\n"
     )
     assert _definitions(tree, RETIRED_NAMES) == [
         "line 1: names pairing",
@@ -496,6 +526,9 @@ def test_the_retired_name_rule_catches_violations():
         "line 9: names h1_coordinates",
         "line 12: names RatFn.inverse",
         "line 17: names FFElem.__add__",
+        "line 19: names RamData",
+        "line 21: names ram_data",
+        "line 25: names CyclicCover.ram",
     ]
 
 
@@ -804,4 +837,73 @@ def test_the_record_rule_catches_violations():
         "line 4: uses dataclass",
         "line 7: uses dataclass",
         "line 9: uses cached_property",
+    ]
+
+
+def _is_type_checking(test: ast.AST) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def _upward_imports(tree: ast.Module, module: str) -> list[str]:
+    """Each import of a package module at or above ``module``'s layer,
+    relative or absolute, at any depth, outside an ``if TYPE_CHECKING:``
+    block."""
+    rank = LAYERS.index(module)
+    out = []
+
+    def imported(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            return [node.module] if node.module else [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("cycliccover."):
+            return [node.module.split(".", 1)[1]]
+        if isinstance(node, ast.Import):
+            return [a.name.split(".", 1)[1] for a in node.names if a.name.startswith("cycliccover.")]
+        return []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and _is_type_checking(child.test):
+                continue
+            for name in imported(child):
+                layer = name.split(".")[0]
+                if layer not in LAYERS or LAYERS.index(layer) >= rank:
+                    out.append((child.lineno, f"{module} imports {layer}"))
+            visit(child)
+
+    visit(tree)
+    return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_each_module_imports_only_from_the_layers_below(path):
+    assert path.stem in LAYERS + TOP, f"{path.name} has no layer"
+    if path.stem in LAYERS:
+        assert _upward_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem) == []
+
+
+def test_the_layer_rule_catches_violations():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "from .gf import FieldSpec\n"
+        "from .polyrat import Poly\n"
+        "from .funcfield import PlaceClass\n"
+        "if TYPE_CHECKING:\n"
+        "    from .funcfield import FamilyTable\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    from .verify import Report\n"
+        "def mu_table(curve):\n"
+        "    from .cohomology import build_bases\n"
+        "    from . import cli, gf\n"
+        "    import cycliccover.verify\n"
+        "    from cycliccover.curve import Curve\n"
+        "from .tracing import span\n"
+    )
+    assert _upward_imports(tree, "curve") == [
+        "line 4: curve imports funcfield",
+        "line 10: curve imports cohomology",
+        "line 11: curve imports cli",
+        "line 12: curve imports verify",
+        "line 13: curve imports curve",
+        "line 14: curve imports tracing",
     ]

@@ -28,8 +28,8 @@ from fractions import Fraction
 import pytest
 from reference import dense, galois, scale
 
-from cycliccover.curve import ASCurve, KummerCurve
-from cycliccover.funcfield import FFDiff, FFElem, place_classes, valuation_bound, valuations
+from cycliccover.curve import ASCurve, KummerCurve, place_classes
+from cycliccover.funcfield import FFDiff, FFElem, valuation_bound, valuations
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -136,16 +137,15 @@ def test_divisor_checks_pass_on_worked_curves():
 
 def test_divisor_checks_cover_the_identity_suite():
     # spot-check that the sub-identities are really exercised
-    from cycliccover.curve import mu_table, ram_data
-    from cycliccover.funcfield import place_classes, valuation_bound
+    from cycliccover.curve import mu_table, place_classes
+    from cycliccover.funcfield import valuation_bound
 
-    # Kummer (y): lambda_i at branch, -t over infinity, degree zero
+    # Kummer (y): lambda_i = l_i / gcd(n, l_i) at branch, -t over infinity, degree zero
     y = FFElem.y(QUARTIC)
-    ram = ram_data(QUARTIC)
     total = 0
-    for place, entry in zip(place_classes(QUARTIC), ram.branch):
+    for place, (_, l) in zip(place_classes(QUARTIC), QUARTIC.branch):
         bound = valuation_bound(y, place)
-        assert bound == entry.lam
+        assert bound == l // math.gcd(QUARTIC.n, l)
         total += bound * place.npoints
     # AS (dx) degree is 2g - 2 = 2
     dx = FFDiff(FFElem.one(AS_P3))
@@ -193,6 +193,23 @@ def test_a_passing_divisor_check_formats_no_item_label(curve, monkeypatch):
     assert all(" at " in item["item"] for item in failing.payload["items"] if not item["item"].startswith("deg("))
 
 
+@pytest.mark.parametrize(
+    "name,field,item", [("kummer_quartic", "v_y", "(y) at branch[1]@1"), ("as_p3", "v_dx", "(dx) at branch[1]@1")]
+)
+def test_a_wrong_place_table_fails_at_the_branch(name, field, item):
+    # the y and dx rows are written from the spec's branch data, not from the place
+    # table, so a wrong place formula fails at its place and not only in deg(...)
+    from cycliccover.curve import mu_table, place_classes
+
+    curve = parse_curve_spec(json.loads((SPECS / f"{name}.json").read_text()))
+    mu_table(curve, "extended")  # kept on the curve, from the true table
+    places = place_classes(curve)
+    curve.places = (places[0]._replace(**{field: getattr(places[0], field) + 1}),) + places[1:]
+    result = divisor_checks(curve)
+    assert result.status == "fail"
+    assert item in [entry["item"] for entry in result.payload["items"]]
+
+
 KUMMER_PAIRS = [GENUS6] + [
     parse_curve_spec(doc) for doc in enumerate_kummer_specs(13, 6, 12, 64, 7) if doc["n"] >= 3
 ][:8]
@@ -200,9 +217,9 @@ KUMMER_PAIRS = [GENUS6] + [
 
 @pytest.mark.parametrize("curve", KUMMER_PAIRS, ids=[f"kummer{i}" for i in range(len(KUMMER_PAIRS))])
 def test_each_gg_product_is_built_once_per_pair(curve, monkeypatch):
-    from cycliccover.curve import mu_table, ram_data
+    from cycliccover.curve import mu_table, place_classes
 
-    table, ram = mu_table(curve, "extended"), ram_data(curve)
+    table, branches = mu_table(curve, "extended"), place_classes(curve)[:curve.r]
     mus = list(table)
     assert all(table[mu].I == table[curve.n - mu].I for mu in mus)  # n lambda_i = 0 mod e_i
     pairs = {frozenset((mu, curve.n - mu)) for mu in mus}
@@ -212,7 +229,7 @@ def test_each_gg_product_is_built_once_per_pair(curve, monkeypatch):
     monkeypatch.setattr(
         Poly, "from_roots", classmethod(lambda cls, spec, rs: (roots.append(rs), from_roots(spec, rs))[1])
     )
-    items = verify._kummer_identities(curve, table, ram)
+    items = verify._kummer_identities(curve, table, branches)
     monkeypatch.undo()
     assert [template.format(*args) for _, _, _, template, args in items] == [
         label for mu in mus for label in (f"gg:mu={mu}", f"logder:mu={mu}")
@@ -309,9 +326,9 @@ def test_the_kummer_identities_build_two_products_of_roots_per_mu(monkeypatch):
     monkeypatch.setattr(Poly, "from_roots", classmethod(lambda cls, *args: calls.append(1) or built(cls, *args)))
     identities, counts = verify._kummer_identities, []
 
-    def counted(curve, table, ram):
+    def counted(curve, table, branches):
         before = len(calls)
-        items = identities(curve, table, ram)
+        items = identities(curve, table, branches)
         counts.append((len(calls) - before, len(table)))
         return items
 
