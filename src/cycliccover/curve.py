@@ -190,14 +190,13 @@ class PlaceClass(NamedTuple):
     local data shared by every point of the class."""
 
     kind: str  # "branch" | "over_zero" | "over_infinity"
-    index: int | None  # 1-based branch index for kind == "branch"
     rho: FieldElement | None
     l: int | None  # l_i at a branch; over 0 the l0 convention (n, resp. None for Artin-Schreier); None over infinity
     e: int
     v_y: int
     v_dx: int
     npoints: int
-    position: int  # the class's index in place_classes
+    position: int  # the class's index in place_classes; branch i (1-based) is at i - 1
     label: str  # the class's name in reports, rendered once per class by place_classes
 
     @property
@@ -222,12 +221,12 @@ def place_classes(curve: Curve) -> tuple[PlaceClass, ...]:
             e, v_y, v_dx = curve.n // g, l // g, curve.n // g - 1
         else:
             g, e, v_y, v_dx = 1, curve.p, -l, (curve.p - 1) * (l + 1)
-        out.append(PlaceClass("branch", i, rho, l, e, v_y, v_dx, g, len(out), f"branch[{i}]@{rho.render()}"))
+        out.append(PlaceClass("branch", rho, l, e, v_y, v_dx, g, len(out), f"branch[{i}]@{rho.render()}"))
     if not any(rho.is_zero for rho, _ in curve.branch):
         l0 = curve.n if kummer else None
-        out.append(PlaceClass("over_zero", None, curve.spec.zero(), l0, 1, 0, 0, curve.degree, len(out), "over_zero"))
+        out.append(PlaceClass("over_zero", curve.spec.zero(), l0, 1, 0, 0, curve.degree, len(out), "over_zero"))
     v_y = -curve.t if kummer else 0
-    out.append(PlaceClass("over_infinity", None, None, None, 1, v_y, -2, curve.degree, len(out), "over_infinity"))
+    out.append(PlaceClass("over_infinity", None, None, 1, v_y, -2, curve.degree, len(out), "over_infinity"))
     curve.places = tuple(out)
     return curve.places
 

@@ -41,9 +41,17 @@ so divided by one of them they leave a nonzero polynomial, of degree
 below the number of points, in a unit with pairwise distinct values at
 those points (Vandermonde; the proof is in ``valuation_bound``).  An
 element's valuations come from one walk over its nonzero y coefficients
-and are kept on the element.  ``valuation_bound`` reads one class from
-the walk, and ``poles`` zips it with the place classes to find the poles
-of an element or differential off an allowed locus.
+and are kept on the element.  A coefficient is reduced, so at each finite
+class the walk takes den's multiplicity first and num's only where den
+does not vanish.  A basis coefficient carries its den's factorization
+(``RatFn.den_roots``, recorded by ``polyrat.reduce_over_roots``), and its
+multiplicity at a branch point is read off it; any other coefficient,
+such as a divisor row's ``RatFn(num, den)``, is divided out by synthetic
+division, so those rows stay a from-scratch check.  ``valuation_bound``
+reads one class from the walk.  ``poles`` finds the poles of an element
+or differential off an allowed locus: it first decides, term by term and
+only at the classes off the locus, whether any term scores below 0, and
+runs the exact walk only when one does.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .curve import Curve, PlaceClass, place_classes
+from .gf import FieldElement
 from .polyrat import Poly, RatFn, _x_order, fraction_residue
 
 
@@ -266,7 +275,12 @@ def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:
     v(a_j) + j v(y), plus v(dx) for a differential (see
     ``valuation_bound``).  An element's tuple comes from one walk over its
     nonzero y coefficients and is kept on the element, which is immutable;
-    a differential adds v(dx) to its coefficient's tuple."""
+    a differential adds v(dx) to its coefficient's tuple.
+
+    At a finite class, v(a_j) is e times the order of a_j at the base
+    point rho.  a_j is reduced, so num and den do not both vanish at rho:
+    the walk takes den's multiplicity first (``_den_multiplicity``) and
+    num's only where den does not vanish."""
     if isinstance(obj, FFDiff):
         return tuple(v + place.v_dx for v, place in zip(valuations(obj.coeff), place_classes(obj.curve)))
     if obj._valuations is None:
@@ -274,18 +288,33 @@ def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:
         best = None
         for j, a in obj.terms:
             num, den = a.num, a.den
+            recorded = None if a.den_roots is None else dict(a.den_roots)
             scores = []
             for rho, e, v_y in places:
                 if rho is None:  # over infinity: deg den - deg num
                     v = len(den.ints) - len(num.ints)
                 else:
-                    v = e * (num.multiplicity_at(rho) - den.multiplicity_at(rho))
+                    m = _den_multiplicity(den, rho, recorded)
+                    v = -e * m if m else e * num.multiplicity_at(rho)
                 scores.append(v + j * v_y)
             best = scores if best is None else list(map(min, best, scores))
         if best is None:
             raise ValueError("valuation of the zero element is undefined")
         obj._valuations = tuple(best)
     return obj._valuations
+
+
+def _den_multiplicity(den: Poly, rho: FieldElement, recorded: dict[int, int] | None) -> int:
+    """The multiplicity of x - rho in a coefficient's denominator: its
+    x-order at rho = 0, else read off the recorded factorization
+    (``RatFn.den_roots`` as a dict) when there is one, else found by
+    synthetic division."""
+    r = rho.encoding
+    if not r:
+        return _x_order(den.ints)
+    if recorded is not None:
+        return recorded.get(r, 0)
+    return den.multiplicity_at(rho)
 
 
 def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
@@ -324,15 +353,47 @@ def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
 
 def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[tuple[PlaceClass, int]]:
     """The place classes outside the allowed locus where obj has a pole,
-    each with its (negative) valuation; the zero element has none."""
+    each with its (negative) valuation; the zero element has none.
+
+    The class valuation is the least term score e ord(a_j) + j v(y)
+    (+ v(dx)), so there is a pole iff some term scores below 0 at some
+    class outside the locus.  That is decided first, term by term
+    (``_scores_below_zero``), and only then is the exact ``valuations``
+    walk run, so a failing payload reports each exact class valuation and
+    a pole-free element costs no walk over the allowed classes."""
     elem = obj.coeff if isinstance(obj, FFDiff) else obj
     if elem.is_zero:
         return []
-    return [
-        (place, value)
-        for place, value in zip(place_classes(elem.curve), valuations(obj))
-        if value < 0 and not allowed(place)
-    ]
+    outside = [place for place in place_classes(elem.curve) if not allowed(place)]
+    dx = isinstance(obj, FFDiff)
+    if elem._valuations is None and not any(_scores_below_zero(j, a, outside, dx) for j, a in elem.terms):
+        return []
+    values = valuations(obj)
+    return [(place, values[place.position]) for place in outside if values[place.position] < 0]
+
+
+def _scores_below_zero(j: int, a: RatFn, places: list[PlaceClass], dx: bool) -> bool:
+    """Whether a y^j (times dx when ``dx``) scores below 0 at one of the
+    places.  Where den vanishes the score is known from den alone; where
+    it does not, ord num >= 0, so num's multiplicity is read only when
+    j v(y) (+ v(dx)) is negative."""
+    num, den = a.num, a.den
+    recorded = None if a.den_roots is None else dict(a.den_roots)
+    for place in places:
+        rest = j * place.v_y + (place.v_dx if dx else 0)
+        if place.rho is None:
+            score = rest + len(den.ints) - len(num.ints)
+        else:
+            m = _den_multiplicity(den, place.rho, recorded)
+            if m:
+                score = rest - place.e * m
+            elif rest >= 0:
+                continue
+            else:
+                score = rest + place.e * num.multiplicity_at(place.rho)
+        if score < 0:
+            return True
+    return False
 
 
 def _reach(curve: Curve) -> list[tuple[int, RatFn | None]]:

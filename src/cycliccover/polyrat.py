@@ -38,6 +38,8 @@ roots rho known, ``reduce_over_roots`` reduces num / den without either:
 the x-part cancels by the x-order of num, and each x - rho by synthetic
 division (``_horner``) for as long as it divides.  The basis builders
 reduce every coefficient this way; the checks keep the Euclid route.
+The root exponents left over are recorded on the result (``den_roots``),
+so den's multiplicity at a branch point is read, not recomputed.
 
 A product is a schoolbook loop over the nonzero terms while the product
 of the operands' nonzero term counts is below ``KRONECKER_TERMS`` * d^2,
@@ -466,11 +468,20 @@ def split_at_degree(h: Poly, m: int, inclusive: bool = True) -> tuple[Poly, Poly
 
 
 class RatFn:
-    """Reduced rational function num/den over F_q (den monic, gcd = 1)."""
+    """Reduced rational function num/den over F_q (den monic, gcd = 1).
 
-    __slots__ = ("num", "den")
+    ``den_roots`` records the factorization of den where it is known by
+    construction: the (encoding of rho, m) pairs, rho nonzero and
+    distinct, m > 0, with den = x^k prod (x - rho)^m, k the x-order of den.
+    Only ``reduce_over_roots`` records one; ``__neg__`` and the scalar
+    ``__mul__`` keep den and carry it, and every other constructor leaves
+    None.  ``funcfield.valuations`` reads den's multiplicity at a nonzero
+    root off it."""
+
+    __slots__ = ("num", "den", "den_roots")
 
     def __init__(self, num: Poly, den: Poly | None = None, *, _reduced: bool = False):
+        self.den_roots: tuple[tuple[int, int], ...] | None = None
         if den is None:  # 1 is monic and coprime to everything: nothing to reduce
             self.num, self.den = num, Poly.one(num.spec)
             return
@@ -518,11 +529,16 @@ class RatFn:
         return RatFn(num, self.den * other.den)
 
     def __neg__(self) -> RatFn:
-        return RatFn(-self.num, self.den, _reduced=True)
+        out = RatFn(-self.num, self.den, _reduced=True)
+        out.den_roots = self.den_roots
+        return out
 
     def __mul__(self, other: RatFn | FieldElement) -> RatFn:
-        if isinstance(other, FieldElement):  # a zero product comes out as 0/1
-            return RatFn(self.num._scale(other.encoding), self.den, _reduced=True)
+        if isinstance(other, FieldElement):  # a zero product comes out as 0/1, with no record
+            out = RatFn(self.num._scale(other.encoding), self.den, _reduced=True)
+            if out.num.ints:
+                out.den_roots = self.den_roots
+            return out
         if self.is_zero or other.is_zero:  # a zero operand is 0/1 already
             return self if self.is_zero else other
         # cross-reduce before multiplying to keep degrees down
@@ -572,7 +588,8 @@ def reduce_over_roots(num: Poly, e: int, den: Poly, roots: Sequence[tuple[int, i
     division (``_horner``) for as long as the value at rho is zero, at most
     m times, so a root that does not divide num costs one pass.  den is
     kept when no root cancels and rebuilt from the exponents left
-    otherwise: no gcd and no long division is taken."""
+    otherwise: no gcd and no long division is taken.  The exponents left
+    are recorded on the result as its ``den_roots``."""
     spec = num.spec
     if not num.ints:
         return RatFn(num)
@@ -586,7 +603,9 @@ def reduce_over_roots(num: Poly, e: int, den: Poly, roots: Sequence[tuple[int, i
             left.append((r, m - c))
     if cancelled:
         den = _poly(spec, _root_product(spec, left))
-    return RatFn(_poly(spec, list(desc[::-1])), den.shift(e - k) if e > k else den, _reduced=True)
+    out = RatFn(_poly(spec, list(desc[::-1])), den.shift(e - k) if e > k else den, _reduced=True)
+    out.den_roots = tuple(left)
+    return out
 
 
 def _wrap(p: Poly) -> str:

@@ -325,8 +325,8 @@ def divisor_checks(curve: Curve) -> CheckResult:
         for place in places:
             if place.kind == "branch":
                 if row.before:
-                    items.append(row.before[place.index - 1])
-                expected = row.at_branch[place.index - 1]
+                    items.append(row.before[place.position])
+                expected = row.at_branch[place.position]
             else:
                 expected = row.at_zero if place.kind == "over_zero" else row.at_infinity
             bound = valuation_bound(row.elem, place)

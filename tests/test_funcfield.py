@@ -212,7 +212,7 @@ def test_place_labels_keep_their_rendering(curve, labels):
     places = place_classes(curve)
     assert [place.label for place in places] == labels
     for place in places:
-        assert place.label == (f"branch[{place.index}]@{place.rho.render()}" if place.kind == "branch" else place.kind)
+        assert place.label == (f"branch[{place.position + 1}]@{place.rho.render()}" if place.kind == "branch" else place.kind)
 
 
 def test_valuation_bound_examples():

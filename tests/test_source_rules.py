@@ -13,7 +13,11 @@ identities in ``verify`` never name the de Rham builder's Kummer psi or
 its cofactor-sum helper, so they stay an independent check of it.
 ``verify`` and ``cohomology`` never name a root multiplicity or a
 per-coefficient valuation, so every valuation they read comes from
-``funcfield.valuations``, the one walk.
+``funcfield.valuations``, the one walk.  The denominator factorization that
+``reduce_over_roots`` records on a ``RatFn`` (``den_roots``) is set only
+there, cleared to None by every other constructor, copied only by
+``RatFn.__neg__`` and ``RatFn.__mul__`` and read elsewhere only in
+``funcfield``, so no check can read a record around that walk.
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check, nor the name of a retired
@@ -75,6 +79,10 @@ ELEMENT_FIELDS = ("coeff", "f0inf", "omega0", "omega_inf")
 BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at", "_cofactor_parts")  # names verify.py must not use
 # valuation primitives that verify.py and cohomology.py must not use
 VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
+RECORD = "den_roots"  # the denominator factorization that reduce_over_roots records on a RatFn
+RECORD_SETTERS = ("reduce_over_roots", "RatFn.__init__")  # the one recorder, and the None of every other constructor
+RECORD_CARRIERS = ("RatFn.__neg__", "RatFn.__mul__")  # keep den, so they copy the record
+NAME_ACCESS = ("getattr", "setattr", "delattr", "hasattr")
 # the coefficient loops that read the field tables inline, and the root walks that call
 # their row kernel, by module and class ("" for module level)
 TABLE_KERNELS = {
@@ -429,6 +437,107 @@ def test_the_valuation_rule_catches_violations():
         "line 3: uses multiplicity_at",
         "line 4: uses multiplicity_at",
     ]
+
+
+def _record_uses(tree: ast.Module, module: str) -> list[str]:
+    """Each use of the recorded factorization ``RatFn.den_roots`` outside
+    its rule.  In ``polyrat`` only ``reduce_over_roots`` records one,
+    ``RatFn.__init__`` only stores None, and the carriers only copy
+    ``self.den_roots`` onto their result; only ``funcfield`` reads it
+    elsewhere, and no module reaches it by name through ``getattr`` or its
+    kin."""
+    out = []
+
+    def found(node: ast.AST, owner: str) -> str | None:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in NAME_ACCESS
+                and any(isinstance(a, ast.Constant) and a.value == RECORD for a in node.args)):
+            return f"reaches {RECORD} by name"
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and module == "polyrat":
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == RECORD for t in targets):
+                value = node.value
+                if owner == "RatFn.__init__" and not (isinstance(value, ast.Constant) and value.value is None):
+                    return f"stores a {RECORD} other than None"
+                if owner in RECORD_CARRIERS and not (
+                        isinstance(value, ast.Attribute) and value.attr == RECORD
+                        and isinstance(value.value, ast.Name) and value.value.id == "self"):
+                    return f"stores a {RECORD} other than self.{RECORD}"
+            return None
+        if not (isinstance(node, ast.Attribute) and node.attr == RECORD):
+            return None
+        if module == "polyrat":
+            allowed = RECORD_CARRIERS + (() if isinstance(node.ctx, ast.Load) else RECORD_SETTERS)
+            return None if owner in allowed else f"{'reads' if isinstance(node.ctx, ast.Load) else 'stores'} {RECORD}"
+        if module == "funcfield" and isinstance(node.ctx, ast.Load):
+            return None
+        return f"uses {RECORD}"
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            else:
+                what = found(child, owner)
+                if what:
+                    out.append((child.lineno, f"{owner or 'module'} {what}"))
+            visit(child, name)
+
+    visit(tree, "")
+    return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_reduce_over_roots_records_a_factorization(path):
+    source = path.read_text(encoding="utf-8")
+    assert _record_uses(ast.parse(source), path.stem) == []
+    if path.stem in ("polyrat", "funcfield"):  # the rule sees the record
+        assert f".{RECORD}" in source
+
+
+def test_the_factorization_rule_catches_violations():
+    polyrat = ast.parse(
+        "class RatFn:\n"
+        "    def __init__(self, num, den):\n"
+        f"        self.{RECORD} = None\n"
+        f"        self.{RECORD} = den.roots\n"
+        "    def __neg__(self):\n"
+        "        out = RatFn(-self.num, self.den)\n"
+        f"        out.{RECORD} = self.{RECORD}\n"
+        "        return out\n"
+        "    def __mul__(self, other):\n"
+        f"        out.{RECORD} = other.{RECORD}\n"
+        "    def __add__(self, other):\n"
+        f"        out.{RECORD} = self.{RECORD}\n"
+        "def reduce_over_roots(num, e, den, roots):\n"
+        f"    out.{RECORD} = tuple(roots)\n"
+        "def fraction_sum(spec, terms):\n"
+        f"    return getattr(terms[0], '{RECORD}')\n"
+    )
+    assert _record_uses(polyrat, "polyrat") == [
+        f"line 4: RatFn.__init__ stores a {RECORD} other than None",
+        f"line 10: RatFn.__mul__ stores a {RECORD} other than self.{RECORD}",
+        f"line 12: RatFn.__add__ reads {RECORD}",
+        f"line 12: RatFn.__add__ stores {RECORD}",
+        f"line 16: fraction_sum reaches {RECORD} by name",
+    ]
+    checks = ast.parse(
+        "def locus_check(triple, label):\n"
+        f"    roots = triple.f0inf.terms[0][1].{RECORD}\n"
+        f"    return setattr(a, '{RECORD}', None), hasattr(a, '{RECORD}')\n"
+    )
+    for module in ("verify", "cohomology"):
+        assert _record_uses(checks, module) == [
+            f"line 2: locus_check uses {RECORD}",
+            f"line 3: locus_check reaches {RECORD} by name",
+            f"line 3: locus_check reaches {RECORD} by name",
+        ]
+    funcfield = ast.parse(
+        "def valuations(obj):\n"
+        f"    recorded = a.{RECORD}\n"
+        f"    a.{RECORD} = ()\n"
+    )
+    assert _record_uses(funcfield, "funcfield") == [f"line 3: valuations uses {RECORD}"]
 
 
 def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:

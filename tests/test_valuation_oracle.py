@@ -55,7 +55,7 @@ PER_CURVE = 32
 def _local_data(curve, place) -> tuple[int, int, int]:
     """(e, v(y), v(dx)) at the class, from the curve's defining data."""
     if place.kind == "branch":
-        l = curve.branch[place.index - 1][1]
+        l = curve.branch[place.position][1]
         if isinstance(curve, KummerCurve):
             d = math.gcd(curve.n, l)
             return curve.n // d, l // d, curve.n // d - 1

@@ -11,7 +11,7 @@ from cycliccover.cohomology import DeRhamTriple, build_bases, off_fiber_poles, o
 from cycliccover.curve import ASCurve, KummerCurve
 from cycliccover.funcfield import FFDiff, FFElem
 from cycliccover.gf import FieldSpec
-from cycliccover.polyrat import Poly, RatFn
+from cycliccover.polyrat import Poly, RatFn, reduce_over_roots
 from cycliccover.verify import (
     VerifyOptions,
     cocycle_check,
@@ -127,6 +127,35 @@ def test_locus_check_fails_on_a_pole_at_one_point_of_the_class():
     assert result.payload == {"violations": ["f_0inf at branch[1]@1: bound -2"]}
     # the exactness check reads the same pole off the element
     assert [(place.label, v) for place, v in off_fiber_poles(elem)] == [("branch[1]@1", -2)]
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "reduced"])
+def test_locus_check_reports_poles_of_recorded_denominators(recorded):
+    # 1/(x - 1) from reduce_over_roots carries its factorization, read by the
+    # walk; from RatFn(num, den) it carries none: the payloads are the same
+    def over_lin(spec):
+        lin = Poly.from_ints(spec, [-1, 1])
+        return reduce_over_roots(Poly.one(spec), 0, lin, [(1, 1)]) if recorded else RatFn(Poly.one(spec), lin)
+
+    pole, holom = FFDiff(FFElem.monomial(QUARTIC, 0, over_lin(F5))), omega_basis(QUARTIC)[0][1]
+    zero = FFElem.zero(QUARTIC)
+    cases = [
+        (DeRhamTriple(pole, holom, zero), ["omega_0 at branch[1]@1: bound -1", "omega_0 at over_infinity: bound -1"]),
+        (DeRhamTriple(holom, -pole, zero), ["omega_inf at branch[1]@1: bound -1"]),  # negation keeps the record
+        (DeRhamTriple(holom, holom, pole.coeff), ["f_0inf at branch[1]@1: bound -2"]),
+    ]
+    # y/(x - 1) on y^3 - y = r: den vanishes at branch 1, and at branch 2
+    # the negative v(y) makes the walk read num's order there
+    elem = FFElem.monomial(AS_P3, 1, over_lin(F3))
+    cases.append((DeRhamTriple(FFDiff(FFElem.zero(AS_P3)), FFDiff(FFElem.zero(AS_P3)), elem),
+                  ["f_0inf at branch[1]@1: bound -4", "f_0inf at branch[2]@2: bound -1"]))
+    assert [(a.den_roots is not None) for _, a in pole.coeff.terms + elem.terms] == [recorded, recorded]
+    for triple, violations in cases:
+        result = locus_check(triple, "engineered")
+        assert result.status == "fail"
+        assert result.payload == {"violations": violations}
+        assert result.details == "; ".join(violations)
+    assert [(place.label, v) for place, v in off_fiber_poles(elem)] == [("branch[1]@1", -4), ("branch[2]@2", -1)]
 
 
 def test_divisor_checks_pass_on_worked_curves():
