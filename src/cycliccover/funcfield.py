@@ -31,32 +31,32 @@ reach row and their summed x-order.
 ``exterior_d`` reduces them, and the cocycle check tests their sum for
 zero without reducing.
 
-Regularity questions are answered through ``valuations``, which scores
-each y-monomial a_j y^j at every place class by the exact valuations of
-x - rho, y and dx there and takes the minimum per class.  That minimum
-is the valuation of the class, min_P v_P over its points P, for every
-class of the curve's ramification table ``curve.place_classes``: the
-minimising monomials share one residue of j mod the ramification index,
-so divided by one of them they leave a nonzero polynomial, of degree
-below the number of points, in a unit with pairwise distinct values at
-those points (Vandermonde; the proof is in ``valuation_bound``).  An
-element's valuations come from one walk over its nonzero y coefficients
-and are kept on the element.  A coefficient is reduced, so at each finite
-class the walk takes den's multiplicity first and num's only where den
-does not vanish.  A basis coefficient carries its den's factorization
-(``RatFn.den_roots``, recorded by ``polyrat.reduce_over_roots``), and its
-multiplicity at a branch point is read off it; any other coefficient,
-such as a divisor row's ``RatFn(num, den)``, is divided out by synthetic
-division, so those rows stay a from-scratch check.  ``valuation_bound``
-reads one class from the walk.  ``poles`` finds the poles of an element
-or differential off an allowed locus: it first decides, term by term and
-only at the classes off the locus, whether any term scores below 0, and
-runs the exact walk only when one does.
+Regularity questions are answered by one walk, ``_walk``, which scores
+each y-monomial a_j y^j at each of a list of place classes by the exact
+valuations of x - rho and y there and takes the minimum per class.  That
+minimum is the valuation of the class, min_P v_P over its points P, for
+every class of the curve's ramification table ``curve.place_classes``:
+the minimising monomials share one residue of j mod the ramification
+index, so divided by one of them they leave a nonzero polynomial, of
+degree below the number of points, in a unit with pairwise distinct
+values at those points (Vandermonde; the proof is in ``valuation_bound``).
+A coefficient is reduced, so at each finite class the walk takes den's
+multiplicity first and num's only where den does not vanish.  A basis
+coefficient carries its den's factorization (``RatFn.den_roots``,
+recorded by ``polyrat.reduce_over_roots``), and its multiplicity at a
+branch point is read off it; any other coefficient, such as a divisor
+row's ``RatFn(num, den)``, is divided out by synthetic division, so those
+rows stay a from-scratch check.  ``valuations`` walks every class and
+keeps the tuple on the element, and ``valuation_bound`` reads one class
+of it.  ``poles`` finds the poles of an element or differential off an
+allowed locus: it reads the kept tuple when there is one, and otherwise
+walks only the classes off the locus and keeps nothing, so each pole is
+reported with its exact class valuation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .curve import Curve, PlaceClass, place_classes
 from .gf import FieldElement
@@ -271,37 +271,42 @@ class FFDiff:
 
 def valuations(obj: FFElem | FFDiff) -> tuple[int, ...]:
     """The valuation of a nonzero element or differential at each place
-    class, in ``place_classes`` order: min over the nonzero y-monomials of
-    v(a_j) + j v(y), plus v(dx) for a differential (see
-    ``valuation_bound``).  An element's tuple comes from one walk over its
-    nonzero y coefficients and is kept on the element, which is immutable;
-    a differential adds v(dx) to its coefficient's tuple.
-
-    At a finite class, v(a_j) is e times the order of a_j at the base
-    point rho.  a_j is reduced, so num and den do not both vanish at rho:
-    the walk takes den's multiplicity first (``_den_multiplicity``) and
-    num's only where den does not vanish."""
+    class, in ``place_classes`` order (see ``valuation_bound``).  An
+    element's tuple is ``_walk`` over every class, kept on the element,
+    which is immutable; a differential adds v(dx) to its coefficient's."""
     if isinstance(obj, FFDiff):
         return tuple(v + place.v_dx for v, place in zip(valuations(obj.coeff), place_classes(obj.curve)))
     if obj._valuations is None:
-        places = [(place.rho, place.e, place.v_y) for place in place_classes(obj.curve)]
-        best = None
-        for j, a in obj.terms:
-            num, den = a.num, a.den
-            recorded = None if a.den_roots is None else dict(a.den_roots)
-            scores = []
-            for rho, e, v_y in places:
-                if rho is None:  # over infinity: deg den - deg num
-                    v = len(den.ints) - len(num.ints)
-                else:
-                    m = _den_multiplicity(den, rho, recorded)
-                    v = -e * m if m else e * num.multiplicity_at(rho)
-                scores.append(v + j * v_y)
-            best = scores if best is None else list(map(min, best, scores))
-        if best is None:
+        if obj.is_zero:
             raise ValueError("valuation of the zero element is undefined")
-        obj._valuations = tuple(best)
+        obj._valuations = tuple(_walk(obj, place_classes(obj.curve)))
     return obj._valuations
+
+
+def _walk(elem: FFElem, places: Iterable[PlaceClass]) -> list[int]:
+    """The valuation of a nonzero element at each of the place classes:
+    min over its terms a_j y^j of v(a_j) + j v(y), the one score formula.
+
+    At a finite class, v(a_j) is e times the order of a_j at the base
+    point rho.  a_j is reduced, so num and den do not both vanish at rho:
+    the walk takes den's multiplicity first (``_den_multiplicity``, from
+    one ``den_roots`` dict per term) and num's only where den does not
+    vanish.  Over infinity it is deg den - deg num."""
+    rows = [(place.rho, place.e, place.v_y) for place in places]
+    best = None
+    for j, a in elem.terms:
+        num, den = a.num, a.den
+        recorded = None if a.den_roots is None else dict(a.den_roots)
+        scores = []
+        for rho, e, v_y in rows:
+            if rho is None:
+                v = len(den.ints) - len(num.ints)
+            else:
+                m = _den_multiplicity(den, rho, recorded)
+                v = -e * m if m else e * num.multiplicity_at(rho)
+            scores.append(v + j * v_y)
+        best = scores if best is None else list(map(min, best, scores))
+    return best
 
 
 def _den_multiplicity(den: Poly, rho: FieldElement, recorded: dict[int, int] | None) -> int:
@@ -320,8 +325,7 @@ def _den_multiplicity(den: Poly, rho: FieldElement, recorded: dict[int, int] | N
 def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
     """The valuation of a nonzero element or differential at the place
     class: min over the points P of the class of v_P(obj).  It is read
-    from the element's ``valuations`` tuple, one walk per element over its
-    nonzero y coefficients, plus v(dx) for a differential.
+    from the element's ``valuations`` tuple, plus v(dx) for a differential.
 
     It is computed as min over nonzero y-monomials of v(a_j) + j v(y),
     plus v(dx) for differentials (v(dx) is the same at every point of the
@@ -353,47 +357,20 @@ def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:
 
 def poles(obj: FFElem | FFDiff, allowed: Callable[[PlaceClass], bool]) -> list[tuple[PlaceClass, int]]:
     """The place classes outside the allowed locus where obj has a pole,
-    each with its (negative) valuation; the zero element has none.
-
-    The class valuation is the least term score e ord(a_j) + j v(y)
-    (+ v(dx)), so there is a pole iff some term scores below 0 at some
-    class outside the locus.  That is decided first, term by term
-    (``_scores_below_zero``), and only then is the exact ``valuations``
-    walk run, so a failing payload reports each exact class valuation and
-    a pole-free element costs no walk over the allowed classes."""
-    elem = obj.coeff if isinstance(obj, FFDiff) else obj
+    each with its exact (negative) class valuation; the zero element has
+    none.  The values are the element's kept ``valuations`` when it has
+    them, else ``_walk`` over the classes outside the locus only, which
+    keeps nothing, so a pole-free element costs no walk over the allowed
+    classes."""
+    dx = isinstance(obj, FFDiff)
+    elem = obj.coeff if dx else obj
     if elem.is_zero:
         return []
     outside = [place for place in place_classes(elem.curve) if not allowed(place)]
-    dx = isinstance(obj, FFDiff)
-    if elem._valuations is None and not any(_scores_below_zero(j, a, outside, dx) for j, a in elem.terms):
-        return []
-    values = valuations(obj)
-    return [(place, values[place.position]) for place in outside if values[place.position] < 0]
-
-
-def _scores_below_zero(j: int, a: RatFn, places: list[PlaceClass], dx: bool) -> bool:
-    """Whether a y^j (times dx when ``dx``) scores below 0 at one of the
-    places.  Where den vanishes the score is known from den alone; where
-    it does not, ord num >= 0, so num's multiplicity is read only when
-    j v(y) (+ v(dx)) is negative."""
-    num, den = a.num, a.den
-    recorded = None if a.den_roots is None else dict(a.den_roots)
-    for place in places:
-        rest = j * place.v_y + (place.v_dx if dx else 0)
-        if place.rho is None:
-            score = rest + len(den.ints) - len(num.ints)
-        else:
-            m = _den_multiplicity(den, place.rho, recorded)
-            if m:
-                score = rest - place.e * m
-            elif rest >= 0:
-                continue
-            else:
-                score = rest + place.e * num.multiplicity_at(place.rho)
-        if score < 0:
-            return True
-    return False
+    kept = elem._valuations
+    values = _walk(elem, outside) if kept is None else [kept[place.position] for place in outside]
+    found = [(place, v + place.v_dx if dx else v) for place, v in zip(outside, values)]
+    return [(place, v) for place, v in found if v < 0]
 
 
 def _reach(curve: Curve) -> list[tuple[int, RatFn | None]]:

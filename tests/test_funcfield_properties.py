@@ -23,7 +23,10 @@ through ``reference.dense``, compares and hashes as the dense vector
 does, and its sum (the constructor on both operands' terms), negation,
 product, valuations and pairing equal the dense walks of ``reference``,
 which visit every index (the product skips only the rows of zero
-entries).
+entries).  ``poles`` of the element and of its differential, over 0,
+over infinity and both fibers, equal the filter of the dense valuations
+before and after ``valuations`` keeps its tuple, and keep none
+themselves.
 """
 
 import json
@@ -48,7 +51,7 @@ from reference import (
 
 from cycliccover.cli import parse_curve_spec
 from cycliccover.curve import ASCurve, KummerCurve, place_classes, validate
-from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, valuations
+from cycliccover.funcfield import FFDiff, FFElem, pairing_matrix, poles, valuations
 from cycliccover.gf import FieldSpec
 from cycliccover.polyrat import Poly, RatFn
 from cycliccover.verify import full_report
@@ -216,6 +219,12 @@ SPARSE_CURVES["as_p19"] = parse_curve_spec(
     {"type": "artin-schreier", "p": 19, "branch": [{"rho": 1, "l": 2}], "f": [1, 0, 1]}
 )
 SPARSE_IDS = sorted(SPARSE_CURVES)
+# the loci the checks allow poles on: over 0, over infinity, and both fibers
+LOCI = (
+    lambda place: place.covers_zero,
+    lambda place: place.kind == "over_infinity",
+    lambda place: place.covers_zero or place.kind == "over_infinity",
+)
 
 
 def dense_vectors(curve):
@@ -280,6 +289,16 @@ def test_valuations_and_pairing_match_the_dense_walks(name, data):
     if x.is_zero:
         with pytest.raises(ValueError):
             valuations(x)
+        assert all(poles(x, allowed) == poles(FFDiff(x), allowed) == [] for allowed in LOCI)
     else:
-        assert valuations(x) == dense_valuations(a, place_classes(curve))
+        places = place_classes(curve)
+        want = dense_valuations(a, places)
+        for kept in (False, True):  # poles walks the classes off the locus, then reads the kept tuple
+            for obj, dx in ((x, 0), (FFDiff(x), 1)):
+                values = [v + dx * place.v_dx for place, v in zip(places, want)]
+                for allowed in LOCI:
+                    expected = [(place, v) for place, v in zip(places, values) if v < 0 and not allowed(place)]
+                    assert poles(obj, allowed) == expected
+            assert (x._valuations is None) != kept  # poles keeps no partial tuple
+            assert valuations(x) == want
     assert pairing_matrix(curve, [FFDiff(FFElem(curve, enumerate(w)))], [x]) == [[dense_pairing(curve, a, w)]]

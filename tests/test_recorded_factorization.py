@@ -1,5 +1,5 @@
 """Oracle for the denominator factorizations that ``reduce_over_roots``
-records (``RatFn.den_roots``) and for the pole-only walk of ``poles``.
+records (``RatFn.den_roots``) and for the walk ``poles`` runs off a locus.
 
 Every y coefficient of every basis object carries the (encoding of rho,
 m) pairs of its denominator, den = x^k prod (x - rho)^m.  Each recorded m
@@ -8,10 +8,10 @@ is checked against the multiplicity of x - rho in den found by the
 recorded degrees plus k must add up to deg den, so no root is missing.
 ``valuations`` reads den's multiplicity off the record; the same terms
 rebuilt by the reducing ``RatFn(num, den)`` carry none and are walked by
-synthetic division, and the two walks must agree.  ``poles`` decides
-term by term whether a class outside the locus can have a pole before it
-walks; it must equal the filter of the full ``valuations`` tuple, for
-both kinds of coefficient and every locus the checks use.
+synthetic division, and the two walks must agree.  ``poles`` runs the
+same walk over the classes outside the locus only; it must equal the
+filter of the full ``valuations`` tuple, for both kinds of coefficient
+and every locus the checks use.
 
 The objects are the omega, H^1 and de Rham slot objects of both
 ``specs/`` files (each policy and sign), of the README Kummer and

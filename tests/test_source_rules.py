@@ -17,17 +17,21 @@ per-coefficient valuation, so every valuation they read comes from
 ``reduce_over_roots`` records on a ``RatFn`` (``den_roots``) is set only
 there, cleared to None by every other constructor, copied only by
 ``RatFn.__neg__`` and ``RatFn.__mul__`` and read elsewhere only in
-``funcfield``, so no check can read a record around that walk.
+``funcfield``, so no check can read a record around that walk.  In
+``funcfield`` the class-score formula is written once: outside
+``_den_multiplicity`` only ``_walk`` names ``multiplicity_at`` or
+``_den_multiplicity``, so ``valuations`` and ``poles`` share one walk.
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check, nor the name of a retired
 second route to a value (a wrapper beside ``pairing_matrix``,
 ``build_bases`` or ``fraction_residue``, the root of unity the Galois
 oracle keeps, the ``MuTable`` wrapper of the mu-table dict, the
-class-or-triple fork ``_triple`` of the de Rham checks, or an unreached
+class-or-triple fork ``_triple`` of the de Rham checks, an unreached
 operator or second constructor of a value type, banned by its
-class-qualified name such as ``RatFn.inverse``, or the second
-ramification table ``ram_data`` beside ``curve.place_classes``), so each
+class-qualified name such as ``RatFn.inverse``, the second
+ramification table ``ram_data`` beside ``curve.place_classes``, or the
+pole pre-pass ``_scores_below_zero`` beside the one valuation walk), so each
 value and each operation keeps one way in.  The coefficient loops that
 read the field tables inline, and the root walks that call the row kernel
 ``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
@@ -82,6 +86,8 @@ VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
 RECORD = "den_roots"  # the denominator factorization that reduce_over_roots records on a RatFn
 RECORD_SETTERS = ("reduce_over_roots", "RatFn.__init__")  # the one recorder, and the None of every other constructor
 RECORD_CARRIERS = ("RatFn.__neg__", "RatFn.__mul__")  # keep den, so they copy the record
+SCORE_CALLS = ("multiplicity_at", "_den_multiplicity")  # the multiplicities the class-score formula reads
+SCORE_HELPERS = ("_den_multiplicity",)  # den's multiplicity, by record or division; only the walk calls it
 NAME_ACCESS = ("getattr", "setattr", "delattr", "hasattr")
 # the coefficient loops that read the field tables inline, and the root walks that call
 # their row kernel, by module and class ("" for module level)
@@ -113,7 +119,7 @@ RETIRED_NAMES = (
     "MuTable", "_triple", "FieldElement.__truediv__", "Poly.constant", "Poly.leading", "Poly.__mod__",
     "RatFn.from_poly", "RatFn.constant", "RatFn.spec", "RatFn.__sub__", "RatFn.inverse", "RatFn.__truediv__",
     "FFElem.__add__", "FFElem.__sub__", "FFElem.from_ratfn", "FFDiff.zero", "FFDiff.__add__", "FFDiff.__sub__",
-    "BranchRam", "RamData", "ram_data", "CyclicCover.ram",
+    "BranchRam", "RamData", "ram_data", "CyclicCover.ram", "_scores_below_zero",
 )
 # the package's layers, lowest first: each module imports only from those before it
 LAYERS = ("gf", "polyrat", "curve", "funcfield", "cohomology", "verify", "cli")
@@ -538,6 +544,54 @@ def test_the_factorization_rule_catches_violations():
         f"    a.{RECORD} = ()\n"
     )
     assert _record_uses(funcfield, "funcfield") == [f"line 3: valuations uses {RECORD}"]
+
+
+def _score_formulas(tree: ast.Module) -> list[str]:
+    """Each definition outside ``SCORE_HELPERS`` that names a call of the
+    class-score formula (``SCORE_CALLS``), by name or attribute, with the
+    names it uses ("module" at module level)."""
+
+    def found(node: ast.AST) -> str | None:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return f"uses {name}" if isinstance(node, (ast.Name, ast.Attribute)) and name in SCORE_CALLS else None
+
+    uses: dict[str, set[str]] = {}
+    for line in _outside(tree, SCORE_HELPERS, found):
+        owner, name = line.split(": ", 1)[1].split(" uses ")
+        uses.setdefault(owner, set()).add(name)
+    return [f"{owner} uses {', '.join(sorted(names))}" for owner, names in sorted(uses.items())]
+
+
+def test_one_walk_scores_the_place_classes():
+    tree = ast.parse((SRC / "funcfield.py").read_text(encoding="utf-8"))
+    assert _score_formulas(tree) == ["_walk uses _den_multiplicity, multiplicity_at"]
+
+
+def test_the_score_formula_rule_catches_violations():
+    tree = ast.parse(
+        "def _den_multiplicity(den, rho, recorded):\n"
+        "    return den.multiplicity_at(rho)\n"
+        "def _walk(elem, places):\n"
+        "    m = _den_multiplicity(den, rho, recorded)\n"
+        "    return m or num.multiplicity_at(rho)\n"
+        "def _scores_below_zero(j, a, places, dx):\n"
+        "    m = _den_multiplicity(a.den, place.rho, recorded)\n"
+        "    return m or a.num.multiplicity_at(place.rho)\n"
+        "def poles(obj, allowed):\n"
+        "    order = Poly.multiplicity_at\n"
+        "    return [order(a.num, rho) for rho in allowed]\n"
+        "class FFElem:\n"
+        "    def valuation(self, rho):\n"
+        "        return _den_multiplicity(self.den, rho, None)\n"
+        "ORDER = multiplicity_at(F, X)\n"
+    )
+    assert _score_formulas(tree) == [
+        "FFElem.valuation uses _den_multiplicity",
+        "_scores_below_zero uses _den_multiplicity, multiplicity_at",
+        "_walk uses _den_multiplicity, multiplicity_at",
+        "module uses multiplicity_at",
+        "poles uses multiplicity_at",
+    ]
 
 
 def _definitions(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
