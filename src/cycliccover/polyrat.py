@@ -24,8 +24,8 @@ coefficient a is g^log[a], and for nonzero a, b:
 The step out[k] += w * c is written once, in the row kernel ``_axpy``,
 called once per row by schoolbook products (a row per term of the
 sparser operand), long division (``_reduce``), root products
-(``_root_product``) and the root walks ``cohomology._cofactor_parts`` and
-``verify._cofactor_sum``, which read no table.  A sum has no multiply and
+(``_root_product``) and the root walk ``cohomology._cofactor_parts``,
+which reads no table.  A sum has no multiply and
 keeps its own loop (``Poly.__add__``); with ``_horner``, the one
 synthetic-division recurrence, these are the only readers of ``zech``.
 The ``FieldSpec`` methods ``add``/``mul``/``neg``/``inv`` serve the

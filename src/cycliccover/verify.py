@@ -27,7 +27,9 @@ report builds each basis once and pairs the matrix once: the duality
 check compares every entry of that matrix with the identity, and the
 exactness check takes the coordinates of an a-class whose image is an H^1
 basis representative from that representative's column; the builder
-makes that image the representative itself.
+makes that image the representative itself.  An a-class image is its
+f_0inf slot: ``full_report`` finds each f_0inf's poles off the fibers once,
+for the locus check of its class and the exactness check.
 
 The divisor check is a table: each divisor is one row holding its label,
 its element or differential, and its closed-form exponents at each branch
@@ -39,10 +41,8 @@ every row into its valuation items and its ``deg(...)`` item; the (x) row
 is shared by both families.  An item holds its verdict, its expected and
 computed values and a label template with its arguments; only a failing
 check formats labels, into the payload dicts of its failing items.  The
-Kummer log-derivative identity takes each prod_(I-i) (x - rho) from the
-support prod_I (x - rho) by one synthetic division by x - rho_i.  The gg
-identity of mu and that of n - mu test the same product, so the support
-and g_mu g_(n-mu) prod_I (x - rho) are built once per pair {mu, n - mu}.
+Kummer gg product and log derivative of each mu are decided on the
+integers of its mu-table row, building no polynomial (``_kummer_identities``).
 The Artin-Schreier dy item is decided as the cocycle check is, by a zero
 test on the unreduced sums of dy - psi / prod (x - rho_i)^(l_i + 1) dx,
 and renders its two reduced differentials only when it fails.
@@ -57,7 +57,10 @@ from .cohomology import Bases, DeRhamTriple, as_pole_den, as_psi, build_bases, m
 from .curve import ASCurve, Curve, KummerCurve, MuRow, PlaceClass, genus_rh, mu_table, place_classes, validate
 from .funcfield import FFDiff, FFElem, pairing_matrix, poles, valuation_bound
 from .gf import FieldElement
-from .polyrat import Poly, RatFn, _axpy, _horner, fraction_sum
+from .polyrat import Poly, RatFn, fraction_sum
+
+
+_Poles = list[tuple[PlaceClass, int]]  # the (place class, valuation) poles of an element
 
 
 class CheckResult(NamedTuple):
@@ -150,15 +153,15 @@ def cocycle_check(triple: DeRhamTriple, label: str) -> CheckResult:
     )
 
 
-def locus_check(triple: DeRhamTriple, label: str) -> CheckResult:
+def locus_check(triple: DeRhamTriple, label: str, f0inf_poles: _Poles | None = None) -> CheckResult:
     """Membership of the three slots in their sheaves: omega_0 regular off
     the fiber over 0, omega_inf off the fiber over infinity, f_0inf off
-    both fibers."""
+    both fibers (``f0inf_poles``, when given, are its poles found already)."""
     name = f"locus:{label}"
     slots = (
         ("omega_0", poles(triple.omega0, lambda pl: pl.covers_zero)),
         ("omega_inf", poles(triple.omega_inf, lambda pl: pl.kind == "over_infinity")),
-        ("f_0inf", off_fiber_poles(triple.f0inf)),
+        ("f_0inf", off_fiber_poles(triple.f0inf) if f0inf_poles is None else f0inf_poles),
     )
     violations = [f"{slot} at {place.label}: bound {value}" for slot, found in slots for place, value in found]
     if violations:
@@ -214,42 +217,33 @@ def _kummer_rows(curve: KummerCurve, table: dict[int, MuRow], dx: FFDiff, g: int
     return rows
 
 
-def _cofactor_sum(support: Poly, terms: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
-    """sum w * support / (x - rho) over the (rho, w) pairs, for roots rho of
-    the support: the Horner partial sums of the support at rho
-    (``polyrat._horner``; at rho = 0 its coefficients) are the quotient,
-    highest first, then the remainder 0, and each is added into the sum as
-    one row (``polyrat._axpy``)."""
-    spec, desc = support.spec, support.ints[::-1]
-    acc = [0] * len(desc)  # descending; the last slot takes the remainders
-    for rho, weight in terms:
-        if weight.encoding:
-            _axpy(spec, acc, 0, _horner(spec, desc, rho.encoding) if rho.encoding else desc, weight.encoding)
-    return Poly.from_encodings(spec, acc[-2::-1])
+def _gg_holds(curve: KummerCurve, row: MuRow, partner: MuRow) -> bool:
+    """g_mu g_(n-mu) prod_I (x - rho) == f, on the exponent of each x - rho_i."""
+    return all(a + b + (i in row.I) == l for i, (a, b, (_, l)) in enumerate(zip(row.m, partner.m, curve.branch), 1))
+
+
+def _logder_holds(curve: KummerCurve, row: MuRow, branches: Sequence[PlaceClass]) -> bool:
+    """phi' prod_I (x - rho) == phi sum_I v g prod_(I-i) (x - rho), on the residues v_i g_i mod p."""
+    return all(i in row.I for i, (b, v) in enumerate(zip(branches, row.v), 1) if v * b.npoints % curve.spec.p)
 
 
 def _kummer_identities(curve: KummerCurve, table: dict[int, MuRow], branches: Sequence[PlaceClass]) -> list[_Item]:
-    """Per mu: the gg product and the log derivative of phi, whose
-    prod_(I-i) (x - rho) are quotients of the support prod_I (x - rho).
-    The gg items of mu and n - mu test one product: when the two rows
-    share I (here always, as n lambda_i = 0 mod e_i), the support and
-    g_mu g_(n-mu) prod_I (x - rho) are formed once for the pair."""
-    spec = curve.spec
+    """Per mu: the gg product and the log derivative of phi = prod (x -
+    rho_i)^(v_i g_i), decided on the mu-table row.  Each side is a product
+    of the distinct primes x - rho_i (``validate``; g_mu and f are
+    ``Poly.from_roots`` of these exponents).  gg: by unique factorization it
+    holds iff m_i(mu) + m_i(n - mu) + [i in I] = l_i at every i.  logder:
+    phi'/phi = sum_i (v_i g_i mod p)/(x - rho_i), the right side over phi
+    prod_I (x - rho) is that sum over I, and partial fractions over distinct
+    poles are unique, so it holds iff every i with v_i g_i != 0 mod p is in
+    I.  The y^mu/g_mu rows still certify each g_mu from scratch; the kernels
+    these items no longer run (``from_roots``, ``derivative``, the products)
+    have their own oracles."""
     items = []
-    pending: dict[int, tuple[Poly, bool]] = {}  # n - mu -> the support and gg verdict it shares with mu
-    for mu in table:
-        row, partner = table[mu], table[curve.n - mu]
-        if mu in pending:
-            support, gg = pending.pop(mu)
-        else:
-            support = Poly.from_roots(spec, [(branches[i - 1].rho, 1) for i in row.I])
-            gg = row.g_mu * partner.g_mu * support == curve.f
-            if partner.I == row.I:
-                pending[curve.n - mu] = support, gg
+    for mu, row in table.items():
+        gg = _gg_holds(curve, row, table[curve.n - mu])
         items.append(_identity(gg, "g_mu * g_{n-mu} * prod_I (x-rho) == f", "gg:mu={}", mu))
-        phi = Poly.from_roots(spec, [(b.rho, v * b.npoints) for b, v in zip(branches, row.v)])
-        weights = [(branches[i - 1].rho, spec.element(row.v[i - 1] * branches[i - 1].npoints)) for i in row.I]
-        logder = phi.derivative() * support == phi * _cofactor_sum(support, weights)
+        logder = _logder_holds(curve, row, branches)
         items.append(_identity(logder, "phi' * prod_I == phi * sum_I v g prod_(I-i)", "logder:mu={}", mu))
     return items
 
@@ -375,7 +369,9 @@ def dimension_check(curve: Curve, bases: Bases) -> CheckResult:
     )
 
 
-def exactness_check(curve: Curve, bases: Bases, matrix: list[list[int]]) -> CheckResult:
+def exactness_check(
+    curve: Curve, bases: Bases, matrix: list[list[int]], a_poles: Sequence[_Poles] | None = None
+) -> CheckResult:
     """Exactness of 0 -> H^0(Omega) -> H^1_dR -> H^1(O) -> 0 on the
     constructed bases: i lands in the kernel of p, the a-family surjects
     onto the H^1 basis with unit coordinates, and the delta-family has
@@ -386,14 +382,15 @@ def exactness_check(curve: Curve, bases: Bases, matrix: list[list[int]]) -> Chec
     bases), and the other images are paired afresh, all in one
     ``pairing_matrix`` call.  Coordinates are compared as encodings.  An
     image with a pole off the fibers over 0 and infinity is no H^1 class:
-    it is reported, by class and place, and not paired."""
+    it is reported, by class and place, and not paired.  ``a_poles``, when
+    given, are the images' poles in a-class order, found already."""
     problems = []
     for idx, w in bases.omega:
         if not map_p(map_i(w)).is_zero:
             problems.append(f"p(i(omega[{idx.mu},{idx.nu}])) is not zero")
     a_classes = [c for c in bases.derham if c.kind == "a"]
     images = [map_p(cls.triple) for cls in a_classes]
-    off_fiber = [off_fiber_poles(image) for image in images]
+    off_fiber = a_poles if a_poles is not None else [off_fiber_poles(image) for image in images]
     columns: dict[FFElem, int] = {}  # each representative's first column
     for j, (_, h) in enumerate(bases.columns):
         columns.setdefault(h, j)
@@ -445,9 +442,11 @@ def full_report(curve: Curve, options: VerifyOptions | None = None) -> Report:
     checks.append(dimension_check(curve, bases))
     matrix, duality = duality_matrix(curve, bases)
     checks.append(duality)
-    for cls in bases.derham:
+    f0inf_poles = [off_fiber_poles(cls.triple.f0inf) for cls in bases.derham]  # each f_0inf walked once
+    for cls, found in zip(bases.derham, f0inf_poles):
         checks.append(cocycle_check(cls.triple, cls.label))
-        checks.append(locus_check(cls.triple, cls.label))
-    checks.append(exactness_check(curve, bases, matrix))
+        checks.append(locus_check(cls.triple, cls.label, found))
+    a_poles = [found for cls, found in zip(bases.derham, f0inf_poles) if cls.kind == "a"]
+    checks.append(exactness_check(curve, bases, matrix, a_poles))
     all_pass = all(c.status == "pass" for c in checks)
     return Report(checks, all_pass=all_pass, pairing_matrix=matrix, bases=bases)

@@ -215,6 +215,38 @@ def test_exactness_reports_an_image_with_a_pole_off_the_fibers(monkeypatch):
     assert by_name["duality"].status == "pass"
 
 
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_the_report_walks_each_f0inf_once_and_a_planted_pole_fails_both_checks(index, monkeypatch):
+    """``full_report`` finds each f_0inf's poles off the fibers once and hands
+    them to the locus check of its class and, for an a-class, to the
+    exactness check; a pole planted in an a-class f_0inf fails both, with
+    the payloads each check gives on its own."""
+    curve = parse_curve_spec(SPECS[index])
+    bases = build_bases(curve)
+    matrix, _ = duality_matrix(curve, bases)
+    spec = curve.spec
+    rho_1 = curve.branch[0][0]
+    assert not rho_1.is_zero  # branch[1] does not cover x = 0
+    pole = FFElem.monomial(curve, 0, RatFn(Poly.one(spec), Poly.from_roots(spec, [(rho_1, 1)])))
+    planted, label = _planted(bases, "a", pole)
+    triple = next(cls.triple for cls in planted.derham if cls.label == label)
+    locus, exactness = verify.locus_check(triple, label), exactness_check(curve, planted, matrix)
+    assert (locus.status, exactness.status) == ("fail", "fail")
+    [(place, value)] = cohomology.off_fiber_poles(pole)
+    assert place.label == "branch[1]@1" and value < 0
+    assert f"f_0inf at {place.label}: bound {value}" in locus.payload["violations"]
+    assert exactness.payload["problems"][0] == f"p({label}) has a pole at branch[1]@1: not an O(U_0 cap U_inf) class"
+
+    counts = {}
+    _counting(monkeypatch, verify, "off_fiber_poles", counts)
+    monkeypatch.setattr(verify, "build_bases", lambda *args: planted)
+    report = full_report(curve)
+    assert counts == {"off_fiber_poles": len(planted.derham)}
+    by_name = {check.name: check for check in report.checks}
+    assert by_name[f"locus:{label}"] == locus
+    assert by_name["exactness"] == exactness
+
+
 def _exactness_by_pairing(curve, range_policy, sign) -> CheckResult:
     """The exactness check with every image paired afresh against every
     differential through ``reference.dense_pairing``, which shares no code

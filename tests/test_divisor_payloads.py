@@ -2,10 +2,11 @@
 both sample specs and both README sweep corpora, passing and with every
 item forced to fail.
 
-Failure is forced by shifting every valuation bound by 1000, making
-``Poly`` equality and the Artin-Schreier dy zero test always false, and
-adding 1 to every Artin-Schreier ``v``, so each item's label, expected
-value and computed value shows up in the payload.  The golden file
+Failure is forced by shifting every valuation bound by 1000, making the
+Kummer gg and log-derivative decisions and the Artin-Schreier dy zero
+test always false, and adding 1 to every Artin-Schreier ``v``, so each
+item's label, expected value and computed value shows up in the
+payload.  The golden file
 records the output of the two-branch check that the row table replaced;
 re-record it with ``python tests/test_divisor_payloads.py`` only when a
 change to the payload is intended.
@@ -18,7 +19,6 @@ import pytest
 
 from cycliccover import verify
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
-from cycliccover.polyrat import Poly
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden" / "divisors.json"
@@ -59,7 +59,8 @@ def _forced_failure(doc: dict) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "valuation_bound", shifted_bound)
         mp.setattr(verify, "mu_table", shifted_table)
-        mp.setattr(Poly, "__eq__", lambda self, other: False)
+        mp.setattr(verify, "_gg_holds", lambda c, row, partner: False)
+        mp.setattr(verify, "_logder_holds", lambda c, row, branches: False)
         mp.setattr(verify, "_dy_matches", lambda c, psi, pole_den: False)
         return _outcome(verify.divisor_checks(curve))
 

@@ -4,8 +4,9 @@ The CLI paths run in-process under ``sys.setprofile``: ``info``, ``basis
 all`` and ``verify``, with and without ``--json``, on both spec files
 under each mu-range policy and sign convention, and one small ``sweep
 --family both`` whose Kummer cells take the fields F_4, F_9 and F_25
-from the q = p^2 enumerator, and whose y^4 = x (x - 1) (x - 2) (x - 3)
-over F_5 takes a Kronecker product.  The shared field specs are emptied
+from the q = p^2 enumerator, then the README Kummer sweep, whose basis
+products are the first on these paths large enough for the Kronecker
+route.  The shared field specs are emptied
 first, so the table build runs too.  Every ``def`` in the package must
 then have been called or stand in ``UNREACHED`` with its reason: a name
 the benchmark's tracer reads (``bench/tracing.py``), a primitive the
@@ -51,9 +52,11 @@ UNREACHED = {
     "gf.FieldElement.__repr__": REPR,
     "gf.FieldElement.__sub__": TRACER,
     "gf.FieldElement._check": TRACER,
+    "gf.FieldSpec.__eq__": ORACLE,  # only the value comparisons of Poly and FieldElement compare specs
     "gf.FieldSpec.__repr__": REPR,
     "gf.FieldSpec.mul": ORACLE,
     "gf.FieldSpec.pow": ORACLE,
+    "polyrat.Poly.__eq__": ORACLE,  # the report path decides no identity by comparing two polynomials
     "polyrat.Poly.__repr__": REPR,
     "polyrat.Poly.from_ints": ORACLE,  # the test literals rely on its reduction mod p
     "polyrat.RatFn.__add__": ORACLE,  # and the FFElem constructor when two terms share a y index
@@ -96,6 +99,7 @@ def _cli_paths() -> list[list[str]]:
                         paths.append(argv + json_flag)
     paths.append(["sweep", "--family", "both", "--p-max", "5", "--n-max", "4", "--l-max", "4",
                   "--r-max", "1", "--li-max", "2", "--count-cap", "6"])
+    paths.append(["sweep", "--family", "kummer", "--p-max", "13", "--n-max", "6", "--l-max", "12", "--count-cap", "64"])
     return paths
 
 

@@ -30,9 +30,11 @@ oracle keeps, the ``MuTable`` wrapper of the mu-table dict, the
 class-or-triple fork ``_triple`` of the de Rham checks, an unreached
 operator or second constructor of a value type, banned by its
 class-qualified name such as ``RatFn.inverse``, the second
-ramification table ``ram_data`` beside ``curve.place_classes``, or the
-pole pre-pass ``_scores_below_zero`` beside the one valuation walk), so each
-value and each operation keeps one way in.  The coefficient loops that
+ramification table ``ram_data`` beside ``curve.place_classes``, the
+pole pre-pass ``_scores_below_zero`` beside the one valuation walk, or the
+cofactor sum ``_cofactor_sum`` of the Kummer identities, which ``verify``
+decides on the mu-table's exponents), so each value and each operation
+keeps one way in.  The coefficient loops that
 read the field tables inline, and the root walks that call the row kernel
 ``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
 one to a local, so no per-coefficient call comes back.  Only ``gf`` and
@@ -98,7 +100,6 @@ TABLE_KERNELS = {
         "": ("_axpy", "_horner", "_divide_out", "_reduce", "poly_gcd", "reduce_over_roots", "_root_product"),
     },
     "cohomology.py": {"": ("_cofactor_parts",)},
-    "verify.py": {"": ("_cofactor_sum",)},
 }
 FIELD_CALLS = ("add", "mul", "neg")  # the FieldSpec methods those loops must not call or bind
 FIELD_TABLES = ("exp", "log", "zech")  # read only in TABLE_MODULES
@@ -119,7 +120,7 @@ RETIRED_NAMES = (
     "MuTable", "_triple", "FieldElement.__truediv__", "Poly.constant", "Poly.leading", "Poly.__mod__",
     "RatFn.from_poly", "RatFn.constant", "RatFn.spec", "RatFn.__sub__", "RatFn.inverse", "RatFn.__truediv__",
     "FFElem.__add__", "FFElem.__sub__", "FFElem.from_ratfn", "FFDiff.zero", "FFDiff.__add__", "FFDiff.__sub__",
-    "BranchRam", "RamData", "ram_data", "CyclicCover.ram", "_scores_below_zero",
+    "BranchRam", "RamData", "ram_data", "CyclicCover.ram", "_scores_below_zero", "_cofactor_sum",
 )
 # the package's layers, lowest first: each module imports only from those before it
 LAYERS = ("gf", "polyrat", "curve", "funcfield", "cohomology", "verify", "cli")
