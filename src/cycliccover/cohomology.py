@@ -45,13 +45,13 @@ written as an unreduced num/den product and reduced once:
 once per curve (the divisor check's dy item reads them too), the Kummer
 psi parts and the Artin-Schreier phi parts once per mu.
 
-Every denominator here and in the omega and H^1 bases is x^e times a
-product of branch factors (x - rho_i)^m whose exponents come from the
+Every denominator here and in the omega and H^1 bases is x^shift times
+a product of branch factors (x - rho_i)^m whose exponents come from the
 curve (l_i, l_i + 1) or from the mu-table's m rows (g_mu).  So each
 coefficient is reduced by ``polyrat.reduce_over_roots`` over those known
-roots, with no gcd: the root lists are built once per build, a branch
-point at rho = 0 is folded into e, and the Kummer constant n moves into
-the numerator as 1/n.
+roots, with no gcd: ``_over`` pairs the branch points with the exponent
+row, a branch point at rho = 0 included, and the Kummer constant n moves
+into the numerator as 1/n.
 
 The a-class f_0inf is the H^1 representative h[mu, nu] itself, since
 p(a[mu, nu]) = h[mu, nu]: the builder takes the ``h1_basis`` objects, as
@@ -125,51 +125,24 @@ def h1_indices(curve: Curve, range_policy: str = "extended") -> list[BasisIndex]
 # -- bases -------------------------------------------------------------------
 
 
-class _Den(NamedTuple):
-    """A monic denominator x^e den with den = prod (x - rho)^m over ``roots``,
-    the (encoding of rho, m) pairs with rho != 0 and m > 0."""
-
-    e: int
-    den: Poly
-    roots: tuple[tuple[int, int], ...]
-
-
-def _factored(curve: Curve, poly: Poly, ms) -> _Den:
-    """The monic poly = prod (x - rho_i)^(m_i) over the branch points, its
-    x-power split off: a branch point at rho = 0 goes into e."""
-    rhos = [rho.encoding for rho, _ in curve.branch]
-    e = sum(m for rho, m in zip(rhos, ms) if not rho)
-    return _Den(e, Poly.from_encodings(curve.spec, poly.ints[e:]), tuple((r, m) for r, m in zip(rhos, ms) if r and m))
-
-
-def _g_dens(curve: Curve, table: dict[int, MuRow], mus) -> dict[int, _Den]:
-    """The g_mu of the given mus, factored."""
-    return {mu: _factored(curve, table[mu].g_mu, table[mu].m) for mu in mus}
-
-
-def _over(num: Poly, shift: int, den: _Den) -> RatFn:
-    """num / (x^shift den), reduced over the roots den is built from."""
-    return reduce_over_roots(num, shift + den.e, den.den, den.roots)
+def _over(curve: Curve, num: Poly, shift: int, den: Poly, ms) -> RatFn:
+    """num / (x^shift den) for den = prod (x - rho_i)^(m_i) over the branch
+    points, reduced over those roots."""
+    return reduce_over_roots(num, shift, den, [(rho.encoding, m) for (rho, _), m in zip(curve.branch, ms) if m])
 
 
 def omega_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIndex, FFDiff]]:
     """Basis of holomorphic differentials for the active policy range."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
-    kummer = curve.kind == "kummer"
-    indices = omega_indices(curve, range_policy)
-    if not indices:
-        return []
-    if kummer:
-        dens = _factored(curve, curve.f, [l for _, l in curve.branch])
-    else:
-        dens = _g_dens(curve, table, {mu for mu, _ in indices})
     out = []
-    for idx in indices:
-        if kummer:  # x^(nu-1) g_mu / f
-            elem = FFElem.monomial(curve, curve.n - idx.mu, _over(table[idx.mu].g_mu.shift(idx.nu - 1), 0, dens))
+    for idx in omega_indices(curve, range_policy):
+        row = table[idx.mu]
+        if curve.kind == "kummer":  # x^(nu-1) g_mu / f
+            coeff = _over(curve, row.g_mu.shift(idx.nu - 1), 0, curve.f, [l for _, l in curve.branch])
+            elem = FFElem.monomial(curve, curve.n - idx.mu, coeff)
         else:
-            elem = FFElem.monomial(curve, idx.mu, _over(Poly.monomial(spec, idx.nu - 1), 0, dens[idx.mu]))
+            elem = FFElem.monomial(curve, idx.mu, _over(curve, Poly.monomial(spec, idx.nu - 1), 0, row.g_mu, row.m))
         out.append((idx, FFDiff(elem)))
     return out
 
@@ -178,17 +151,14 @@ def h1_basis(curve: Curve, range_policy: str = "extended") -> list[tuple[BasisIn
     """Basis representatives of H^1(O), poles confined over 0 and infinity."""
     table = mu_table(curve, range_policy)
     spec = curve.spec
-    kummer = curve.kind == "kummer"
-    indices = h1_indices(curve, range_policy)
-    if not indices:
-        return []
-    dens = _g_dens(curve, table, {mu for mu, _ in indices}) if kummer else _Den(0, Poly.one(spec), ())
     out = []
-    for idx in indices:
-        if kummer:
-            elem = FFElem.monomial(curve, idx.mu, _over(Poly.one(spec), idx.nu, dens[idx.mu]))
-        else:
-            elem = FFElem.monomial(curve, idx.mu - 1, _over(table[curve.p - idx.mu].g_mu, idx.nu, dens))
+    for idx in h1_indices(curve, range_policy):
+        if curve.kind == "kummer":
+            row = table[idx.mu]
+            elem = FFElem.monomial(curve, idx.mu, _over(curve, Poly.one(spec), idx.nu, row.g_mu, row.m))
+        else:  # g_{p-mu} / x^nu
+            g = table[curve.p - idx.mu].g_mu
+            elem = FFElem.monomial(curve, idx.mu - 1, reduce_over_roots(g, idx.nu, Poly.one(spec), ()))
         out.append((idx, elem))
     return out
 
@@ -259,12 +229,6 @@ def _as_phi_parts(curve: ASCurve, table: dict[int, MuRow], mu: int) -> tuple[Pol
 SIGN_CONVENTIONS = ("paper", "negated-infty")
 
 
-def _slot(curve: Curve, terms: list[tuple[int, Poly, int, _Den]]) -> FFDiff:
-    """One slot: the differential sum of num / (x^shift den) y^j dx over the
-    (j, num, shift, den) terms, at distinct j, each coefficient reduced once."""
-    return FFDiff(FFElem(curve, [(j, _over(num, shift, den)) for j, num, shift, den in terms]))
-
-
 def _build_derham_basis(
     curve: Curve,
     range_policy: str,
@@ -279,12 +243,12 @@ def _build_derham_basis(
     table = mu_table(curve, range_policy)
     spec = curve.spec
     kummer = curve.kind == "kummer"
-    if hs:  # the a-family's denominators, factored once per build
+    ls = [l for _, l in curve.branch]
+    if hs:  # the a-family's fixed parts
         if kummer:
-            inv_n, f_den = spec.element(curve.n).inverse(), _factored(curve, curve.f, [l for _, l in curve.branch])
+            inv_n = spec.element(curve.n).inverse()
         else:
-            psi, g_dens = as_psi(curve), _g_dens(curve, table, {mu - 1 for (mu, _), _ in hs})
-            pole_den = _factored(curve, as_pole_den(curve), [l + 1 for _, l in curve.branch])
+            psi, pole_den, pole_ms = as_psi(curve), as_pole_den(curve), [l + 1 for l in ls]
     parts_mu, parts = None, None  # the indices come mu ascending: rebuild when mu changes
     out: list[DeRhamClass] = []
     for idx, f0inf in hs:
@@ -294,18 +258,18 @@ def _build_derham_basis(
         if kummer:
             row = table[curve.n - mu]
             split_deg = nu + 1 if row.t >= 2 else nu
-            lo, hi = split_at_degree(_psi_at(parts, nu), split_deg, inclusive=True)
+            split = split_at_degree(_psi_at(parts, nu), split_deg, inclusive=True)
             c = row.g_mu * inv_n  # the n of the denominator n x^(nu+1) f
-            terms0, terms_inf = [(mu, c * lo, nu + 1, f_den)], [(mu, c * hi, nu + 1, f_den)]
+            slots = [[(mu, _over(curve, c * part, nu + 1, curve.f, ls))] for part in split]
         else:
-            lo_phi, hi_phi = split_at_degree(_psi_at(parts, nu), nu + 1, inclusive=False)
-            terms0, terms_inf = [(mu - 1, lo_phi, nu + 1, g_dens[mu - 1])], [(mu - 1, hi_phi, nu + 1, g_dens[mu - 1])]
+            g = table[mu - 1]
+            split = split_at_degree(_psi_at(parts, nu), nu + 1, inclusive=False)
+            slots = [[(mu - 1, _over(curve, part, nu + 1, g.g_mu, g.m))] for part in split]
             if mu > 1:  # the omega_mu term, zero at mu = 1
-                lo_psi, hi_psi = split_at_degree(psi, nu, inclusive=False)
                 c = table[curve.p - mu].g_mu * spec.element(mu - 1)
-                terms0.append((mu - 2, c * lo_psi, nu, pole_den))
-                terms_inf.append((mu - 2, c * hi_psi, nu, pole_den))
-        omega0, omega_inf = _slot(curve, terms0), _slot(curve, terms_inf)
+                for terms, part in zip(slots, split_at_degree(psi, nu, inclusive=False)):
+                    terms.append((mu - 2, _over(curve, c * part, nu, pole_den, pole_ms)))
+        omega0, omega_inf = (FFDiff(FFElem(curve, terms)) for terms in slots)  # the low part, then the high
         if sign_convention == "negated-infty":
             omega_inf = -omega_inf
         out.append(DeRhamClass("a", idx, DeRhamTriple(omega0, omega_inf, f0inf)))

@@ -43,10 +43,11 @@ values at those points (Vandermonde; the proof is in ``valuation_bound``).
 A coefficient is reduced, so at each finite class the walk takes den's
 multiplicity first and num's only where den does not vanish.  A basis
 coefficient carries its den's factorization (``RatFn.den_roots``,
-recorded by ``polyrat.reduce_over_roots``), and its multiplicity at a
-branch point is read off it; any other coefficient, such as a divisor
-row's ``RatFn(num, den)``, is divided out by synthetic division, so those
-rows stay a from-scratch check.  ``valuations`` walks every class and
+recorded by ``polyrat.reduce_over_roots``, x among its factors), and its
+multiplicity at every finite class is read off it; any other coefficient,
+such as a divisor row's ``RatFn(num, den)``, is divided out by synthetic
+division (``Poly.multiplicity_at``), so those rows stay a from-scratch
+check.  ``valuations`` walks every class and
 keeps the tuple on the element, and ``valuation_bound`` reads one class
 of it.  ``poles`` finds the poles of an element or differential off an
 allowed locus: it reads the kept tuple when there is one, and otherwise
@@ -59,7 +60,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .curve import Curve, PlaceClass, place_classes
-from .gf import FieldElement
 from .polyrat import Poly, RatFn, _x_order, fraction_residue
 
 
@@ -289,9 +289,10 @@ def _walk(elem: FFElem, places: Iterable[PlaceClass]) -> list[int]:
 
     At a finite class, v(a_j) is e times the order of a_j at the base
     point rho.  a_j is reduced, so num and den do not both vanish at rho:
-    the walk takes den's multiplicity first (``_den_multiplicity``, from
-    one ``den_roots`` dict per term) and num's only where den does not
-    vanish.  Over infinity it is deg den - deg num."""
+    the walk takes den's multiplicity first, read off one ``den_roots``
+    dict per term when it has a record and found by ``multiplicity_at``
+    otherwise, and num's only where den does not vanish.  Over infinity
+    it is deg den - deg num."""
     rows = [(place.rho, place.e, place.v_y) for place in places]
     best = None
     for j, a in elem.terms:
@@ -302,24 +303,11 @@ def _walk(elem: FFElem, places: Iterable[PlaceClass]) -> list[int]:
             if rho is None:
                 v = len(den.ints) - len(num.ints)
             else:
-                m = _den_multiplicity(den, rho, recorded)
+                m = den.multiplicity_at(rho) if recorded is None else recorded.get(rho.encoding, 0)
                 v = -e * m if m else e * num.multiplicity_at(rho)
             scores.append(v + j * v_y)
         best = scores if best is None else list(map(min, best, scores))
     return best
-
-
-def _den_multiplicity(den: Poly, rho: FieldElement, recorded: dict[int, int] | None) -> int:
-    """The multiplicity of x - rho in a coefficient's denominator: its
-    x-order at rho = 0, else read off the recorded factorization
-    (``RatFn.den_roots`` as a dict) when there is one, else found by
-    synthetic division."""
-    r = rho.encoding
-    if not r:
-        return _x_order(den.ints)
-    if recorded is not None:
-        return recorded.get(r, 0)
-    return den.multiplicity_at(rho)
 
 
 def valuation_bound(obj: FFElem | FFDiff, place: PlaceClass) -> int:

@@ -33,13 +33,14 @@ The ``FieldSpec`` methods ``add``/``mul``/``neg``/``inv`` serve the
 no coefficient loop calls them.
 
 ``RatFn(num, den)`` reduces by Euclid (``poly_gcd``) and two long
-divisions.  When den is x^e times a product of powers of x - rho with the
-roots rho known, ``reduce_over_roots`` reduces num / den without either:
-the x-part cancels by the x-order of num, and each x - rho by synthetic
-division (``_horner``) for as long as it divides.  The basis builders
-reduce every coefficient this way; the checks keep the Euclid route.
-The root exponents left over are recorded on the result (``den_roots``),
-so den's multiplicity at a branch point is read, not recomputed.
+divisions.  When den is a product of powers of x - rho with the roots
+rho known, x = x - 0 among them, ``reduce_over_roots`` reduces
+num / (x^shift den) without either: x cancels by the x-order of num, and
+each other x - rho by synthetic division (``_horner``) for as long as it
+divides.  The basis builders reduce every coefficient this way; the
+checks keep the Euclid route.  Every factor left, x included, is
+recorded on the result (``den_roots``), so den's multiplicity at a
+branch point is read, not recomputed.
 
 A product is a schoolbook loop over the nonzero terms while the product
 of the operands' nonzero term counts is below ``KRONECKER_TERMS`` * d^2,
@@ -471,38 +472,41 @@ class RatFn:
     """Reduced rational function num/den over F_q (den monic, gcd = 1).
 
     ``den_roots`` records the factorization of den where it is known by
-    construction: the (encoding of rho, m) pairs, rho nonzero and
-    distinct, m > 0, with den = x^k prod (x - rho)^m, k the x-order of den.
-    Only ``reduce_over_roots`` records one; ``__neg__`` and the scalar
+    construction: the (encoding of rho, m) pairs, rho distinct, m > 0, with
+    den = prod (x - rho)^m, so rho = 0 carries den's x-order.  Only
+    ``reduce_over_roots`` records one; ``__neg__`` and the scalar
     ``__mul__`` keep den and carry it, and every other constructor leaves
-    None.  ``funcfield.valuations`` reads den's multiplicity at a nonzero
-    root off it."""
+    None.  ``funcfield.valuations`` reads den's multiplicity at a branch
+    point off it."""
 
     __slots__ = ("num", "den", "den_roots")
 
-    def __init__(self, num: Poly, den: Poly | None = None, *, _reduced: bool = False):
+    def __init__(self, num: Poly, den: Poly | None = None):
         self.den_roots: tuple[tuple[int, int], ...] | None = None
-        if den is None:  # 1 is monic and coprime to everything: nothing to reduce
+        if den is not None and not den.ints:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if den is None or not num.ints:  # num/1, or 0/1: 1 is monic and coprime to everything
             self.num, self.den = num, Poly.one(num.spec)
             return
-        if not den.ints:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num.ints:
-            self.num = num
-            self.den = Poly.one(num.spec)
-            return
-        if not _reduced:
-            g = poly_gcd(num, den)
-            if len(g.ints) > 1:
-                num = num // g
-                den = den // g
-            lead = den.ints[-1]
-            if lead != 1:
-                inv = den.spec.inv(lead)
-                num = num._scale(inv)
-                den = den._scale(inv)
+        g = poly_gcd(num, den)
+        if len(g.ints) > 1:
+            num = num // g
+            den = den // g
+        lead = den.ints[-1]
+        if lead != 1:
+            inv = den.spec.inv(lead)
+            num = num._scale(inv)
+            den = den._scale(inv)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _of(cls, num: Poly, den: Poly, den_roots: tuple[tuple[int, int], ...] | None = None) -> RatFn:
+        """num/den as given, for a num and a monic den already coprime (0/1
+        for zero), with den's factorization when it is known."""
+        out = cls.__new__(cls)
+        out.num, out.den, out.den_roots = num, den, den_roots
+        return out
 
     # -- constructors -----------------------------------------------------------
 
@@ -529,16 +533,12 @@ class RatFn:
         return RatFn(num, self.den * other.den)
 
     def __neg__(self) -> RatFn:
-        out = RatFn(-self.num, self.den, _reduced=True)
-        out.den_roots = self.den_roots
-        return out
+        return RatFn._of(-self.num, self.den, self.den_roots)
 
     def __mul__(self, other: RatFn | FieldElement) -> RatFn:
         if isinstance(other, FieldElement):  # a zero product comes out as 0/1, with no record
-            out = RatFn(self.num._scale(other.encoding), self.den, _reduced=True)
-            if out.num.ints:
-                out.den_roots = self.den_roots
-            return out
+            num = self.num._scale(other.encoding)
+            return RatFn._of(num, self.den, self.den_roots) if num.ints else RatFn(num)
         if self.is_zero or other.is_zero:  # a zero operand is 0/1 already
             return self if self.is_zero else other
         # cross-reduce before multiplying to keep degrees down
@@ -549,7 +549,7 @@ class RatFn:
         n2 = other.num // g2 if g2.degree > 0 else other.num
         d1 = self.den // g2 if g2.degree > 0 else self.den
         # d1 and d2 are monic quotients of monic polynomials by monic gcds
-        return RatFn(n1 * n2, d1 * d2, _reduced=True)
+        return RatFn._of(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -579,33 +579,41 @@ class RatFn:
         return f"RatFn({self.render()})"
 
 
-def reduce_over_roots(num: Poly, e: int, den: Poly, roots: Sequence[tuple[int, int]]) -> RatFn:
-    """num / (x^e den) reduced, for a monic den = prod (x - rho)^m over the
-    given (encoding of rho, m) pairs, the rho nonzero and distinct.
+def reduce_over_roots(num: Poly, shift: int, den: Poly, roots: Sequence[tuple[int, int]]) -> RatFn:
+    """num / (x^shift den) reduced, for den = prod (x - rho)^m over the
+    given (encoding of rho, m) pairs, the rho distinct; rho = 0 is x.
 
-    Every common factor is a power of x or of some x - rho.  The x-part
-    cancels by the x-order of num.  Each x - rho cancels by synthetic
-    division (``_horner``) for as long as the value at rho is zero, at most
-    m times, so a root that does not divide num costs one pass.  den is
-    kept when no root cancels and rebuilt from the exponents left
-    otherwise: no gcd and no long division is taken.  The exponents left
-    are recorded on the result as its ``den_roots``."""
+    Every common factor is a power of x or of some x - rho.  x, of
+    exponent shift plus the m of rho = 0, cancels by the x-order k of num.
+    Each other x - rho cancels by synthetic division (``_horner``) for as
+    long as the value at rho is zero, at most m times, so a root that does
+    not divide num costs one pass.  When no x - rho cancels, den is kept,
+    shifted by shift - k (its x-order covers k - shift when that is
+    positive); otherwise it is rebuilt from the exponents left.  No gcd
+    and no long division is taken.  Every factor left, x last, is recorded
+    on the result as its ``den_roots``, so their product is its den."""
     spec = num.spec
     if not num.ints:
         return RatFn(num)
-    k = min(e, _x_order(num.ints))
+    top = shift + sum(m for r, m in roots if not r)  # the exponent of x
+    k = min(top, _x_order(num.ints))
     desc = num.ints[::-1][:len(num.ints) - k]  # num / x^k, descending
     left, cancelled = [], False
     for r, m in roots:
-        desc, c = _divide_out(spec, desc, r, m)
-        cancelled = cancelled or c > 0
-        if c < m:
-            left.append((r, m - c))
+        if r:
+            desc, c = _divide_out(spec, desc, r, m)
+            cancelled = cancelled or c > 0
+            if c < m:
+                left.append((r, m - c))
+    if top > k:
+        left.append((0, top - k))
     if cancelled:
         den = _poly(spec, _root_product(spec, left))
-    out = RatFn(_poly(spec, list(desc[::-1])), den.shift(e - k) if e > k else den, _reduced=True)
-    out.den_roots = tuple(left)
-    return out
+    elif shift < k:
+        den = _poly(spec, list(den.ints[k - shift:]))
+    else:
+        den = den.shift(shift - k)
+    return RatFn._of(_poly(spec, list(desc[::-1])), den, tuple(left))
 
 
 def _wrap(p: Poly) -> str:

@@ -14,13 +14,13 @@ its cofactor-sum helper, so they stay an independent check of it.
 ``verify`` and ``cohomology`` never name a root multiplicity or a
 per-coefficient valuation, so every valuation they read comes from
 ``funcfield.valuations``, the one walk.  The denominator factorization that
-``reduce_over_roots`` records on a ``RatFn`` (``den_roots``) is set only
-there, cleared to None by every other constructor, copied only by
+``reduce_over_roots`` records on a ``RatFn`` (``den_roots``) is handed to
+the constructor ``RatFn._of`` only there, stored only by ``_of`` and
+cleared to None by ``RatFn.__init__``, carried into ``_of`` only by
 ``RatFn.__neg__`` and ``RatFn.__mul__`` and read elsewhere only in
 ``funcfield``, so no check can read a record around that walk.  In
-``funcfield`` the class-score formula is written once: outside
-``_den_multiplicity`` only ``_walk`` names ``multiplicity_at`` or
-``_den_multiplicity``, so ``valuations`` and ``poles`` share one walk.
+``funcfield`` the class-score formula is written once: only ``_walk``
+names ``multiplicity_at``, so ``valuations`` and ``poles`` share one walk.
 No class, function or field in ``src/`` takes the name of a route kept in
 ``tests/reference.py`` or of a retired family-table field, so the
 references stay out of the path they check, nor the name of a retired
@@ -31,9 +31,11 @@ class-or-triple fork ``_triple`` of the de Rham checks, an unreached
 operator or second constructor of a value type, banned by its
 class-qualified name such as ``RatFn.inverse``, the second
 ramification table ``ram_data`` beside ``curve.place_classes``, the
-pole pre-pass ``_scores_below_zero`` beside the one valuation walk, or the
+pole pre-pass ``_scores_below_zero`` beside the one valuation walk, the
 cofactor sum ``_cofactor_sum`` of the Kummer identities, which ``verify``
-decides on the mu-table's exponents), so each value and each operation
+decides on the mu-table's exponents, or a second factored form of a
+denominator beside ``RatFn.den_roots``: ``_Den``, ``_factored``,
+``_g_dens`` and ``_den_multiplicity``), so each value and each operation
 keeps one way in.  The coefficient loops that
 read the field tables inline, and the root walks that call the row kernel
 ``polyrat._axpy``, neither call ``FieldSpec.add``/``mul``/``neg`` nor bind
@@ -86,10 +88,10 @@ BUILDER_PSI = ("kummer_psi", "_kummer_psi_parts", "_psi_at", "_cofactor_parts") 
 # valuation primitives that verify.py and cohomology.py must not use
 VALUATION_PRIMITIVES = ("multiplicity_at", "coeff_valuation")
 RECORD = "den_roots"  # the denominator factorization that reduce_over_roots records on a RatFn
-RECORD_SETTERS = ("reduce_over_roots", "RatFn.__init__")  # the one recorder, and the None of every other constructor
-RECORD_CARRIERS = ("RatFn.__neg__", "RatFn.__mul__")  # keep den, so they copy the record
-SCORE_CALLS = ("multiplicity_at", "_den_multiplicity")  # the multiplicities the class-score formula reads
-SCORE_HELPERS = ("_den_multiplicity",)  # den's multiplicity, by record or division; only the walk calls it
+RECORDER = "reduce_over_roots"  # the one definition that hands RatFn._of a record of its own
+RECORD_SETTERS = ("RatFn._of", "RatFn.__init__")  # the one store of a record, and the None of every other constructor
+RECORD_CARRIERS = ("RatFn.__neg__", "RatFn.__mul__")  # keep den, so they hand _of self's record
+SCORE_CALLS = ("multiplicity_at",)  # the multiplicities the class-score formula reads
 NAME_ACCESS = ("getattr", "setattr", "delattr", "hasattr")
 # the coefficient loops that read the field tables inline, and the root walks that call
 # their row kernel, by module and class ("" for module level)
@@ -121,6 +123,7 @@ RETIRED_NAMES = (
     "RatFn.from_poly", "RatFn.constant", "RatFn.spec", "RatFn.__sub__", "RatFn.inverse", "RatFn.__truediv__",
     "FFElem.__add__", "FFElem.__sub__", "FFElem.from_ratfn", "FFDiff.zero", "FFDiff.__add__", "FFDiff.__sub__",
     "BranchRam", "RamData", "ram_data", "CyclicCover.ram", "_scores_below_zero", "_cofactor_sum",
+    "_Den", "_factored", "_g_dens", "_den_multiplicity",
 )
 # the package's layers, lowest first: each module imports only from those before it
 LAYERS = ("gf", "polyrat", "curve", "funcfield", "cohomology", "verify", "cli")
@@ -446,34 +449,42 @@ def test_the_valuation_rule_catches_violations():
     ]
 
 
+def _self_record(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == RECORD
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 def _record_uses(tree: ast.Module, module: str) -> list[str]:
     """Each use of the recorded factorization ``RatFn.den_roots`` outside
-    its rule.  In ``polyrat`` only ``reduce_over_roots`` records one,
-    ``RatFn.__init__`` only stores None, and the carriers only copy
-    ``self.den_roots`` onto their result; only ``funcfield`` reads it
-    elsewhere, and no module reaches it by name through ``getattr`` or its
-    kin."""
+    its rule.  In ``polyrat`` only ``reduce_over_roots`` hands the
+    constructor ``_of`` a record of its own, the carriers hand it only
+    ``self.den_roots``, only ``_of`` stores one and ``RatFn.__init__``
+    stores only None; only ``funcfield`` reads it elsewhere, and no module
+    reaches it by name through ``getattr`` or its kin."""
     out = []
 
     def found(node: ast.AST, owner: str) -> str | None:
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in NAME_ACCESS
                 and any(isinstance(a, ast.Constant) and a.value == RECORD for a in node.args)):
             return f"reaches {RECORD} by name"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_of":
+            handed = node.args[2:] + [k.value for k in node.keywords if k.arg == RECORD]
+            if not handed or module == "polyrat" and owner == RECORDER:
+                return None
+            if module == "polyrat" and owner in RECORD_CARRIERS:
+                return None if _self_record(handed[0]) else f"hands _of a {RECORD} other than self.{RECORD}"
+            return f"hands _of a {RECORD}"
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and module == "polyrat":
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(isinstance(t, ast.Attribute) and t.attr == RECORD for t in targets):
                 value = node.value
                 if owner == "RatFn.__init__" and not (isinstance(value, ast.Constant) and value.value is None):
                     return f"stores a {RECORD} other than None"
-                if owner in RECORD_CARRIERS and not (
-                        isinstance(value, ast.Attribute) and value.attr == RECORD
-                        and isinstance(value.value, ast.Name) and value.value.id == "self"):
-                    return f"stores a {RECORD} other than self.{RECORD}"
             return None
         if not (isinstance(node, ast.Attribute) and node.attr == RECORD):
             return None
         if module == "polyrat":
-            allowed = RECORD_CARRIERS + (() if isinstance(node.ctx, ast.Load) else RECORD_SETTERS)
+            allowed = RECORD_CARRIERS if isinstance(node.ctx, ast.Load) else RECORD_SETTERS
             return None if owner in allowed else f"{'reads' if isinstance(node.ctx, ast.Load) else 'stores'} {RECORD}"
         if module == "funcfield" and isinstance(node.ctx, ast.Load):
             return None
@@ -508,36 +519,44 @@ def test_the_factorization_rule_catches_violations():
         "    def __init__(self, num, den):\n"
         f"        self.{RECORD} = None\n"
         f"        self.{RECORD} = den.roots\n"
+        "    @classmethod\n"
+        f"    def _of(cls, num, den, {RECORD}=None):\n"
+        f"        out.num, out.den, out.{RECORD} = num, den, {RECORD}\n"
         "    def __neg__(self):\n"
-        "        out = RatFn(-self.num, self.den)\n"
-        f"        out.{RECORD} = self.{RECORD}\n"
-        "        return out\n"
+        f"        return RatFn._of(-self.num, self.den, self.{RECORD})\n"
         "    def __mul__(self, other):\n"
-        f"        out.{RECORD} = other.{RECORD}\n"
-        "    def __add__(self, other):\n"
+        f"        out = RatFn._of(self.num, self.den, other.{RECORD})\n"
         f"        out.{RECORD} = self.{RECORD}\n"
+        "    def __add__(self, other):\n"
+        f"        return RatFn._of(self.num, self.den, {RECORD}=self.{RECORD})\n"
         "def reduce_over_roots(num, e, den, roots):\n"
+        "    out = RatFn._of(num, den, tuple(roots))\n"
         f"    out.{RECORD} = tuple(roots)\n"
         "def fraction_sum(spec, terms):\n"
         f"    return getattr(terms[0], '{RECORD}')\n"
     )
     assert _record_uses(polyrat, "polyrat") == [
         f"line 4: RatFn.__init__ stores a {RECORD} other than None",
-        f"line 10: RatFn.__mul__ stores a {RECORD} other than self.{RECORD}",
-        f"line 12: RatFn.__add__ reads {RECORD}",
-        f"line 12: RatFn.__add__ stores {RECORD}",
-        f"line 16: fraction_sum reaches {RECORD} by name",
+        f"line 11: RatFn.__mul__ hands _of a {RECORD} other than self.{RECORD}",
+        f"line 12: RatFn.__mul__ stores {RECORD}",
+        f"line 14: RatFn.__add__ hands _of a {RECORD}",
+        f"line 14: RatFn.__add__ reads {RECORD}",
+        f"line 17: reduce_over_roots stores {RECORD}",
+        f"line 19: fraction_sum reaches {RECORD} by name",
     ]
     checks = ast.parse(
         "def locus_check(triple, label):\n"
         f"    roots = triple.f0inf.terms[0][1].{RECORD}\n"
         f"    return setattr(a, '{RECORD}', None), hasattr(a, '{RECORD}')\n"
+        "def _over(curve, num, den):\n"
+        "    return RatFn._of(num, den, ((0, 1),)), FFElem._of(curve, ())\n"
     )
     for module in ("verify", "cohomology"):
         assert _record_uses(checks, module) == [
             f"line 2: locus_check uses {RECORD}",
             f"line 3: locus_check reaches {RECORD} by name",
             f"line 3: locus_check reaches {RECORD} by name",
+            f"line 5: _over hands _of a {RECORD}",
         ]
     funcfield = ast.parse(
         "def valuations(obj):\n"
@@ -548,16 +567,16 @@ def test_the_factorization_rule_catches_violations():
 
 
 def _score_formulas(tree: ast.Module) -> list[str]:
-    """Each definition outside ``SCORE_HELPERS`` that names a call of the
-    class-score formula (``SCORE_CALLS``), by name or attribute, with the
-    names it uses ("module" at module level)."""
+    """Each definition that names a call of the class-score formula
+    (``SCORE_CALLS``), by name or attribute, with the names it uses
+    ("module" at module level)."""
 
     def found(node: ast.AST) -> str | None:
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
         return f"uses {name}" if isinstance(node, (ast.Name, ast.Attribute)) and name in SCORE_CALLS else None
 
     uses: dict[str, set[str]] = {}
-    for line in _outside(tree, SCORE_HELPERS, found):
+    for line in _outside(tree, (), found):
         owner, name = line.split(": ", 1)[1].split(" uses ")
         uses.setdefault(owner, set()).add(name)
     return [f"{owner} uses {', '.join(sorted(names))}" for owner, names in sorted(uses.items())]
@@ -565,31 +584,28 @@ def _score_formulas(tree: ast.Module) -> list[str]:
 
 def test_one_walk_scores_the_place_classes():
     tree = ast.parse((SRC / "funcfield.py").read_text(encoding="utf-8"))
-    assert _score_formulas(tree) == ["_walk uses _den_multiplicity, multiplicity_at"]
+    assert _score_formulas(tree) == ["_walk uses multiplicity_at"]
 
 
 def test_the_score_formula_rule_catches_violations():
     tree = ast.parse(
-        "def _den_multiplicity(den, rho, recorded):\n"
-        "    return den.multiplicity_at(rho)\n"
         "def _walk(elem, places):\n"
-        "    m = _den_multiplicity(den, rho, recorded)\n"
+        "    m = den.multiplicity_at(rho) if recorded is None else recorded.get(r, 0)\n"
         "    return m or num.multiplicity_at(rho)\n"
         "def _scores_below_zero(j, a, places, dx):\n"
-        "    m = _den_multiplicity(a.den, place.rho, recorded)\n"
-        "    return m or a.num.multiplicity_at(place.rho)\n"
+        "    return a.num.multiplicity_at(place.rho)\n"
         "def poles(obj, allowed):\n"
         "    order = Poly.multiplicity_at\n"
         "    return [order(a.num, rho) for rho in allowed]\n"
         "class FFElem:\n"
         "    def valuation(self, rho):\n"
-        "        return _den_multiplicity(self.den, rho, None)\n"
+        "        return self.den.multiplicity_at(rho)\n"
         "ORDER = multiplicity_at(F, X)\n"
     )
     assert _score_formulas(tree) == [
-        "FFElem.valuation uses _den_multiplicity",
-        "_scores_below_zero uses _den_multiplicity, multiplicity_at",
-        "_walk uses _den_multiplicity, multiplicity_at",
+        "FFElem.valuation uses multiplicity_at",
+        "_scores_below_zero uses multiplicity_at",
+        "_walk uses multiplicity_at",
         "module uses multiplicity_at",
         "poles uses multiplicity_at",
     ]

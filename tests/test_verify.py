@@ -333,14 +333,15 @@ def test_the_dy_item_and_the_de_rham_builder_read_one_pole_denominator(monkeypat
     # prod (x - rho_i)^(l_i + 1) is a per-curve field, built once for the
     # divisor check's dy item and the a-family's omega_mu terms
     curve = ASCurve(F5, Poly.from_ints(F5, [2, 0, 1]), [(F5.element(1), 1), (F5.element(2), 1)])
-    dy_dens, factored = [], []
-    dy_matches, factor = verify._dy_matches, cohomology._factored
+    dy_dens, reduced = [], []
+    dy_matches, reduce = verify._dy_matches, cohomology.reduce_over_roots
     monkeypatch.setattr(verify, "_dy_matches", lambda c, psi, den: dy_dens.append(den) or dy_matches(c, psi, den))
-    monkeypatch.setattr(cohomology, "_factored", lambda c, poly, ms: factored.append(poly) or factor(c, poly, ms))
+    monkeypatch.setattr(cohomology, "reduce_over_roots",
+                        lambda num, shift, den, roots: reduced.append(den) or reduce(num, shift, den, roots))
     assert full_report(curve).all_pass
     [den] = dy_dens
     assert den is curve.pole_den is cohomology.as_pole_den(curve)
-    assert any(poly is den for poly in factored)
+    assert any(poly is den for poly in reduced)
 
 
 @pytest.mark.parametrize(
