@@ -69,7 +69,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .curve import ASCurve, Curve, KummerCurve, MuRow, PlaceClass, mu_table, place_classes
-from .funcfield import FFDiff, FFElem, pairing_matrix, poles
+from .funcfield import FFDiff, FFElem, poles
 from .gf import FieldElement, FieldSpec
 from .polyrat import Poly, RatFn, _axpy, reduce_over_roots, split_at_degree
 

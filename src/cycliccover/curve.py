@@ -26,7 +26,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .gf import FieldElement, FieldSpec
-from .polyrat import Poly, RatFn
+from .polyrat import Poly, reduce_over_roots
 
 if TYPE_CHECKING:
     from .funcfield import FamilyTable
@@ -103,7 +103,8 @@ class ASCurve(CyclicCover):
         self.p = spec.p
         self.f = f
         self.branch_poly = Poly.from_roots(spec, self.branch)
-        self.r_fn = RatFn(f, self.branch_poly)
+        # reduced over the branch roots: f need not be prime to them before ``validate``
+        self.r_fn = reduce_over_roots(f, 0, self.branch_poly, [(rho.encoding, l) for rho, l in self.branch if l > 0])
 
     @property
     def degree(self) -> int:

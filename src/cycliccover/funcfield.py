@@ -26,9 +26,8 @@ both families; no local uniformizer machinery exists anywhere.
 only the y coefficient of f * coeff(omega) that the trace reads (the
 reach rows, ``_reach``) and sums their residues on unreduced fractions,
 with no gcd, each once per key: the x-free parts of a_i and b_j, the
-reach row and their summed x-order.
-``differential_terms`` lists the terms of d(a_j y^j) unreduced;
-``exterior_d`` reduces them, and the cocycle check tests their sum for
+reach row and their summed x-order.  ``differential_terms`` lists the
+terms of d(a_j y^j) unreduced, and the cocycle check tests their sum for
 zero without reducing.
 
 Regularity questions are answered by one walk, ``_walk``, which scores
@@ -42,12 +41,12 @@ degree below the number of points, in a unit with pairwise distinct
 values at those points (Vandermonde; the proof is in ``valuation_bound``).
 A coefficient is reduced, so at each finite class the walk takes den's
 multiplicity first and num's only where den does not vanish.  A basis
-coefficient carries its den's factorization (``RatFn.den_roots``,
-recorded by ``polyrat.reduce_over_roots``, x among its factors), and its
-multiplicity at every finite class is read off it; any other coefficient,
-such as a divisor row's ``RatFn(num, den)``, is divided out by synthetic
-division (``Poly.multiplicity_at``), so those rows stay a from-scratch
-check.  ``valuations`` walks every class and
+coefficient, like the table's r and dy, carries its den's factorization
+(``RatFn.den_roots``, recorded by ``polyrat.reduce_over_roots``, x among
+its factors), and its multiplicity at every finite class is read off it;
+a divisor row's coefficient, 1/g_mu included, carries none and is divided
+out by synthetic division (``Poly.multiplicity_at``), so those rows stay
+a from-scratch check.  ``valuations`` walks every class and
 keeps the tuple on the element, and ``valuation_bound`` reads one class
 of it.  ``poles`` finds the poles of an element or differential off an
 allowed locus: it reads the kept tuple when there is one, and otherwise
@@ -60,7 +59,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .curve import Curve, PlaceClass, place_classes
-from .polyrat import Poly, RatFn, _x_order, fraction_residue
+from .polyrat import Poly, RatFn, _x_order, fraction_residue, reduce_over_roots
 
 
 class FamilyTable(NamedTuple):
@@ -76,17 +75,20 @@ class FamilyTable(NamedTuple):
 def _family_table(curve: Curve) -> FamilyTable:
     """The curve's family table, built on first use; the cover hypotheses are not checked."""
     if curve.family_table is None:
-        if curve.kind == "kummer":
+        if curve.kind == "kummer":  # f'/(n f), over the branch roots f is built from
             inv_n = curve.spec.element(curve.n).inverse()
+            roots = [(rho.encoding, l) for rho, l in curve.branch if l > 0]
             curve.family_table = FamilyTable(
                 relation=RatFn(curve.f), relation_has_y=False,
-                dy_coeff=RatFn(curve.f.derivative(), curve.f) * inv_n, dy_exponent=1,
+                dy_coeff=reduce_over_roots(curve.f.derivative() * inv_n, 0, curve.f, roots), dy_exponent=1,
                 trace_index=0,
             )
-        else:
+        else:  # -r' = (u v' - u' v)/v^2 for r = u/v, over r's recorded roots, each twice
+            u, v = curve.r_fn.num, curve.r_fn.den
+            roots = [(rho, 2 * m) for rho, m in curve.r_fn.den_roots or ()]
             curve.family_table = FamilyTable(
                 relation=curve.r_fn, relation_has_y=True,
-                dy_coeff=-curve.r_fn.derivative(), dy_exponent=0,
+                dy_coeff=reduce_over_roots(u * v.derivative() - u.derivative() * v, 0, v * v, roots), dy_exponent=0,
                 trace_index=curve.p - 1,
             )
     return curve.family_table
@@ -197,12 +199,6 @@ class FFElem:
             if j:
                 out.append((j - 1 + table.dy_exponent, u * c.num * curve.spec.element(j), v * c.den))
         return out
-
-    def exterior_d(self) -> FFDiff:
-        """Exterior derivative as a global (element) * dx differential: the
-        sum of the reduced ``differential_terms``."""
-        terms = _summed((k, RatFn(num, den)) for k, num, den in self.differential_terms())
-        return FFDiff(FFElem._of(self.curve, terms))
 
     # -- rendering -------------------------------------------------------------------------
 

@@ -37,10 +37,10 @@ divisions.  When den is a product of powers of x - rho with the roots
 rho known, x = x - 0 among them, ``reduce_over_roots`` reduces
 num / (x^shift den) without either: x cancels by the x-order of num, and
 each other x - rho by synthetic division (``_horner``) for as long as it
-divides.  The basis builders reduce every coefficient this way; the
-checks keep the Euclid route.  Every factor left, x included, is
-recorded on the result (``den_roots``), so den's multiplicity at a
-branch point is read, not recomputed.
+divides.  A passing report reduces every fraction this way: the
+Artin-Schreier r, each family's dy and every basis coefficient; Euclid
+is left to a den of unknown factors, the residual of a failing check.
+Every factor left, x included, is recorded on the result (``den_roots``).
 
 A product is a schoolbook loop over the nonzero terms while the product
 of the operands' nonzero term counts is below ``KRONECKER_TERMS`` * d^2,
@@ -552,11 +552,6 @@ class RatFn:
         return RatFn._of(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
-
-    def derivative(self) -> RatFn:
-        """Formal derivative via the quotient rule."""
-        num = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RatFn(num, self.den * self.den)
 
     # -- comparisons and rendering -------------------------------------------------------
 

@@ -45,7 +45,8 @@ Kummer gg product and log derivative of each mu are decided on the
 integers of its mu-table row, building no polynomial (``_kummer_identities``).
 The Artin-Schreier dy item is decided as the cocycle check is, by a zero
 test on the unreduced sums of dy - psi / prod (x - rho_i)^(l_i + 1) dx,
-and renders its two reduced differentials only when it fails.
+and renders its two reduced differentials only when it fails.  Only a
+failing item reduces by Euclid (``_reduced``), as its den is arbitrary.
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ def _dx_sums(f: FFElem, terms: Sequence[tuple[int, Poly, Poly]]) -> dict[int, tu
     return {k: fraction_sum(f.curve.spec, index_terms) for k, index_terms in by_index.items()}
 
 
+def _reduced(curve: Curve, sums: dict[int, tuple[Poly, Poly]]) -> FFDiff:
+    """The differential of per y index sums num/den reduced by Euclid, for a
+    failing item to render: a faulty slot can put any factor into den."""
+    return FFDiff(FFElem(curve, [(k, RatFn(num, den)) for k, (num, den) in sums.items()]))
+
+
 def _cocycle_sums(triple: DeRhamTriple) -> dict[int, tuple[Poly, Poly]]:
     """Per y index with a term, the dx coefficient of d f_0inf - omega_0 +
     omega_inf as one unreduced fraction num/den (at any other index it is
@@ -143,13 +150,11 @@ def cocycle_check(triple: DeRhamTriple, label: str) -> CheckResult:
     sums = _cocycle_sums(triple)
     if all(num.is_zero for num, _ in sums.values()):
         return CheckResult(name, "pass", "exterior derivative matches the slot difference", {})
-    terms = [(k, RatFn(num, den)) for k, (num, den) in sums.items()]
-    residual = FFDiff(FFElem(triple.f0inf.curve, terms))
     return CheckResult(
         name,
         "fail",
         "d(f_0inf) - omega_0 + omega_inf is nonzero",
-        {"residual": residual.render()},
+        {"residual": _reduced(triple.f0inf.curve, sums).render()},
     )
 
 
@@ -212,7 +217,7 @@ def _kummer_rows(curve: KummerCurve, table: dict[int, MuRow], dx: FFDiff, g: int
     ]
     for mu in table:
         row = table[mu]
-        elem = FFElem.monomial(curve, mu, RatFn(Poly.one(curve.spec), row.g_mu))
+        elem = FFElem.monomial(curve, mu, RatFn._of(Poly.one(curve.spec), row.g_mu))  # reduced, with no record
         rows.append(_Row(f"y^{mu}/g_{mu}", elem, row.v, 0, -row.t))
     return rows
 
@@ -335,8 +340,8 @@ def divisor_checks(curve: Curve) -> CheckResult:
         ok = _dy_matches(curve, psi, pole_den)
         shown = (None, None)  # a passing item is not reported
         if not ok:
-            expected_dy = FFDiff(FFElem.monomial(curve, 0, RatFn(psi, pole_den)))
-            shown = (expected_dy.render(), FFElem.y(curve).exterior_d().render())
+            got_dy = _dx_sums(FFElem.y(curve), [])
+            shown = (_reduced(curve, {0: (psi, pole_den)}).render(), _reduced(curve, got_dy).render())
         items.append((ok, *shown, "{}", ("dy == psi / prod (x-rho)^{l+1} dx",)))
 
     bad = _failed(items)

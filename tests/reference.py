@@ -4,9 +4,12 @@ psi and the Artin-Schreier omega_mu.  Each is written from the curve data
 (n, zeta_n, the branch points, the mu-tables) on the ``FFElem``
 constructor and ``*``, ``RatFn`` and ``Poly``; none reads the curve's
 family table, so an oracle built on them shares no code with the path it
-checks.  The reduced cocycle residual (``cocycle_residual``) takes d f_0inf
-from ``exterior_d``, which ``test_cocycle_regression`` checks against a
-derivative written term by term.
+checks.  The quotient rule (``ratfn_derivative``) and the reduced exterior
+derivative (``exterior_derivative``) are routes the report path no longer
+takes: it reduces over branch roots and tests unreduced sums for zero.
+The reduced cocycle residual (``cocycle_residual``) takes d f_0inf from
+``exterior_derivative``, which ``test_cocycle_regression`` checks against
+a derivative written term by term.
 
 The dense walks (``dense_*``) work on plain y-coefficient vectors
 (a_0, ..., a_{deg-1}) of ``RatFn``, visiting every index, zero or not
@@ -140,10 +143,21 @@ def as_omega_mu(curve, mu: int, table) -> FFDiff:
     return FFDiff(FFElem.monomial(curve, mu - 2, RatFn(num, den)))
 
 
+def ratfn_derivative(a: RatFn) -> RatFn:
+    """The formal derivative of a rational function by the quotient rule, reduced by Euclid."""
+    return RatFn(a.num.derivative() * a.den - a.num * a.den.derivative(), a.den * a.den)
+
+
+def exterior_derivative(f: FFElem) -> FFDiff:
+    """d f as a global (element) * dx differential: the sum of its
+    ``differential_terms``, each reduced by Euclid."""
+    return FFDiff(FFElem(f.curve, [(k, RatFn(num, den)) for k, num, den in f.differential_terms()]))
+
+
 def cocycle_residual(triple) -> FFElem:
     """The dx coefficient of d f_0inf - omega_0 + omega_inf in reduced
-    arithmetic: one element on the terms of ``exterior_d`` and of the slots."""
-    terms = triple.f0inf.exterior_d().coeff.terms + (-triple.omega0).coeff.terms + triple.omega_inf.coeff.terms
+    arithmetic: one element on the terms of ``exterior_derivative`` and of the slots."""
+    terms = exterior_derivative(triple.f0inf).coeff.terms + (-triple.omega0).coeff.terms + triple.omega_inf.coeff.terms
     return FFElem(triple.f0inf.curve, terms)
 
 

@@ -1,4 +1,4 @@
-from reference import as_omega_mu, cocycle_residual, dense, kummer_psi
+from reference import as_omega_mu, cocycle_residual, dense, exterior_derivative, kummer_psi
 
 from cycliccover import cohomology, verify
 from cycliccover.cohomology import (
@@ -152,7 +152,7 @@ def test_as_phi_psi_and_omega_mu_examples():
     assert as_psi(AS_P3) == Poly.from_ints(F3, [0, 1])  # x
     assert as_omega_mu(AS_P3, 2, table).render() == "(1/(2 + x^2)) * dx"
     # dy cross-check: coefficient of d(y) equals psi over prod (x-rho)^{l+1}
-    dy = FFElem.y(AS_P3).exterior_d()
+    dy = exterior_derivative(FFElem.y(AS_P3))
     den = Poly.from_roots(F3, [(rho, l + 1) for rho, l in AS_P3.branch])
     assert cohomology.as_pole_den(AS_P3) == den
     assert dense(dy.coeff)[0] == RatFn(as_psi(AS_P3), den)

@@ -43,7 +43,6 @@ UNREACHED = {
     "funcfield.FFElem.__mul__": TRACER,
     "funcfield.FFElem.__repr__": REPR,
     "funcfield.FFElem._check": TRACER,
-    "funcfield.FFElem.exterior_d": ERROR,  # the failing dy item renders it
     "gf.FieldElement.__add__": TRACER,
     "gf.FieldElement.__eq__": ORACLE,
     "gf.FieldElement.__hash__": ORACLE,
@@ -61,6 +60,7 @@ UNREACHED = {
     "polyrat.Poly.from_ints": ORACLE,  # the test literals rely on its reduction mod p
     "polyrat.RatFn.__add__": ORACLE,  # and the FFElem constructor when two terms share a y index
     "polyrat.RatFn.__eq__": ORACLE,
+    "polyrat.RatFn.__mul__": TRACER,  # FFElem.__mul__ multiplies coefficients with it
     "polyrat.RatFn.__repr__": REPR,
     "polyrat.RatFn.is_zero": ORACLE,
     "polyrat.RatFn.zero": ORACLE,

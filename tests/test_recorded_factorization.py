@@ -22,7 +22,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from reference import _order
+from reference import _order, ratfn_derivative
 from test_golden import SHA_SPECS
 
 from cycliccover.cli import enumerate_as_specs, enumerate_kummer_specs, parse_curve_spec
@@ -134,7 +134,7 @@ def test_the_record_is_carried_by_negation_and_scalars_only():
     zero = a * F5.zero()
     assert zero.is_zero and zero.den_roots is None
     b = RatFn(Poly.one(F5), Poly.from_ints(F5, [-1, 1]))  # 1 / (x - 1)
-    for other in (b, a * b, a + a, a.derivative(), RatFn(a.num, a.den), RatFn.one(F5), RatFn(a.num)):
+    for other in (b, a * b, a + a, ratfn_derivative(a), RatFn(a.num, a.den), RatFn.one(F5), RatFn(a.num)):
         assert other.den_roots is None, other.render()
 
 

@@ -45,10 +45,12 @@ one to a local, so no per-coefficient call comes back.  Only ``gf`` and
 so a Zech sum is written in those three places only.  The
 function field arithmetic, the bases and the checks walk an element's
 nonzero ``terms``: ``FFElem`` has no dense view, and no code in
-``funcfield``, ``cohomology`` or ``verify`` reads a ``.coeffs``.  The
-basis builders reduce every coefficient over the roots its denominator
-is built from: ``cohomology`` calls neither ``poly_gcd`` nor
-the reducing two-argument ``RatFn(num, den)``.  The pairing has one
+``funcfield``, ``cohomology`` or ``verify`` reads a ``.coeffs``.  A
+passing report reduces every fraction over the roots its denominator is
+built from: ``curve``, ``funcfield`` and ``cohomology`` call neither
+``poly_gcd`` nor the reducing two-argument ``RatFn(num, den)``, and
+``verify`` calls them only in ``_reduced``, the render of a failing
+item.  The pairing has one
 route: only ``pairing_matrix`` sums pairing residues, so in ``src/`` only
 it calls ``fraction_residue``.  Every value record is a ``NamedTuple``:
 ``src/`` imports no ``dataclasses``, decorates nothing ``@dataclass`` and
@@ -109,10 +111,13 @@ TABLE_MODULES = ("gf.py", "polyrat.py")
 ZECH_READERS = ("_axpy", "_horner", "Poly.__add__")  # the polyrat definitions that read zech
 SPARSE_MODULES = ("funcfield.py", "cohomology.py", "verify.py")  # modules that walk terms, never .coeffs
 RESIDUE_CALLERS = ("pairing_matrix",)  # the only caller of fraction_residue
+# the modules that reduce by roots, with the definitions there that may reduce by Euclid
+EUCLID_ALLOWED = {"curve.py": (), "funcfield.py": (), "cohomology.py": (), "verify.py": ("_reduced",)}
 # reference routes and retired family-table fields that no src/ definition may be named
 REFERENCE_NAMES = (
     "galois", "trace", "trace_by_orbit", "kummer_aux", "as_aux", "kummer_psi", "as_omega_mu",
-    "gen_a", "gen_b", "trace_value", "pairing_scale", "KummerAux", "ASAux",
+    "gen_a", "gen_b", "trace_value", "pairing_scale", "KummerAux", "ASAux", "ratfn_derivative",
+    "exterior_derivative",
 )
 RECORD_MACHINERY = ("dataclass", "cached_property")  # the record idiom that NamedTuple replaced
 # retired second routes to a value that no src/ definition may be named; a class-qualified
@@ -123,7 +128,7 @@ RETIRED_NAMES = (
     "RatFn.from_poly", "RatFn.constant", "RatFn.spec", "RatFn.__sub__", "RatFn.inverse", "RatFn.__truediv__",
     "FFElem.__add__", "FFElem.__sub__", "FFElem.from_ratfn", "FFDiff.zero", "FFDiff.__add__", "FFDiff.__sub__",
     "BranchRam", "RamData", "ram_data", "CyclicCover.ram", "_scores_below_zero", "_cofactor_sum",
-    "_Den", "_factored", "_g_dens", "_den_multiplicity",
+    "_Den", "_factored", "_g_dens", "_den_multiplicity", "RatFn.derivative", "FFElem.exterior_d",
 )
 # the package's layers, lowest first: each module imports only from those before it
 LAYERS = ("gf", "polyrat", "curve", "funcfield", "cohomology", "verify", "cli")
@@ -808,24 +813,31 @@ def test_the_dense_read_rule_catches_violations():
     ]
 
 
-def _euclid_calls(tree: ast.AST) -> list[str]:
+def _euclid_calls(tree: ast.Module, allowed: tuple[str, ...] = ()) -> list[str]:
     """Each call of ``poly_gcd``, and each ``RatFn`` call with a second
-    argument, positional or by keyword."""
-    out = []
-    for node in ast.walk(tree):
+    argument, positional or by keyword, outside the definitions named in
+    ``allowed``."""
+
+    def found(node: ast.AST) -> str | None:
         if not isinstance(node, ast.Call):
-            continue
+            return None
         func = node.func
         called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if called == "poly_gcd" or (called == "RatFn" and len(node.args) + len(node.keywords) >= 2):
-            out.append((node.lineno, called))
-    return [f"line {line}: calls {name}" for line, name in sorted(out)]
+            return f"calls {called}"
+        return None
+
+    return _outside(tree, allowed, found)
 
 
-def test_the_builders_take_no_euclid_route():
-    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
-    assert _uses(tree, ("reduce_over_roots",))  # the rule sees the builders' route
-    assert _euclid_calls(tree) == []
+@pytest.mark.parametrize("module", sorted(EUCLID_ALLOWED))
+def test_a_passing_report_takes_no_euclid_route(module):
+    tree, allowed = ast.parse((SRC / module).read_text(encoding="utf-8")), EUCLID_ALLOWED[module]
+    if allowed:  # the rule sees the failing items' Euclid route
+        assert _euclid_calls(tree)
+    else:  # the rule sees the route over the roots: the builders, r and dy
+        assert _uses(tree, ("reduce_over_roots",))
+    assert _euclid_calls(tree, allowed) == []
 
 
 def test_the_euclid_rule_catches_violations():
@@ -833,15 +845,22 @@ def test_the_euclid_rule_catches_violations():
         "def omega_basis(curve):\n"
         "    a = RatFn(x_pow * g_mu, curve.f)\n"
         "    b = polyrat.RatFn(num, den=curve.f)\n"
-        "    c = RatFn(Poly.one(spec)) + RatFn.from_poly(g)\n"
+        "    c = RatFn(Poly.one(spec)) + RatFn.from_poly(g) + RatFn._of(Poly.one(spec), g)\n"
         "    return poly_gcd(a.num, b.den), polyrat.poly_gcd(c.num, c.den)\n"
+        "def _reduced(curve, sums):\n"
+        "    return [RatFn(num, den) for num, den in sums.values()]\n"
+        "class ASCurve:\n"
+        "    def __init__(self, spec, f, branch):\n"
+        "        self.r_fn = RatFn(f, self.branch_poly)\n"
     )
-    assert _euclid_calls(tree) == [
-        "line 2: calls RatFn",
-        "line 3: calls RatFn",
-        "line 5: calls poly_gcd",
-        "line 5: calls poly_gcd",
+    assert _euclid_calls(tree, ("_reduced",)) == [
+        "line 2: omega_basis calls RatFn",
+        "line 3: omega_basis calls RatFn",
+        "line 5: omega_basis calls poly_gcd",
+        "line 5: omega_basis calls poly_gcd",
+        "line 10: ASCurve.__init__ calls RatFn",
     ]
+    assert "line 7: _reduced calls RatFn" in _euclid_calls(tree)
 
 
 def _outside(tree: ast.Module, allowed: tuple[str, ...], found) -> list[str]:
